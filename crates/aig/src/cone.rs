@@ -38,7 +38,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use lr_bv::BitVec;
 use lr_ir::{BvOp, NodeId, Prog, ProgBuilder, StreamInputs};
 
-use crate::gen::Rng;
+use crate::gen::seeded;
 use crate::{lit_node, Aig};
 
 /// Bounds on a single cone.
@@ -316,7 +316,7 @@ pub fn verify_stitched(
     if cycles == 0 {
         return Ok(report);
     }
-    let mut rng = Rng::new(seed);
+    let mut rng = seeded(seed);
     for _ in 0..environments {
         let stimulus: Vec<Vec<bool>> =
             (0..cycles).map(|_| (0..aig.num_inputs()).map(|_| rng.bool()).collect()).collect();

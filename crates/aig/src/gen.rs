@@ -1,6 +1,8 @@
 //! Seeded random AIG generation — netlist-shaped stimulus for the cone
 //! pipeline's tests, the scaling scenarios, and the CI experiment fixtures.
 
+use lr_bv::Rng;
+
 use crate::{Aig, AndGate, Latch, Lit, Output};
 
 /// Shape of a generated netlist.
@@ -22,31 +24,10 @@ impl Default for GenConfig {
     }
 }
 
-/// The same xorshift64* generator the serve-side scenarios use, kept private so
-/// this crate stays dependency-free.
-pub(crate) struct Rng(u64);
-
-impl Rng {
-    pub(crate) fn new(seed: u64) -> Rng {
-        // Avoid the all-zero fixed point.
-        Rng(seed ^ 0x9E37_79B9_7F4A_7C15)
-    }
-
-    pub(crate) fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform value in `0..n` (Lemire-style, n > 0).
-    pub(crate) fn below(&mut self, n: u64) -> u64 {
-        ((u128::from(self.next()) * u128::from(n)) >> 64) as u64
-    }
-
-    pub(crate) fn bool(&mut self) -> bool {
-        self.next() & 1 == 1
-    }
+/// This crate's seeding of the shared generator. The mix is what the committed
+/// fixtures were generated with, so it stays.
+pub(crate) fn seeded(seed: u64) -> Rng {
+    Rng::new(seed ^ 0x9E37_79B9_7F4A_7C15)
 }
 
 /// Generates a random, valid AIG. The same `(seed, config)` pair always yields
@@ -58,7 +39,7 @@ impl Rng {
 pub fn random_aig(seed: u64, config: &GenConfig) -> Aig {
     let inputs = config.inputs.max(1);
     let outputs = config.outputs.max(1);
-    let mut rng = Rng::new(seed);
+    let mut rng = seeded(seed);
     let first_and = 1 + inputs + config.latches;
 
     let mut ands = Vec::with_capacity(config.ands as usize);
@@ -122,7 +103,7 @@ mod tests {
     fn generated_netlists_simulate_and_round_trip() {
         for seed in 0..8 {
             let aig = random_aig(seed, &GenConfig::default());
-            let mut rng = Rng::new(seed ^ 0xDEAD);
+            let mut rng = seeded(seed ^ 0xDEAD);
             let stimulus: Vec<Vec<bool>> =
                 (0..4).map(|_| (0..aig.num_inputs()).map(|_| rng.bool()).collect()).collect();
             let sim = aig.simulate(&stimulus);
@@ -133,5 +114,16 @@ mod tests {
             let binary = crate::parse::parse_aig_binary(&aig.to_aig_binary()).unwrap();
             assert_eq!(binary.simulate(&stimulus), sim);
         }
+    }
+
+    #[test]
+    fn the_mix_constant_seed_does_not_degenerate() {
+        // Regression: this seed XORs to state 0, xorshift's fixed point, and
+        // used to draw all zeros, so every gate read input 1 twice.
+        let mut rng = seeded(0x9E37_79B9_7F4A_7C15);
+        assert!((0..8).any(|_| rng.next_u64() != 0));
+        let aig = random_aig(0x9E37_79B9_7F4A_7C15, &GenConfig::default());
+        let first = aig.ands()[0];
+        assert!(aig.ands().iter().any(|g| *g != first), "all gates identical");
     }
 }

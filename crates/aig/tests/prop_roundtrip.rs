@@ -4,7 +4,7 @@
 //! binary streams must never parse.
 
 use lr_aig::{parse_aag, parse_aig_binary, random_aig, AigError, GenConfig};
-use lr_bv::BitVec;
+use lr_bv::{BitVec, Rng};
 use lr_ir::StreamInputs;
 use proptest::prelude::*;
 
@@ -16,14 +16,8 @@ fn shape(inputs: u32, latches: u32, ands: u32, outputs: u32) -> GenConfig {
 
 /// Deterministic stimulus from a seed, one bool vector per cycle.
 fn stimulus(seed: u64, inputs: usize) -> Vec<Vec<bool>> {
-    let mut x = seed ^ 0x5DEECE66D;
-    let mut bit = || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x & 1 == 1
-    };
-    (0..CYCLES).map(|_| (0..inputs).map(|_| bit()).collect()).collect()
+    let mut rng = Rng::new(seed);
+    (0..CYCLES).map(|_| (0..inputs).map(|_| rng.bool()).collect()).collect()
 }
 
 prop_compose! {

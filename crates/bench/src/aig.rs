@@ -15,9 +15,9 @@
 //! Both runs stitch the per-cone implementations back together and verify the
 //! result against the source AIG on seeded random stimulus. The gates are
 //! zero-tolerance: any verification mismatch, any warm cone missing the cache,
-//! or any cone wider than the LUT fails the run — and `check_aig` in
-//! [`crate::gate`] additionally pins the cone/coverage counters to the
-//! committed baseline exactly, because the partitioner is deterministic.
+//! or any cone wider than the LUT fails the run — and [`crate::gate`]
+//! additionally pins the cone/coverage counters to the committed baseline
+//! exactly, because the partitioner is deterministic.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -25,13 +25,9 @@ use std::sync::Arc;
 use lakeroad::MapConfig;
 use lr_aig::Aig;
 use lr_arch::{ArchName, Architecture};
-use lr_serve::{map_netlist, NetlistOptions, NetlistReport, SynthCache};
+use lr_serve::{map_netlist, Json, NetlistOptions, NetlistReport, SynthCache};
 
-use crate::Scale;
-
-/// Where the machine-readable record is written (repo-relative; CI uploads
-/// this exact path as an artifact, next to the other `BENCH_*.json` records).
-pub const REPORT_PATH: &str = "BENCH_aig.json";
+use crate::{decimal, Record, Scale};
 
 /// The committed fixtures, relative to the crate's `fixtures/aig/` directory.
 pub const FIXTURES: [&str; 3] = ["c17.bench", "rand_large.aag", "rand_mid.aig"];
@@ -122,9 +118,48 @@ impl AigReport {
     pub fn warm_all_hits(&self) -> bool {
         self.fixtures.iter().all(|f| f.warm_cache_hits == f.cones)
     }
+}
 
-    /// The failed acceptance gates, empty when the experiment is healthy.
-    pub fn gate_failures(&self) -> Vec<String> {
+impl Record for AigReport {
+    const PATH: &'static str = "BENCH_aig.json";
+
+    fn to_json(&self) -> Json {
+        let n = |v: usize| Json::Num(v as f64);
+        let fixtures = self.fixtures.iter().map(|f| {
+            Json::obj([
+                ("name", Json::str(&f.name)),
+                ("ands", n(f.ands)),
+                ("latches", n(f.latches)),
+                ("outputs", n(f.outputs)),
+                ("cones", n(f.cones)),
+                ("covered_ands", n(f.covered_ands)),
+                ("max_leaves", n(f.max_leaves)),
+                ("unique_cones", n(f.unique_cones)),
+                ("cold_cache_hits", n(f.cold_cache_hits)),
+                ("warm_cache_hits", n(f.warm_cache_hits)),
+                ("logic_elements", n(f.logic_elements)),
+                ("registers", n(f.registers)),
+                ("verify_environments", n(f.verify_environments)),
+                ("verify_cycles", n(f.verify_cycles)),
+                ("verify_mismatches", n(f.verify_mismatches)),
+                ("cold_wall_ms", decimal(f.cold_wall_ms, 3)),
+                ("warm_wall_ms", decimal(f.warm_wall_ms, 3)),
+            ])
+        });
+        Json::obj([
+            ("scale", Json::str(format!("{:?}", self.scale))),
+            ("total_ands", n(self.total_ands())),
+            ("largest_fixture_ands", n(self.largest_fixture_ands())),
+            ("total_cones", n(self.total_cones())),
+            ("unique_cones", n(self.unique_cones())),
+            ("total_mismatches", n(self.total_mismatches())),
+            ("warm_all_hits", Json::Bool(self.warm_all_hits())),
+            ("gates_pass", Json::Bool(self.gate_failures().is_empty())),
+            ("fixtures", Json::Arr(fixtures.collect())),
+        ])
+    }
+
+    fn gate_failures(&self) -> Vec<String> {
         let mut failures = self.failures.clone();
         let lut = Architecture::load(ARCH).lut_size() as usize;
         for f in &self.fixtures {
@@ -162,60 +197,7 @@ impl AigReport {
         failures
     }
 
-    /// Renders the record as a JSON document (dependency-free, like the other
-    /// `BENCH_*.json` writers; the format is stable for CI consumption).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
-        out.push_str(&format!("  \"total_ands\": {},\n", self.total_ands()));
-        out.push_str(&format!("  \"largest_fixture_ands\": {},\n", self.largest_fixture_ands()));
-        out.push_str(&format!("  \"total_cones\": {},\n", self.total_cones()));
-        out.push_str(&format!("  \"unique_cones\": {},\n", self.unique_cones()));
-        out.push_str(&format!("  \"total_mismatches\": {},\n", self.total_mismatches()));
-        out.push_str(&format!("  \"warm_all_hits\": {},\n", self.warm_all_hits()));
-        out.push_str(&format!("  \"gates_pass\": {},\n", self.gate_failures().is_empty()));
-        out.push_str("  \"fixtures\": [\n");
-        for (i, f) in self.fixtures.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"ands\": {}, \"latches\": {}, \"outputs\": {}, \
-                 \"cones\": {}, \"covered_ands\": {}, \"max_leaves\": {}, \"unique_cones\": {}, \
-                 \"cold_cache_hits\": {}, \"warm_cache_hits\": {}, \"logic_elements\": {}, \
-                 \"registers\": {}, \"verify_environments\": {}, \"verify_cycles\": {}, \
-                 \"verify_mismatches\": {}, \"cold_wall_ms\": {:.3}, \"warm_wall_ms\": {:.3}}}{}\n",
-                f.name,
-                f.ands,
-                f.latches,
-                f.outputs,
-                f.cones,
-                f.covered_ands,
-                f.max_leaves,
-                f.unique_cones,
-                f.cold_cache_hits,
-                f.warm_cache_hits,
-                f.logic_elements,
-                f.registers,
-                f.verify_environments,
-                f.verify_cycles,
-                f.verify_mismatches,
-                f.cold_wall_ms,
-                f.warm_wall_ms,
-                if i + 1 < self.fixtures.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Prints a human-readable summary.
-    pub fn print_summary(&self) {
+    fn print_summary(&self) {
         println!(
             "\n-- Structural frontend: {} fixtures, {} ANDs total --",
             self.fixtures.len(),
@@ -341,25 +323,6 @@ pub fn run_aig_experiment(scale: Scale, workers: usize) -> AigReport {
     report
 }
 
-/// Prints the summary, writes [`REPORT_PATH`], and reports gate failures.
-pub fn report_and_write(report: &AigReport) -> Result<(), String> {
-    report.print_summary();
-    match report.write_json(REPORT_PATH) {
-        Ok(()) => println!(
-            "wrote {REPORT_PATH} ({} fixtures, {} cones)",
-            report.fixtures.len(),
-            report.total_cones(),
-        ),
-        Err(e) => eprintln!("failed to write {REPORT_PATH}: {e}"),
-    }
-    let failures = report.gate_failures();
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("; "))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,12 +407,12 @@ mod tests {
     fn json_report_is_well_formed() {
         let report = sample_report();
         let json = report.to_json();
-        assert!(json.contains("\"gates_pass\": true"));
-        assert!(json.contains("\"total_mismatches\": 0"));
-        assert!(json.contains("\"warm_all_hits\": true"));
-        assert!(json.contains("\"name\": \"rand_large.aag\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        crate::gate::Json::parse(&json).expect("mini parser reads the record");
+        assert_eq!(json.get(&["gates_pass"]), Some(&Json::Bool(true)));
+        assert_eq!(json.get(&["total_mismatches"]), Some(&Json::num(0)));
+        assert_eq!(json.get(&["warm_all_hits"]), Some(&Json::Bool(true)));
+        let fixtures = json.get(&["fixtures"]).and_then(Json::as_arr).unwrap();
+        assert_eq!(fixtures[1].get(&["name"]), Some(&Json::str("rand_large.aag")));
+        assert_eq!(Json::parse(&json.render_indented()).unwrap(), json);
     }
 
     #[test]

@@ -7,19 +7,12 @@
 
 use std::process::ExitCode;
 
-use lr_bench::aig::{report_and_write, run_aig_experiment};
-use lr_bench::Scale;
+use lr_bench::aig::run_aig_experiment;
+use lr_bench::{exit_code, report_and_write, Scale};
 
 fn main() -> ExitCode {
     let scale = Scale::from_args();
     let workers = Scale::workers_from_args();
     println!("Structural-frontend experiment at {scale:?} scale ({workers} workers)");
-    let report = run_aig_experiment(scale, workers);
-    match report_and_write(&report) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(failures) => {
-            eprintln!("exp_aig gates failed: {failures}");
-            ExitCode::FAILURE
-        }
-    }
+    exit_code(report_and_write(&run_aig_experiment(scale, workers)))
 }

@@ -10,14 +10,16 @@
 //! that contention, so use `--jobs 1` for contention-free, paper-faithful
 //! Figure 6/7 numbers.
 
+use std::process::ExitCode;
+
 use lr_arch::Architecture;
 use lr_bench::{
-    cegis::{report_and_write, run_cegis_comparison},
-    print_completeness, print_extensibility, print_histogram, print_portfolio,
-    print_primitives_table, print_resources, run_all, Scale,
+    cegis::run_cegis_comparison, exit_code, print_completeness, print_extensibility,
+    print_histogram, print_portfolio, print_primitives_table, print_resources, report_and_write,
+    run_all, Scale,
 };
 
-fn main() {
+fn main() -> ExitCode {
     let scale = Scale::from_args();
     println!(
         "Lakeroad reproduction: full evaluation at {scale:?} scale ({} scheduler workers)",
@@ -36,5 +38,5 @@ fn main() {
 
     // Incremental-CEGIS perf tracking: rerun the sweep single-solver in both modes
     // and leave a machine-readable record next to the textual report.
-    report_and_write(&run_cegis_comparison(scale));
+    exit_code(report_and_write(&run_cegis_comparison(scale)))
 }

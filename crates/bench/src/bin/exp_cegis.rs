@@ -3,11 +3,13 @@
 //! speedups, and writes the machine-readable `BENCH_cegis.json` report.
 //! Scale is selected with `--quick` (default), `--smoke`, or `--full`.
 
-use lr_bench::cegis::{report_and_write, run_cegis_comparison};
-use lr_bench::Scale;
+use std::process::ExitCode;
 
-fn main() {
+use lr_bench::cegis::run_cegis_comparison;
+use lr_bench::{exit_code, report_and_write, Scale};
+
+fn main() -> ExitCode {
     let scale = Scale::from_args();
     println!("Incremental CEGIS comparison at {scale:?} scale");
-    report_and_write(&run_cegis_comparison(scale));
+    exit_code(report_and_write(&run_cegis_comparison(scale)))
 }

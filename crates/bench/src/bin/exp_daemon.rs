@@ -6,18 +6,11 @@
 
 use std::process::ExitCode;
 
-use lr_bench::daemon::{report_and_write, run_daemon_experiment};
-use lr_bench::Scale;
+use lr_bench::daemon::run_daemon_experiment;
+use lr_bench::{exit_code, report_and_write, Scale};
 
 fn main() -> ExitCode {
     let scale = Scale::from_args();
     println!("Daemon-serving experiment at {scale:?} scale");
-    let report = run_daemon_experiment(scale);
-    match report_and_write(&report) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(failures) => {
-            eprintln!("exp_daemon gates failed: {failures}");
-            ExitCode::FAILURE
-        }
-    }
+    exit_code(report_and_write(&run_daemon_experiment(scale)))
 }

@@ -5,18 +5,11 @@
 
 use std::process::ExitCode;
 
-use lr_bench::fuzz::{report_and_write, run_fuzz_experiment};
-use lr_bench::Scale;
+use lr_bench::fuzz::run_fuzz_experiment;
+use lr_bench::{exit_code, report_and_write, Scale};
 
 fn main() -> ExitCode {
     let scale = Scale::from_args();
     println!("HDL fuzz firehose at {scale:?} scale");
-    let report = run_fuzz_experiment(scale);
-    match report_and_write(&report) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(failures) => {
-            eprintln!("exp_fuzz gates failed: {failures}");
-            ExitCode::FAILURE
-        }
-    }
+    exit_code(report_and_write(&run_fuzz_experiment(scale)))
 }

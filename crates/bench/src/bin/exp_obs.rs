@@ -7,18 +7,11 @@
 
 use std::process::ExitCode;
 
-use lr_bench::obs::{report_and_write, run_obs_experiment};
-use lr_bench::Scale;
+use lr_bench::obs::run_obs_experiment;
+use lr_bench::{exit_code, report_and_write, Scale};
 
 fn main() -> ExitCode {
     let scale = Scale::from_args();
     println!("Observability experiment at {scale:?} scale");
-    let report = run_obs_experiment(scale);
-    match report_and_write(&report) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(failures) => {
-            eprintln!("exp_obs gates failed: {failures}");
-            ExitCode::FAILURE
-        }
-    }
+    exit_code(report_and_write(&run_obs_experiment(scale)))
 }

@@ -7,18 +7,11 @@
 
 use std::process::ExitCode;
 
-use lr_bench::sat::{report_and_write, run_sat_comparison};
-use lr_bench::Scale;
+use lr_bench::sat::run_sat_comparison;
+use lr_bench::{exit_code, report_and_write, Scale};
 
 fn main() -> ExitCode {
     let scale = Scale::from_args();
     println!("CDCL modernization experiment at {scale:?} scale");
-    let comparison = run_sat_comparison(scale);
-    match report_and_write(&comparison) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(failures) => {
-            eprintln!("exp_sat gates failed: {failures}");
-            ExitCode::FAILURE
-        }
-    }
+    exit_code(report_and_write(&run_sat_comparison(scale)))
 }

@@ -5,18 +5,11 @@
 
 use std::process::ExitCode;
 
-use lr_bench::serve::{report_and_write, run_serve_experiment};
-use lr_bench::Scale;
+use lr_bench::serve::run_serve_experiment;
+use lr_bench::{exit_code, report_and_write, Scale};
 
 fn main() -> ExitCode {
     let scale = Scale::from_args();
     println!("Batch-serving experiment at {scale:?} scale");
-    let report = run_serve_experiment(scale);
-    match report_and_write(&report) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(failures) => {
-            eprintln!("exp_serve gates failed: {failures}");
-            ExitCode::FAILURE
-        }
-    }
+    exit_code(report_and_write(&run_serve_experiment(scale)))
 }

@@ -4,15 +4,13 @@
 //! and writes the machine-readable `BENCH_trace.json` record. Scale is
 //! selected with `--quick` (default), `--smoke`, or `--full`.
 
-use lr_bench::trace::{report_and_write, run_trace_comparison};
-use lr_bench::Scale;
+use std::process::ExitCode;
 
-fn main() {
+use lr_bench::trace::run_trace_comparison;
+use lr_bench::{exit_code, report_and_write, Scale};
+
+fn main() -> ExitCode {
     let scale = Scale::from_args();
     println!("Tracing overhead/identity comparison at {scale:?} scale");
-    let comparison = run_trace_comparison(scale);
-    report_and_write(&comparison);
-    if !comparison.gates_pass() {
-        std::process::exit(1);
-    }
+    exit_code(report_and_write(&run_trace_comparison(scale)))
 }

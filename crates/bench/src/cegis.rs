@@ -14,23 +14,10 @@ use std::time::Instant;
 use lakeroad::suite::Microbenchmark;
 use lakeroad::{generate_sketch, pipeline_depth, Template};
 use lr_arch::Architecture;
+use lr_serve::Json;
 use lr_synth::{synthesize, SynthesisConfig, SynthesisOutcome, SynthesisTask};
 
-use crate::Scale;
-
-/// Where the machine-readable comparison record is written (repo-relative; CI
-/// uploads this exact path as an artifact).
-pub const REPORT_PATH: &str = "BENCH_cegis.json";
-
-/// Prints the human-readable summary and writes [`REPORT_PATH`] — the shared tail
-/// of the `exp_all` and `exp_cegis` drivers.
-pub fn report_and_write(comparison: &CegisComparison) {
-    comparison.print_summary();
-    match comparison.write_json(REPORT_PATH) {
-        Ok(()) => println!("wrote {REPORT_PATH} ({} runs)", comparison.runs.len()),
-        Err(e) => eprintln!("failed to write {REPORT_PATH}: {e}"),
-    }
-}
+use crate::{decimal, Record, Scale};
 
 /// One synthesis run's record (one benchmark in one mode).
 #[derive(Debug, Clone)]
@@ -80,49 +67,41 @@ impl CegisComparison {
         }
         self.total_ms(false) / inc
     }
+}
 
-    /// Renders the comparison as a JSON document (no external dependencies; the
-    /// format is stable for CI consumption).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
-        out.push_str(&format!("  \"total_wall_ms_incremental\": {:.3},\n", self.total_ms(true)));
-        out.push_str(&format!("  \"total_wall_ms_from_scratch\": {:.3},\n", self.total_ms(false)));
-        out.push_str(&format!("  \"speedup\": {:.3},\n", self.speedup()));
-        out.push_str("  \"benchmarks\": [\n");
-        for (i, r) in self.runs.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"arch\": \"{}\", \"benchmark\": \"{}\", \"incremental\": {}, \
-                 \"verdict\": \"{}\", \"wall_ms\": {:.3}, \"iterations\": {}, \
-                 \"conflicts\": {}, \"constraints_encoded\": {}, \
-                 \"constraints_reencoded\": {}, \"learnt_clauses_reused\": {}}}{}\n",
-                r.arch,
-                r.benchmark,
-                r.incremental,
-                r.verdict,
-                r.wall_ms,
-                r.iterations,
-                r.conflicts,
-                r.constraints_encoded,
-                r.constraints_reencoded,
-                r.learnt_clauses_reused,
-                if i + 1 < self.runs.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+impl Record for CegisComparison {
+    const PATH: &'static str = "BENCH_cegis.json";
+
+    fn to_json(&self) -> Json {
+        let runs = self.runs.iter().map(|r| {
+            Json::obj([
+                ("arch", Json::str(&r.arch)),
+                ("benchmark", Json::str(&r.benchmark)),
+                ("incremental", Json::Bool(r.incremental)),
+                ("verdict", Json::str(r.verdict)),
+                ("wall_ms", decimal(r.wall_ms, 3)),
+                ("iterations", Json::Num(r.iterations as f64)),
+                ("conflicts", Json::Num(r.conflicts as f64)),
+                ("constraints_encoded", Json::Num(r.constraints_encoded as f64)),
+                ("constraints_reencoded", Json::Num(r.constraints_reencoded as f64)),
+                ("learnt_clauses_reused", Json::Num(r.learnt_clauses_reused as f64)),
+            ])
+        });
+        Json::obj([
+            ("scale", Json::str(format!("{:?}", self.scale))),
+            ("total_wall_ms_incremental", decimal(self.total_ms(true), 3)),
+            ("total_wall_ms_from_scratch", decimal(self.total_ms(false), 3)),
+            ("speedup", decimal(self.speedup(), 3)),
+            ("benchmarks", Json::Arr(runs.collect())),
+        ])
     }
 
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    /// The comparison records; it has no acceptance gate of its own.
+    fn gate_failures(&self) -> Vec<String> {
+        Vec::new()
     }
 
-    /// Prints a human-readable summary table.
-    pub fn print_summary(&self) {
+    fn print_summary(&self) {
         println!("\n-- Incremental CEGIS vs. from-scratch ({:?} scale) --", self.scale);
         println!(
             "  {:44} {:>12} {:>12} {:>8}",
@@ -255,13 +234,16 @@ mod tests {
             ],
         };
         let json = comparison.to_json();
-        assert!(json.contains("\"speedup\": 2.000"));
-        assert!(json.contains("\"constraints_reencoded\": 4"));
-        assert!(json.contains("\"incremental\": true"));
+        assert_eq!(json.get(&["speedup"]), Some(&Json::num(2)));
+        let runs = json.get(&["benchmarks"]).and_then(Json::as_arr).unwrap();
+        assert_eq!(runs[0].get(&["incremental"]), Some(&Json::Bool(true)));
+        assert_eq!(runs[1].get(&["constraints_reencoded"]), Some(&Json::num(4)));
         assert!((comparison.total_ms(true) - 12.5).abs() < 1e-9);
         assert!((comparison.total_ms(false) - 25.0).abs() < 1e-9);
-        // Exactly one trailing comma structure: valid JSON.
-        assert_eq!(json.matches("},").count(), 1);
+        // One line per run, and the written text reads back as the record.
+        let text = json.render_indented();
+        assert_eq!(text.matches("},\n").count(), 1);
+        assert_eq!(Json::parse(&text).unwrap(), json);
     }
 
     #[test]

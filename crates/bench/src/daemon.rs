@@ -25,11 +25,7 @@ use lakeroad::MapConfig;
 use lr_arch::ArchName;
 use lr_serve::{Daemon, DaemonClient, DaemonConfig, DaemonSummary, Json};
 
-use crate::Scale;
-
-/// Where the machine-readable record is written (repo-relative; CI uploads
-/// this exact path as an artifact, next to the other `BENCH_*.json` files).
-pub const REPORT_PATH: &str = "BENCH_daemon.json";
+use crate::{decimal, Record, Scale};
 
 /// Cache totals as the daemon's `stats` request reports them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -119,9 +115,38 @@ impl DaemonReport {
     pub fn lost(&self) -> u64 {
         self.accepted - self.completed
     }
+}
 
-    /// The failed acceptance gates, empty when the experiment is healthy.
-    pub fn gate_failures(&self) -> Vec<String> {
+impl Record for DaemonReport {
+    const PATH: &'static str = "BENCH_daemon.json";
+
+    fn to_json(&self) -> Json {
+        let n = |v: u64| Json::Num(v as f64);
+        Json::obj([
+            ("scale", Json::str(format!("{:?}", self.scale))),
+            ("workers", Json::Num(self.workers as f64)),
+            ("clients", n(self.clients)),
+            ("distinct_requests", n(self.distinct)),
+            ("accepted", n(self.accepted)),
+            ("completed", n(self.completed)),
+            ("rejected", n(self.rejected)),
+            ("lost", n(self.lost())),
+            ("warm_served", n(self.warm.from_cache)),
+            ("warm_hits", n(self.warm_hits())),
+            ("cold_misses", n(self.after_cold.misses)),
+            ("cold_stores", n(self.after_cold.stores)),
+            ("evictions", n(self.after_warm.evictions)),
+            ("cache_entries", n(self.cache_entries)),
+            ("cold_wall_ms", decimal(self.cold.wall_ms, 3)),
+            ("warm_wall_ms", decimal(self.warm.wall_ms, 3)),
+            ("warm_p50_ms", decimal(self.warm.percentile_ms(0.50), 3)),
+            ("warm_p99_ms", decimal(self.warm.percentile_ms(0.99), 3)),
+            ("verdicts_cold", Json::str(&self.cold.verdicts[0])),
+            ("gates_pass", Json::Bool(self.gate_failures().is_empty())),
+        ])
+    }
+
+    fn gate_failures(&self) -> Vec<String> {
         let mut failures = Vec::new();
         let expected_warm = self.clients * self.distinct;
         if self.warm.from_cache != expected_warm {
@@ -171,43 +196,7 @@ impl DaemonReport {
         failures
     }
 
-    /// Renders the record as a JSON document (dependency-free, stable for CI).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
-        out.push_str(&format!("  \"workers\": {},\n", self.workers));
-        out.push_str(&format!("  \"clients\": {},\n", self.clients));
-        out.push_str(&format!("  \"distinct_requests\": {},\n", self.distinct));
-        out.push_str(&format!("  \"accepted\": {},\n", self.accepted));
-        out.push_str(&format!("  \"completed\": {},\n", self.completed));
-        out.push_str(&format!("  \"rejected\": {},\n", self.rejected));
-        out.push_str(&format!("  \"lost\": {},\n", self.lost()));
-        out.push_str(&format!("  \"warm_served\": {},\n", self.warm.from_cache));
-        out.push_str(&format!("  \"warm_hits\": {},\n", self.warm_hits()));
-        out.push_str(&format!("  \"cold_misses\": {},\n", self.after_cold.misses));
-        out.push_str(&format!("  \"cold_stores\": {},\n", self.after_cold.stores));
-        out.push_str(&format!("  \"evictions\": {},\n", self.after_warm.evictions));
-        out.push_str(&format!("  \"cache_entries\": {},\n", self.cache_entries));
-        out.push_str(&format!("  \"cold_wall_ms\": {:.3},\n", self.cold.wall_ms));
-        out.push_str(&format!("  \"warm_wall_ms\": {:.3},\n", self.warm.wall_ms));
-        out.push_str(&format!("  \"warm_p50_ms\": {:.3},\n", self.warm.percentile_ms(0.50)));
-        out.push_str(&format!("  \"warm_p99_ms\": {:.3},\n", self.warm.percentile_ms(0.99)));
-        out.push_str(&format!("  \"verdicts_cold\": \"{}\",\n", self.cold.verdicts[0]));
-        out.push_str(&format!("  \"gates_pass\": {}\n", self.gate_failures().is_empty()));
-        out.push_str("}\n");
-        out
-    }
-
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Prints a human-readable summary.
-    pub fn print_summary(&self) {
+    fn print_summary(&self) {
         println!(
             "\n-- Daemon serving: {} distinct mappings, {} warm clients, {} workers --",
             self.distinct, self.clients, self.workers
@@ -364,25 +353,6 @@ pub fn run_daemon_experiment(scale: Scale) -> DaemonReport {
     }
 }
 
-/// Prints the summary, writes [`REPORT_PATH`], and reports gate failures.
-pub fn report_and_write(report: &DaemonReport) -> Result<(), String> {
-    report.print_summary();
-    match report.write_json(REPORT_PATH) {
-        Ok(()) => println!(
-            "wrote {REPORT_PATH} ({} warm responses across {} clients)",
-            report.warm.latencies_ms.len(),
-            report.clients,
-        ),
-        Err(e) => eprintln!("failed to write {REPORT_PATH}: {e}"),
-    }
-    let failures = report.gate_failures();
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("; "))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,9 +440,9 @@ mod tests {
     #[test]
     fn json_report_is_well_formed() {
         let json = sample_report().to_json();
-        assert!(json.contains("\"gates_pass\": true"));
-        assert!(json.contains("\"warm_served\": 24"));
-        assert!(json.contains("\"lost\": 0"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json.get(&["gates_pass"]), Some(&Json::Bool(true)));
+        assert_eq!(json.get(&["warm_served"]), Some(&Json::num(24)));
+        assert_eq!(json.get(&["lost"]), Some(&Json::num(0)));
+        assert_eq!(Json::parse(&json.render_indented()).unwrap(), json);
     }
 }

@@ -21,14 +21,11 @@ use lr_arch::Architecture;
 use lr_bv::BitVec;
 use lr_egraph::rules::bv_rules;
 use lr_egraph::{fold_term, Limits};
+use lr_serve::Json;
 use lr_smt::{TermId, TermPool};
 use lr_synth::{synthesize, SynthesisConfig, SynthesisOutcome, SynthesisTask};
 
-use crate::Scale;
-
-/// Where the machine-readable record is written (repo-relative; CI uploads this
-/// exact path as an artifact, next to `BENCH_cegis.json`).
-pub const REPORT_PATH: &str = "BENCH_egraph.json";
+use crate::{decimal, Record, Scale};
 
 /// One monster-disequality fold record.
 #[derive(Debug, Clone)]
@@ -117,83 +114,68 @@ impl EgraphReport {
     pub fn cegis_total_ms(&self, egraph: bool) -> f64 {
         self.cegis.iter().filter(|r| r.egraph == egraph).map(|r| r.wall_ms).sum()
     }
+}
 
-    /// Renders the record as a JSON document (dependency-free, like
-    /// `BENCH_cegis.json`; the format is stable for CI consumption).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
-        out.push_str(&format!("  \"all_monsters_fold\": {},\n", self.all_monsters_fold()));
-        out.push_str("  \"monsters\": [\n");
-        for (i, m) in self.monsters.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"folded\": {}, \"input_nodes\": {}, \
-                 \"output_nodes\": {}, \"iterations\": {}, \"enodes\": {}, \"wall_ms\": {:.3}}}{}\n",
-                m.name,
-                m.folded,
-                m.input_nodes,
-                m.output_nodes,
-                m.iterations,
-                m.enodes,
-                m.wall_ms,
-                if i + 1 < self.monsters.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ],\n  \"spec_saturations\": [\n");
-        for (i, s) in self.specs.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"arch\": \"{}\", \"benchmark\": \"{}\", \"nodes_before\": {}, \
-                 \"nodes_after\": {}, \"iterations\": {}, \"enodes\": {}, \"classes\": {}, \
-                 \"wall_ms\": {:.3}}}{}\n",
-                s.arch,
-                s.benchmark,
-                s.nodes_before,
-                s.nodes_after,
-                s.iterations,
-                s.enodes,
-                s.classes,
-                s.wall_ms,
-                if i + 1 < self.specs.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"cegis_total_wall_ms_egraph\": {:.3},\n  \"cegis_total_wall_ms_no_egraph\": {:.3},\n",
-            self.cegis_total_ms(true),
-            self.cegis_total_ms(false)
-        ));
-        out.push_str("  \"cegis\": [\n");
-        for (i, r) in self.cegis.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"arch\": \"{}\", \"benchmark\": \"{}\", \"egraph\": {}, \"verdict\": \"{}\", \
-                 \"wall_ms\": {:.3}, \"egraph_attempts\": {}, \"egraph_folds\": {}, \
-                 \"verification_used_sat\": {}, \"conflicts\": {}}}{}\n",
-                r.arch,
-                r.benchmark,
-                r.egraph,
-                r.verdict,
-                r.wall_ms,
-                r.egraph_attempts,
-                r.egraph_folds,
-                r.verification_used_sat,
-                r.conflicts,
-                if i + 1 < self.cegis.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+impl Record for EgraphReport {
+    const PATH: &'static str = "BENCH_egraph.json";
+
+    fn to_json(&self) -> Json {
+        let monsters = self.monsters.iter().map(|m| {
+            Json::obj([
+                ("name", Json::str(m.name)),
+                ("folded", Json::Bool(m.folded)),
+                ("input_nodes", Json::Num(m.input_nodes as f64)),
+                ("output_nodes", Json::Num(m.output_nodes as f64)),
+                ("iterations", Json::Num(m.iterations as f64)),
+                ("enodes", Json::Num(m.enodes as f64)),
+                ("wall_ms", decimal(m.wall_ms, 3)),
+            ])
+        });
+        let specs = self.specs.iter().map(|s| {
+            Json::obj([
+                ("arch", Json::str(&s.arch)),
+                ("benchmark", Json::str(&s.benchmark)),
+                ("nodes_before", Json::Num(s.nodes_before as f64)),
+                ("nodes_after", Json::Num(s.nodes_after as f64)),
+                ("iterations", Json::Num(s.iterations as f64)),
+                ("enodes", Json::Num(s.enodes as f64)),
+                ("classes", Json::Num(s.classes as f64)),
+                ("wall_ms", decimal(s.wall_ms, 3)),
+            ])
+        });
+        let cegis = self.cegis.iter().map(|r| {
+            Json::obj([
+                ("arch", Json::str(&r.arch)),
+                ("benchmark", Json::str(&r.benchmark)),
+                ("egraph", Json::Bool(r.egraph)),
+                ("verdict", Json::str(r.verdict)),
+                ("wall_ms", decimal(r.wall_ms, 3)),
+                ("egraph_attempts", Json::Num(r.egraph_attempts as f64)),
+                ("egraph_folds", Json::Num(r.egraph_folds as f64)),
+                ("verification_used_sat", Json::Bool(r.verification_used_sat)),
+                ("conflicts", Json::Num(r.conflicts as f64)),
+            ])
+        });
+        Json::obj([
+            ("scale", Json::str(format!("{:?}", self.scale))),
+            ("all_monsters_fold", Json::Bool(self.all_monsters_fold())),
+            ("monsters", Json::Arr(monsters.collect())),
+            ("spec_saturations", Json::Arr(specs.collect())),
+            ("cegis_total_wall_ms_egraph", decimal(self.cegis_total_ms(true), 3)),
+            ("cegis_total_wall_ms_no_egraph", decimal(self.cegis_total_ms(false), 3)),
+            ("cegis", Json::Arr(cegis.collect())),
+        ])
     }
 
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    fn gate_failures(&self) -> Vec<String> {
+        if self.all_monsters_fold() {
+            Vec::new()
+        } else {
+            vec!["a monster disequality no longer folds by saturation alone".to_string()]
+        }
     }
 
-    /// Prints a human-readable summary.
-    pub fn print_summary(&self) {
+    fn print_summary(&self) {
         println!("\n-- Equality saturation: monster disequalities (saturation alone) --");
         for m in &self.monsters {
             println!(
@@ -243,20 +225,6 @@ impl EgraphReport {
             self.cegis_total_ms(true),
             self.cegis_total_ms(false)
         );
-    }
-}
-
-/// Prints the summary and writes [`REPORT_PATH`].
-pub fn report_and_write(report: &EgraphReport) {
-    report.print_summary();
-    match report.write_json(REPORT_PATH) {
-        Ok(()) => println!(
-            "wrote {REPORT_PATH} ({} monsters, {} specs, {} cegis runs)",
-            report.monsters.len(),
-            report.specs.len(),
-            report.cegis.len()
-        ),
-        Err(e) => eprintln!("failed to write {REPORT_PATH}: {e}"),
     }
 }
 
@@ -487,10 +455,11 @@ mod tests {
         };
         let json = report.to_json();
         assert!(report.all_monsters_fold());
-        assert!(json.contains("\"all_monsters_fold\": true"));
-        assert!(json.contains("\"egraph_folds\": 1"));
-        assert!(json.contains("\"cegis_total_wall_ms_egraph\": 10.000"));
-        // Balanced braces → structurally sound JSON for this fixed writer.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert!(report.gate_failures().is_empty());
+        assert_eq!(json.get(&["all_monsters_fold"]), Some(&Json::Bool(true)));
+        let cegis = json.get(&["cegis"]).and_then(Json::as_arr).unwrap();
+        assert_eq!(cegis[0].get(&["egraph_folds"]), Some(&Json::num(1)));
+        assert_eq!(json.get(&["cegis_total_wall_ms_egraph"]), Some(&Json::num(10)));
+        assert_eq!(Json::parse(&json.render_indented()).unwrap(), json);
     }
 }

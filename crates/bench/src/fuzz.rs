@@ -14,18 +14,19 @@
 //! **zero-tolerance on mismatches**: every seed must clear layers 1–2, and
 //! every successful mapping must agree with its spec. Mapping *verdict*
 //! tallies (success/unsat/timeout) are recorded for drift-watching but not
-//! gated — they move with solver timing.
+//! gated — they move with solver timing. Mapping *errors* are recorded by kind
+//! and gated exactly: they are structural, decided before any solver runs.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use lakeroad::{map_design, pipeline_depth, MapConfig, MapOutcome, Template};
 use lr_arch::Architecture;
-use lr_hdl::fuzz::{check_seed, interp_equivalent};
+use lr_hdl::fuzz::check_seed;
+use lr_ir::interp_equivalent;
+use lr_serve::Json;
 
-use crate::Scale;
-
-/// Where the JSON report is written.
-pub const REPORT_PATH: &str = "BENCH_fuzz.json";
+use crate::{Record, Scale};
 
 /// Random environments per equivalence check.
 const ENVS: usize = 32;
@@ -33,7 +34,7 @@ const ENVS: usize = 32;
 /// the generator can produce, with slack).
 const ROUNDTRIP_CYCLES: u32 = 6;
 
-/// The record `exp_fuzz` writes to [`REPORT_PATH`].
+/// The record `exp_fuzz` writes to `BENCH_fuzz.json`.
 #[derive(Debug, Clone)]
 pub struct FuzzReport {
     /// Experiment scale.
@@ -54,8 +55,9 @@ pub struct FuzzReport {
     pub map_unsat: usize,
     /// Budget exhaustions (timing-dependent; recorded, not gated).
     pub map_timeout: usize,
-    /// Mapping errors, e.g. sketch shape rejections (recorded, not gated).
-    pub map_error: usize,
+    /// Mapping errors by kind (the error's message), e.g. sketch shape
+    /// rejections. Errors are structural, not timing-dependent: gated exactly.
+    pub map_error_kinds: BTreeMap<String, usize>,
     /// Successful mappings whose implementation agreed with the spec.
     pub map_agree: usize,
     /// Every oracle failure, verbatim (each one fails the gate).
@@ -74,14 +76,44 @@ impl FuzzReport {
             map_success: 0,
             map_unsat: 0,
             map_timeout: 0,
-            map_error: 0,
+            map_error_kinds: BTreeMap::new(),
             map_agree: 0,
             mismatches: Vec::new(),
         }
     }
 
-    /// The failed acceptance gates; empty when the firehose ran clean.
-    pub fn gate_failures(&self) -> Vec<String> {
+    /// Mapping errors of every kind.
+    pub fn map_error(&self) -> usize {
+        self.map_error_kinds.values().sum()
+    }
+}
+
+impl Record for FuzzReport {
+    const PATH: &'static str = "BENCH_fuzz.json";
+
+    fn to_json(&self) -> Json {
+        let n = |v: usize| Json::Num(v as f64);
+        let kinds = self.map_error_kinds.iter().map(|(kind, &count)| (kind.clone(), n(count)));
+        Json::obj([
+            ("scale", Json::str(format!("{:?}", self.scale))),
+            ("seeds_run", n(self.seeds_run)),
+            ("parse_ok", n(self.parse_ok)),
+            ("elaborate_ok", n(self.elaborate_ok)),
+            ("roundtrip_ok", n(self.roundtrip_ok)),
+            ("map_attempted", n(self.map_attempted)),
+            ("map_success", n(self.map_success)),
+            ("map_unsat", n(self.map_unsat)),
+            ("map_timeout", n(self.map_timeout)),
+            ("map_error", n(self.map_error())),
+            ("map_error_kinds", Json::Obj(kinds.collect())),
+            ("map_agree", n(self.map_agree)),
+            ("mismatch_count", n(self.mismatches.len())),
+            ("mismatches", Json::Arr(self.mismatches.iter().map(Json::str).collect())),
+            ("gates_pass", Json::Bool(self.gate_failures().is_empty())),
+        ])
+    }
+
+    fn gate_failures(&self) -> Vec<String> {
         let mut failures = Vec::new();
         if self.parse_ok != self.seeds_run {
             failures.push(format!(
@@ -113,39 +145,7 @@ impl FuzzReport {
         failures
     }
 
-    /// Renders the record as a JSON document (dependency-free, stable for CI).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
-        out.push_str(&format!("  \"seeds_run\": {},\n", self.seeds_run));
-        out.push_str(&format!("  \"parse_ok\": {},\n", self.parse_ok));
-        out.push_str(&format!("  \"elaborate_ok\": {},\n", self.elaborate_ok));
-        out.push_str(&format!("  \"roundtrip_ok\": {},\n", self.roundtrip_ok));
-        out.push_str(&format!("  \"map_attempted\": {},\n", self.map_attempted));
-        out.push_str(&format!("  \"map_success\": {},\n", self.map_success));
-        out.push_str(&format!("  \"map_unsat\": {},\n", self.map_unsat));
-        out.push_str(&format!("  \"map_timeout\": {},\n", self.map_timeout));
-        out.push_str(&format!("  \"map_error\": {},\n", self.map_error));
-        out.push_str(&format!("  \"map_agree\": {},\n", self.map_agree));
-        out.push_str(&format!("  \"mismatch_count\": {},\n", self.mismatches.len()));
-        let escaped: Vec<String> =
-            self.mismatches.iter().map(|m| format!("\"{}\"", json_escape(m))).collect();
-        out.push_str(&format!("  \"mismatches\": [{}],\n", escaped.join(", ")));
-        out.push_str(&format!("  \"gates_pass\": {}\n", self.gate_failures().is_empty()));
-        out.push_str("}\n");
-        out
-    }
-
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Prints a human-readable summary.
-    pub fn print_summary(&self) {
+    fn print_summary(&self) {
         println!("\n-- Fuzz firehose: {} seeds --", self.seeds_run);
         println!(
             "  frontend  {} parse, {} elaborate, {} round-trip",
@@ -158,8 +158,11 @@ impl FuzzReport {
             self.map_agree,
             self.map_unsat,
             self.map_timeout,
-            self.map_error
+            self.map_error()
         );
+        for (kind, count) in &self.map_error_kinds {
+            println!("    {count} x {kind}");
+        }
         println!("  mismatches: {}", self.mismatches.len());
         for m in self.mismatches.iter().take(5) {
             println!("    {m}");
@@ -168,19 +171,6 @@ impl FuzzReport {
             println!("  GATE FAILED: {failure}");
         }
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            '\t' => "\\t".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// (seeds, layer-3 cap, per-mapping budget) for each scale. Quick keeps CI in
@@ -240,26 +230,10 @@ pub fn run_fuzz_experiment(scale: Scale) -> FuzzReport {
             }
             Ok(MapOutcome::Unsat { .. }) => report.map_unsat += 1,
             Ok(MapOutcome::Timeout { .. }) => report.map_timeout += 1,
-            Err(_) => report.map_error += 1,
+            Err(e) => *report.map_error_kinds.entry(e.to_string()).or_default() += 1,
         }
     }
     report
-}
-
-/// Prints the summary, writes [`REPORT_PATH`], and reports gate failures.
-///
-/// # Errors
-/// Returns the concatenated gate failures (or the I/O error text).
-pub fn report_and_write(report: &FuzzReport) -> Result<(), String> {
-    report.print_summary();
-    report.write_json(REPORT_PATH).map_err(|e| format!("writing {REPORT_PATH}: {e}"))?;
-    println!("\nwrote {REPORT_PATH}");
-    let failures = report.gate_failures();
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("; "))
-    }
 }
 
 #[cfg(test)]
@@ -277,7 +251,7 @@ mod tests {
             map_success: 2,
             map_unsat: 1,
             map_timeout: 1,
-            map_error: 0,
+            map_error_kinds: BTreeMap::new(),
             map_agree: 2,
             mismatches: Vec::new(),
         }
@@ -287,7 +261,7 @@ mod tests {
     fn clean_runs_pass_the_gates() {
         let report = clean_report();
         assert!(report.gate_failures().is_empty());
-        assert!(report.to_json().contains("\"gates_pass\": true"));
+        assert_eq!(report.to_json().get(&["gates_pass"]), Some(&Json::Bool(true)));
     }
 
     #[test]
@@ -297,7 +271,7 @@ mod tests {
         report.roundtrip_ok = 9;
         let failures = report.gate_failures();
         assert_eq!(failures.len(), 2, "{failures:?}");
-        assert!(report.to_json().contains("\"gates_pass\": false"));
+        assert_eq!(report.to_json().get(&["gates_pass"]), Some(&Json::Bool(false)));
     }
 
     #[test]
@@ -311,8 +285,12 @@ mod tests {
     fn json_escaping_keeps_the_report_parseable() {
         let mut report = clean_report();
         report.mismatches.push("quote \" backslash \\ newline \n done".to_string());
-        let json = report.to_json();
-        assert!(json.contains(r#"quote \" backslash \\ newline \n done"#));
+        report.map_error_kinds.insert("sketch: \"wide\"".to_string(), 3);
+        let text = report.to_json().render_indented();
+        assert!(text.contains(r#"quote \" backslash \\ newline \n done"#));
+        let parsed = Json::parse(&text).unwrap();
+        assert_eq!(parsed.get(&["map_error_kinds", "sketch: \"wide\""]), Some(&Json::num(3)));
+        assert_eq!(parsed.get(&["map_error"]), Some(&Json::num(3)));
     }
 
     #[test]

@@ -13,12 +13,14 @@
 //! regresses search work; improvements always pass (and should be followed by a
 //! baseline refresh).
 //!
-//! The JSON reader is a deliberately tiny recursive-descent parser — the bench
-//! records are written by this crate without any serde dependency, and read back
-//! the same way.
+//! What is gated is one declarative table, `GATES`: per record, rows naming a
+//! value and a check. Adding a gated counter is adding a row. Records are read
+//! with the shared [`lr_serve::Json`].
 
 use std::collections::BTreeMap;
 use std::path::Path;
+
+use lr_serve::Json;
 
 /// Relative headroom a counter may grow by before the gate fails (plus a small
 /// absolute slack for near-zero baselines).
@@ -27,530 +29,262 @@ pub const TOLERANCE: f64 = 0.10;
 /// Absolute slack added on top of the relative tolerance.
 pub const ABSOLUTE_SLACK: f64 = 100.0;
 
-// ---------------------------------------------------------------------------
-// Minimal JSON value + parser
-// ---------------------------------------------------------------------------
+/// Restricts an array to the entries whose boolean field has the given value.
+type Filter = Option<(&'static str, bool)>;
 
-/// A parsed JSON value (just enough for the `BENCH_*.json` records).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (the bench records stay well within `f64` precision).
-    Num(f64),
-    /// A string (no escape sequences beyond `\"`, `\\`, `\/`, `\n`, `\t` needed).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object (insertion order irrelevant for the gate).
-    Obj(BTreeMap<String, Json>),
+/// Where a gated value comes from in a record.
+#[derive(Debug, Clone, Copy)]
+enum Value {
+    /// A field path, dot-separated.
+    Field(&'static str),
+    /// The sum of one numeric field over the entries of an array.
+    Sum(&'static str, &'static str, Filter),
+    /// The tally of the `verdict` strings of an array's entries.
+    Tally(&'static str, Filter),
 }
 
-impl Json {
-    /// Parses a JSON document.
-    ///
-    /// # Errors
-    /// Returns a byte-offset description of the first syntax error.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing content at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    /// Looks up a path of object keys, e.g. `get(&["cache", "hits"])`.
-    pub fn get(&self, path: &[&str]) -> Option<&Json> {
-        let mut cur = self;
-        for key in path {
-            match cur {
-                Json::Obj(map) => cur = map.get(*key)?,
-                _ => return None,
-            }
-        }
-        Some(cur)
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
+/// How a fresh value is judged.
+#[derive(Debug, Clone, Copy)]
+enum Check {
+    /// Equal to the baseline.
+    Exact,
+    /// Exactly zero.
+    Zero,
+    /// `true`.
+    True,
+    /// Greater than zero.
+    Positive,
+    /// Not below the baseline.
+    NotBelow,
+    /// At most the baseline plus [`TOLERANCE`] and [`ABSOLUTE_SLACK`].
+    NoWorse,
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-        *pos += 1;
-    }
-}
+/// One gate row: a value and its check.
+#[derive(Debug, Clone, Copy)]
+struct Row(Value, Check);
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut map = BTreeMap::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(map));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = match parse_value(bytes, pos)? {
-                    Json::Str(s) => s,
-                    other => return Err(format!("object key must be a string, got {other:?}")),
-                };
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected `:` at byte {pos}"));
-                }
-                *pos += 1;
-                let value = parse_value(bytes, pos)?;
-                map.insert(key, value);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(map));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => {
-            *pos += 1;
-            // Accumulate raw bytes and validate as UTF-8 once, so multi-byte
-            // sequences survive intact.
-            let mut out: Vec<u8> = Vec::new();
-            loop {
-                match bytes.get(*pos) {
-                    None => return Err("unterminated string".to_string()),
-                    Some(b'"') => {
-                        *pos += 1;
-                        return String::from_utf8(out)
-                            .map(Json::Str)
-                            .map_err(|_| "invalid UTF-8 in string".to_string());
-                    }
-                    Some(b'\\') => {
-                        *pos += 1;
-                        match bytes.get(*pos) {
-                            Some(b'"') => out.push(b'"'),
-                            Some(b'\\') => out.push(b'\\'),
-                            Some(b'/') => out.push(b'/'),
-                            Some(b'n') => out.push(b'\n'),
-                            Some(b't') => out.push(b'\t'),
-                            other => return Err(format!("unsupported escape {other:?}")),
-                        }
-                        *pos += 1;
-                    }
-                    Some(&c) => {
-                        out.push(c);
-                        *pos += 1;
-                    }
-                }
-            }
-        }
-        Some(b't') if bytes[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if bytes[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if bytes[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < bytes.len()
-                && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            std::str::from_utf8(&bytes[start..*pos])
-                .ok()
-                .and_then(|t| t.parse::<f64>().ok())
-                .map(Json::Num)
-                .ok_or_else(|| format!("malformed number at byte {start}"))
-        }
-    }
-}
+use Check::*;
+use Value::*;
 
-// ---------------------------------------------------------------------------
-// Gate rules
-// ---------------------------------------------------------------------------
+const INCREMENTAL: Filter = Some(("incremental", true));
+const FROM_SCRATCH: Filter = Some(("incremental", false));
+const EGRAPH_ON: Filter = Some(("egraph", true));
 
-/// `fresh` may not exceed `baseline` by more than the tolerance.
-fn check_counter(failures: &mut Vec<String>, file: &str, label: &str, baseline: f64, fresh: f64) {
-    let limit = baseline * (1.0 + TOLERANCE) + ABSOLUTE_SLACK;
-    if fresh > limit {
-        failures.push(format!(
-            "{file}: {label} regressed: {fresh:.0} exceeds baseline {baseline:.0} \
-             (limit {limit:.0})"
-        ));
-    }
-}
-
-fn scales_match(failures: &mut Vec<String>, file: &str, baseline: &Json, fresh: &Json) -> bool {
-    let b = baseline.get(&["scale"]).and_then(Json::as_str);
-    let f = fresh.get(&["scale"]).and_then(Json::as_str);
-    if b != f {
-        failures.push(format!("{file}: scale mismatch (baseline {b:?}, fresh {f:?})"));
-        return false;
-    }
-    true
-}
-
-/// Sums a numeric field over the entries of `array` that `select` accepts.
-fn sum_field(doc: &Json, array: &str, field: &str, select: impl Fn(&Json) -> bool) -> f64 {
-    doc.get(&[array])
-        .and_then(Json::as_arr)
-        .map(|items| {
-            items
-                .iter()
-                .filter(|e| select(e))
-                .filter_map(|e| e.get(&[field]).and_then(Json::as_f64))
-                .sum()
-        })
-        .unwrap_or(0.0)
-}
-
-/// Tallies the `verdict` strings of the entries `select` accepts.
-fn verdict_tally(
-    doc: &Json,
-    array: &str,
-    select: impl Fn(&Json) -> bool,
-) -> BTreeMap<String, usize> {
-    let mut tally = BTreeMap::new();
-    if let Some(items) = doc.get(&[array]).and_then(Json::as_arr) {
-        for item in items.iter().filter(|e| select(e)) {
-            if let Some(v) = item.get(&["verdict"]).and_then(Json::as_str) {
-                *tally.entry(v.to_string()).or_insert(0) += 1;
-            }
-        }
-    }
-    tally
-}
-
-fn check_cegis(failures: &mut Vec<String>, baseline: &Json, fresh: &Json) {
-    const FILE: &str = "BENCH_cegis.json";
-    if !scales_match(failures, FILE, baseline, fresh) {
-        return;
-    }
-    for (mode, label) in [(true, "incremental"), (false, "from-scratch")] {
-        let select = |e: &Json| e.get(&["incremental"]).and_then(Json::as_bool) == Some(mode);
-        for field in ["conflicts", "iterations"] {
-            check_counter(
-                failures,
-                FILE,
-                &format!("{label} total {field}"),
-                sum_field(baseline, "benchmarks", field, select),
-                sum_field(fresh, "benchmarks", field, select),
-            );
-        }
-        let (b, f) = (
-            verdict_tally(baseline, "benchmarks", select),
-            verdict_tally(fresh, "benchmarks", select),
-        );
-        if b != f {
-            failures.push(format!(
-                "{FILE}: {label} verdict tally changed: baseline {b:?}, fresh {f:?}"
-            ));
-        }
-    }
-}
-
-fn check_egraph(failures: &mut Vec<String>, baseline: &Json, fresh: &Json) {
-    const FILE: &str = "BENCH_egraph.json";
-    if !scales_match(failures, FILE, baseline, fresh) {
-        return;
-    }
-    if fresh.get(&["all_monsters_fold"]).and_then(Json::as_bool) != Some(true) {
-        failures.push(format!("{FILE}: a monster disequality no longer folds"));
-    }
-    let select = |e: &Json| e.get(&["egraph"]).and_then(Json::as_bool) == Some(true);
-    let baseline_folds = sum_field(baseline, "cegis", "egraph_folds", select);
-    let fresh_folds = sum_field(fresh, "cegis", "egraph_folds", select);
-    if fresh_folds < baseline_folds {
-        failures.push(format!(
-            "{FILE}: egraph fold count regressed: {fresh_folds:.0} below baseline \
-             {baseline_folds:.0} (queries now falling through to SAT)"
-        ));
-    }
-}
-
-fn check_serve(failures: &mut Vec<String>, baseline: &Json, fresh: &Json) {
-    const FILE: &str = "BENCH_serve.json";
-    if !scales_match(failures, FILE, baseline, fresh) {
-        return;
-    }
-    if fresh.get(&["gates_pass"]).and_then(Json::as_bool) != Some(true) {
-        failures.push(format!("{FILE}: the serving experiment's own gates failed"));
-    }
-    let baseline_rate = baseline.get(&["warm_hit_rate"]).and_then(Json::as_f64).unwrap_or(0.0);
-    let fresh_rate = fresh.get(&["warm_hit_rate"]).and_then(Json::as_f64).unwrap_or(0.0);
-    if fresh_rate < baseline_rate {
-        failures.push(format!(
-            "{FILE}: warm cache hit rate regressed: {fresh_rate} below baseline {baseline_rate}"
-        ));
-    }
-}
-
-fn check_sat(failures: &mut Vec<String>, baseline: &Json, fresh: &Json) {
-    const FILE: &str = "BENCH_sat.json";
-    if !scales_match(failures, FILE, baseline, fresh) {
-        return;
-    }
-    if fresh.get(&["gates_pass"]).and_then(Json::as_bool) != Some(true) {
-        failures.push(format!(
-            "{FILE}: modern-vs-legacy gates failed (strictly more work or verdict drift)"
-        ));
-    }
-    for field in ["total_conflicts_modern", "total_propagations_modern"] {
-        let b = baseline.get(&[field]).and_then(Json::as_f64).unwrap_or(0.0);
-        let f = fresh.get(&[field]).and_then(Json::as_f64).unwrap_or(f64::MAX);
-        check_counter(failures, FILE, field, b, f);
-    }
-}
-
-fn check_daemon(failures: &mut Vec<String>, baseline: &Json, fresh: &Json) {
-    const FILE: &str = "BENCH_daemon.json";
-    if !scales_match(failures, FILE, baseline, fresh) {
-        return;
-    }
-    if fresh.get(&["gates_pass"]).and_then(Json::as_bool) != Some(true) {
-        failures.push(format!("{FILE}: the daemon experiment's own gates failed"));
-    }
-    // Hard invariants, not tolerances: a graceful drain loses nothing, and the
-    // workload is sized inside the admission bound.
-    for field in ["lost", "rejected"] {
-        let f = fresh.get(&[field]).and_then(Json::as_f64).unwrap_or(f64::MAX);
-        if f != 0.0 {
-            failures.push(format!("{FILE}: {field} is {f:.0}, expected exactly 0"));
-        }
-    }
-    // Deterministic accounting: the request and warm-hit counts depend only on
-    // the scale's client/request shape, never on timing.
-    for field in ["accepted", "completed", "warm_served", "warm_hits", "cold_misses"] {
-        let b = baseline.get(&[field]).and_then(Json::as_f64).unwrap_or(0.0);
-        let f = fresh.get(&[field]).and_then(Json::as_f64).unwrap_or(f64::MAX);
-        if f != b {
-            failures.push(format!("{FILE}: {field} changed: {f:.0} vs baseline {b:.0}"));
-        }
-    }
-}
-
-fn check_fuzz(failures: &mut Vec<String>, baseline: &Json, fresh: &Json) {
-    const FILE: &str = "BENCH_fuzz.json";
-    if !scales_match(failures, FILE, baseline, fresh) {
-        return;
-    }
-    if fresh.get(&["gates_pass"]).and_then(Json::as_bool) != Some(true) {
-        failures.push(format!("{FILE}: the fuzz experiment's own gates failed"));
-    }
-    // Zero tolerance: a differential mismatch is a frontend/backend soundness
-    // bug, never an acceptable drift.
-    let mismatches = fresh.get(&["mismatch_count"]).and_then(Json::as_f64).unwrap_or(f64::MAX);
-    if mismatches != 0.0 {
-        failures.push(format!("{FILE}: mismatch_count is {mismatches:.0}, expected exactly 0"));
-    }
-    // Deterministic counters: the generator and oracle are pure functions of
-    // the seed range, so these must reproduce exactly. Mapping verdict tallies
-    // (success/unsat/timeout) are timing-dependent and deliberately ungated.
-    for field in ["seeds_run", "parse_ok", "elaborate_ok", "roundtrip_ok"] {
-        let b = baseline.get(&[field]).and_then(Json::as_f64).unwrap_or(0.0);
-        let f = fresh.get(&[field]).and_then(Json::as_f64).unwrap_or(f64::MAX);
-        if f != b {
-            failures.push(format!("{FILE}: {field} changed: {f:.0} vs baseline {b:.0}"));
-        }
-    }
-}
-
-fn check_trace(failures: &mut Vec<String>, baseline: &Json, fresh: &Json) {
-    const FILE: &str = "BENCH_trace.json";
-    if !scales_match(failures, FILE, baseline, fresh) {
-        return;
-    }
-    if fresh.get(&["gates_pass"]).and_then(Json::as_bool) != Some(true) {
-        failures.push(format!(
-            "{FILE}: the tracing experiment's own gates failed (counter drift or missing spans)"
-        ));
-    }
-    // Zero tolerance: tracing is pure observation. A single counter that moved
-    // between the untraced and traced passes means a span steered the search.
-    let mismatches = fresh.get(&["counter_mismatches"]).and_then(Json::as_f64).unwrap_or(f64::MAX);
-    if mismatches != 0.0 {
-        failures.push(format!("{FILE}: counter_mismatches is {mismatches:.0}, expected exactly 0"));
-    }
-    // The traced pass must actually record spans — zero events means the
-    // instrumentation rotted out of the hot path.
-    let events = fresh.get(&["traced_events"]).and_then(Json::as_f64).unwrap_or(0.0);
-    if events <= 0.0 {
-        failures.push(format!("{FILE}: traced pass recorded no span events"));
-    }
-    // The search-work counters compare against the baseline with the usual
-    // tolerance; overhead_ratio and wall times are deliberately ungated.
-    for field in ["conflicts", "iterations"] {
-        check_counter(
-            failures,
-            FILE,
-            &format!("total {field}"),
-            sum_field(baseline, "benchmarks", field, |_| true),
-            sum_field(fresh, "benchmarks", field, |_| true),
-        );
-    }
-}
-
-fn check_obs(failures: &mut Vec<String>, baseline: &Json, fresh: &Json) {
-    const FILE: &str = "BENCH_obs.json";
-    if !scales_match(failures, FILE, baseline, fresh) {
-        return;
-    }
-    if fresh.get(&["gates_pass"]).and_then(Json::as_bool) != Some(true) {
-        failures.push(format!(
-            "{FILE}: the observability experiment's own gates failed (forensics perturbed the \
-             search, bundles missing, or malformed metrics)"
-        ));
-    }
-    // Zero tolerance: the flight recorder is pure observation, the OpenMetrics
-    // exposition must always parse, and a graceful drain loses nothing.
-    for field in ["counter_mismatches", "metrics_errors", "lost"] {
-        let f = fresh.get(&[field]).and_then(Json::as_f64).unwrap_or(f64::MAX);
-        if f != 0.0 {
-            failures.push(format!("{FILE}: {field} is {f:.0}, expected exactly 0"));
-        }
-    }
-    // Deterministic accounting: the workload shape, the bundle-per-request
-    // contract of `--slow-ms 0`, and per-id retrieval depend only on the
-    // scale, never on timing. Wall clocks are deliberately ungated.
-    for field in ["accepted", "completed", "bundles_written", "records_retrieved"] {
-        let b = baseline.get(&[field]).and_then(Json::as_f64).unwrap_or(0.0);
-        let f = fresh.get(&[field]).and_then(Json::as_f64).unwrap_or(f64::MAX);
-        if f != b {
-            failures.push(format!("{FILE}: {field} changed: {f:.0} vs baseline {b:.0}"));
-        }
-    }
-}
-
-fn check_aig(failures: &mut Vec<String>, baseline: &Json, fresh: &Json) {
-    const FILE: &str = "BENCH_aig.json";
-    if !scales_match(failures, FILE, baseline, fresh) {
-        return;
-    }
-    if fresh.get(&["gates_pass"]).and_then(Json::as_bool) != Some(true) {
-        failures.push(format!(
-            "{FILE}: the structural-frontend experiment's own gates failed (a stitch \
-             disagreed with its netlist, a warm cone missed the cache, or a cone \
-             outgrew the LUT)"
-        ));
-    }
-    // Zero tolerance: a stitched design that disagrees with its source netlist
-    // is a soundness bug, never an acceptable drift — and every warm cone must
-    // be served from the cache.
-    let mismatches = fresh.get(&["total_mismatches"]).and_then(Json::as_f64).unwrap_or(f64::MAX);
-    if mismatches != 0.0 {
-        failures.push(format!("{FILE}: total_mismatches is {mismatches:.0}, expected exactly 0"));
-    }
-    if fresh.get(&["warm_all_hits"]).and_then(Json::as_bool) != Some(true) {
-        failures.push(format!("{FILE}: a warm cone was not served from the cache"));
-    }
-    // Deterministic accounting: the fixtures are committed and the partitioner
-    // is a pure function of the AIG, so the cone/coverage counters must
-    // reproduce exactly. Wall clocks and cold cache hits (timing-dependent
-    // under parallel workers) are deliberately ungated.
-    for field in ["total_ands", "largest_fixture_ands", "total_cones", "unique_cones"] {
-        let b = baseline.get(&[field]).and_then(Json::as_f64).unwrap_or(0.0);
-        let f = fresh.get(&[field]).and_then(Json::as_f64).unwrap_or(f64::MAX);
-        if f != b {
-            failures.push(format!("{FILE}: {field} changed: {f:.0} vs baseline {b:.0}"));
-        }
-    }
-    for field in ["covered_ands", "max_leaves", "logic_elements", "registers"] {
-        let b = sum_field(baseline, "fixtures", field, |_| true);
-        let f = sum_field(fresh, "fixtures", field, |_| true);
-        if f != b {
-            failures.push(format!(
-                "{FILE}: per-fixture {field} total changed: {f:.0} vs baseline {b:.0}"
-            ));
-        }
-    }
-}
-
-/// One file's comparison rule: (failures, baseline document, fresh document).
-pub type GateRule = fn(&mut Vec<String>, &Json, &Json);
-
-/// The `BENCH_*.json` files the gate knows how to compare, with their rules.
-pub const GATED_FILES: [(&str, GateRule); 9] = [
-    ("BENCH_cegis.json", check_cegis),
-    ("BENCH_egraph.json", check_egraph),
-    ("BENCH_serve.json", check_serve),
-    ("BENCH_sat.json", check_sat),
-    ("BENCH_daemon.json", check_daemon),
-    ("BENCH_fuzz.json", check_fuzz),
-    ("BENCH_trace.json", check_trace),
-    ("BENCH_obs.json", check_obs),
-    ("BENCH_aig.json", check_aig),
+/// Every gated record and its rows. `gates_pass` is each experiment's own
+/// verdict; zero checks are hard invariants (a drain loses nothing, tracing and
+/// forensics are pure observation, a mismatch is a soundness bug); exact
+/// checks pin accounting that depends only on the scale; wall clocks and
+/// timing-dependent tallies are deliberately absent.
+const GATES: &[(&str, &[Row])] = &[
+    (
+        "BENCH_cegis.json",
+        &[
+            Row(Sum("benchmarks", "conflicts", INCREMENTAL), NoWorse),
+            Row(Sum("benchmarks", "iterations", INCREMENTAL), NoWorse),
+            Row(Tally("benchmarks", INCREMENTAL), Exact),
+            Row(Sum("benchmarks", "conflicts", FROM_SCRATCH), NoWorse),
+            Row(Sum("benchmarks", "iterations", FROM_SCRATCH), NoWorse),
+            Row(Tally("benchmarks", FROM_SCRATCH), Exact),
+        ],
+    ),
+    (
+        "BENCH_egraph.json",
+        &[
+            Row(Field("all_monsters_fold"), True),
+            Row(Sum("cegis", "egraph_folds", EGRAPH_ON), NotBelow),
+        ],
+    ),
+    ("BENCH_serve.json", &[Row(Field("gates_pass"), True), Row(Field("warm_hit_rate"), NotBelow)]),
+    (
+        "BENCH_sat.json",
+        &[
+            Row(Field("gates_pass"), True),
+            Row(Field("total_conflicts_modern"), NoWorse),
+            Row(Field("total_propagations_modern"), NoWorse),
+        ],
+    ),
+    (
+        "BENCH_daemon.json",
+        &[
+            Row(Field("gates_pass"), True),
+            Row(Field("lost"), Zero),
+            Row(Field("rejected"), Zero),
+            Row(Field("accepted"), Exact),
+            Row(Field("completed"), Exact),
+            Row(Field("warm_served"), Exact),
+            Row(Field("warm_hits"), Exact),
+            Row(Field("cold_misses"), Exact),
+        ],
+    ),
+    (
+        "BENCH_fuzz.json",
+        &[
+            Row(Field("gates_pass"), True),
+            Row(Field("mismatch_count"), Zero),
+            Row(Field("seeds_run"), Exact),
+            Row(Field("parse_ok"), Exact),
+            Row(Field("elaborate_ok"), Exact),
+            Row(Field("roundtrip_ok"), Exact),
+            Row(Field("map_error_kinds"), Exact),
+        ],
+    ),
+    (
+        "BENCH_trace.json",
+        &[
+            Row(Field("gates_pass"), True),
+            Row(Field("counter_mismatches"), Zero),
+            Row(Field("traced_events"), Positive),
+            Row(Sum("benchmarks", "conflicts", None), NoWorse),
+            Row(Sum("benchmarks", "iterations", None), NoWorse),
+        ],
+    ),
+    (
+        "BENCH_obs.json",
+        &[
+            Row(Field("gates_pass"), True),
+            Row(Field("counter_mismatches"), Zero),
+            Row(Field("metrics_errors"), Zero),
+            Row(Field("lost"), Zero),
+            Row(Field("accepted"), Exact),
+            Row(Field("completed"), Exact),
+            Row(Field("bundles_written"), Exact),
+            Row(Field("records_retrieved"), Exact),
+        ],
+    ),
+    (
+        "BENCH_aig.json",
+        &[
+            Row(Field("gates_pass"), True),
+            Row(Field("total_mismatches"), Zero),
+            Row(Field("warm_all_hits"), True),
+            Row(Field("total_ands"), Exact),
+            Row(Field("largest_fixture_ands"), Exact),
+            Row(Field("total_cones"), Exact),
+            Row(Field("unique_cones"), Exact),
+            Row(Sum("fixtures", "covered_ands", None), Exact),
+            Row(Sum("fixtures", "max_leaves", None), Exact),
+            Row(Sum("fixtures", "logic_elements", None), Exact),
+            Row(Sum("fixtures", "registers", None), Exact),
+        ],
+    ),
 ];
 
-/// Compares every known bench record present in `baseline_dir` against its
-/// freshly generated counterpart in `fresh_dir`.
+impl Value {
+    /// The value's name in failure messages.
+    fn label(&self) -> String {
+        let filtered = |array: &str, filter: &Filter| match filter {
+            Some((field, want)) => format!("{array}[{field}={want}]"),
+            None => format!("{array}[]"),
+        };
+        match self {
+            Field(path) => (*path).to_string(),
+            Sum(array, field, filter) => format!("sum of {}.{field}", filtered(array, filter)),
+            Tally(array, filter) => format!("verdict tally of {}", filtered(array, filter)),
+        }
+    }
+
+    /// The value in `doc`, or `None` when the record does not carry it.
+    fn resolve(&self, doc: &Json) -> Option<Json> {
+        let entries = |array: &str, filter: &Filter| {
+            let items = doc.get(&[array])?.as_arr()?;
+            Some(
+                items
+                    .iter()
+                    .filter(|e| {
+                        filter.map_or(true, |(f, want)| e.get(&[f]) == Some(&Json::Bool(want)))
+                    })
+                    .collect::<Vec<_>>(),
+            )
+        };
+        match self {
+            Field(path) => doc.get(&path.split('.').collect::<Vec<_>>()).cloned(),
+            Sum(array, field, filter) => entries(array, filter)?
+                .iter()
+                .map(|e| e.get(&[field]).and_then(Json::as_f64))
+                .sum::<Option<f64>>()
+                .map(Json::Num),
+            Tally(array, filter) => {
+                let mut tally = BTreeMap::new();
+                for e in entries(array, filter)? {
+                    let verdict = e.get(&["verdict"])?.as_str()?.to_string();
+                    *tally.entry(verdict).or_insert(0.0) += 1.0;
+                }
+                Some(Json::Obj(tally.into_iter().map(|(k, n)| (k, Json::Num(n))).collect()))
+            }
+        }
+    }
+}
+
+impl Row {
+    /// Judges the fresh record against the baseline on this row. A value the
+    /// baseline does not carry yet is not compared (commit a refreshed baseline
+    /// to arm it); a value missing from the fresh record always fails.
+    ///
+    /// # Errors
+    /// Describes the failure, naming the value.
+    fn judge(&self, baseline: &Json, fresh: &Json) -> Result<(), String> {
+        let Row(value, check) = self;
+        let label = value.label();
+        let got = value.resolve(fresh).ok_or_else(|| format!("{label} is missing"))?;
+        let n = got.as_f64();
+        let (ok, expected) = match check {
+            Zero => (n == Some(0.0), "exactly 0".to_string()),
+            True => (got == Json::Bool(true), "true".to_string()),
+            Positive => (n.is_some_and(|n| n > 0.0), "a positive count".to_string()),
+            Exact | NotBelow | NoWorse => {
+                let Some(base) = value.resolve(baseline) else { return Ok(()) };
+                let b = base.as_f64();
+                match check {
+                    Exact => (got == base, format!("the baseline {}", base.render())),
+                    NotBelow => (
+                        n.zip(b).is_some_and(|(x, y)| x >= y),
+                        format!("at least the baseline {}", base.render()),
+                    ),
+                    _ => {
+                        let limit = b.map_or(f64::NAN, |y| y * (1.0 + TOLERANCE) + ABSOLUTE_SLACK);
+                        (
+                            n.is_some_and(|x| x <= limit),
+                            format!(
+                                "at most {limit:.0}, the baseline {} plus tolerance",
+                                base.render()
+                            ),
+                        )
+                    }
+                }
+            }
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(format!("{label} is {}, expected {expected}", got.render()))
+        }
+    }
+}
+
+/// Judges one record against its baseline: the scales must match, then every
+/// row must hold. Returns the failures, each prefixed with the file name.
+fn gate_record(file: &str, rows: &[Row], baseline: &Json, fresh: &Json) -> Vec<String> {
+    let scale = |doc: &Json| doc.get(&["scale"]).map(Json::render);
+    if scale(baseline) != scale(fresh) {
+        return vec![format!(
+            "{file}: scale mismatch (baseline {:?}, fresh {:?})",
+            scale(baseline),
+            scale(fresh)
+        )];
+    }
+    rows.iter()
+        .filter_map(|row| row.judge(baseline, fresh).err())
+        .map(|e| format!("{file}: {e}"))
+        .collect()
+}
+
+fn read_record(path: &Path) -> Result<Json, String> {
+    std::fs::read_to_string(path).map_err(|e| e.to_string()).and_then(|text| Json::parse(&text))
+}
+
+/// Compares every gated record present in `baseline_dir` against its freshly
+/// generated counterpart in `fresh_dir`.
 ///
 /// A record present in the baseline directory but missing from the fresh one is
 /// a failure (the sweep that emits it did not run); a record absent from the
@@ -561,33 +295,22 @@ pub const GATED_FILES: [(&str, GateRule); 9] = [
 pub fn run_gate(baseline_dir: &Path, fresh_dir: &Path) -> Result<Vec<String>, Vec<String>> {
     let mut failures = Vec::new();
     let mut checked = Vec::new();
-    for (file, check) in GATED_FILES {
+    for (file, rows) in GATES {
         let baseline_path = baseline_dir.join(file);
         if !baseline_path.exists() {
             continue;
         }
-        let fresh_path = fresh_dir.join(file);
-        let baseline = match std::fs::read_to_string(&baseline_path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| Json::parse(&t))
-        {
+        let baseline = match read_record(&baseline_path) {
             Ok(doc) => doc,
             Err(e) => {
                 failures.push(format!("{file}: unreadable baseline: {e}"));
                 continue;
             }
         };
-        let fresh = match std::fs::read_to_string(&fresh_path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| Json::parse(&t))
-        {
-            Ok(doc) => doc,
-            Err(e) => {
-                failures.push(format!("{file}: fresh record missing or unreadable: {e}"));
-                continue;
-            }
-        };
-        check(&mut failures, &baseline, &fresh);
+        match read_record(&fresh_dir.join(file)) {
+            Ok(fresh) => failures.extend(gate_record(file, rows, &baseline, &fresh)),
+            Err(e) => failures.push(format!("{file}: fresh record missing or unreadable: {e}")),
+        }
         checked.push(file.to_string());
     }
     if failures.is_empty() {
@@ -601,13 +324,19 @@ pub fn run_gate(baseline_dir: &Path, fresh_dir: &Path) -> Result<Vec<String>, Ve
 mod tests {
     use super::*;
 
+    fn gate(file: &str, baseline: &Json, fresh: &Json) -> Vec<String> {
+        let (_, rows) = GATES.iter().find(|(f, _)| *f == file).expect("gated record");
+        gate_record(file, rows, baseline, fresh)
+    }
+
+    fn doc(text: &str) -> Json {
+        Json::parse(text).unwrap()
+    }
+
     #[test]
     fn parser_round_trips_the_bench_shapes() {
-        let doc = Json::parse(
-            "{\n  \"scale\": \"Quick\",\n  \"speedup\": 1.512,\n  \"ok\": true,\n  \
-             \"items\": [{\"n\": 1}, {\"n\": -2.5e1}],\n  \"nothing\": null\n}",
-        )
-        .unwrap();
+        let doc = doc("{\n  \"scale\": \"Quick\",\n  \"speedup\": 1.512,\n  \"ok\": true,\n  \
+             \"items\": [{\"n\": 1}, {\"n\": -2.5e1}],\n  \"nothing\": null\n}");
         assert_eq!(doc.get(&["scale"]).and_then(Json::as_str), Some("Quick"));
         assert_eq!(doc.get(&["speedup"]).and_then(Json::as_f64), Some(1.512));
         assert_eq!(doc.get(&["ok"]).and_then(Json::as_bool), Some(true));
@@ -618,7 +347,7 @@ mod tests {
 
     #[test]
     fn parser_preserves_multi_byte_utf8_strings() {
-        let doc = Json::parse("{\"arch\": \"Xilinx UltraScale+ → §5.1\"}").unwrap();
+        let doc = doc("{\"arch\": \"Xilinx UltraScale+ → §5.1\"}");
         assert_eq!(doc.get(&["arch"]).and_then(Json::as_str), Some("Xilinx UltraScale+ → §5.1"));
     }
 
@@ -632,23 +361,31 @@ mod tests {
 
     #[test]
     fn the_committed_baselines_parse() {
-        // The real records this gate will read in CI must stay parseable by the
-        // mini parser.
-        for file in [
-            "BENCH_cegis.json",
-            "BENCH_egraph.json",
-            "BENCH_serve.json",
-            "BENCH_daemon.json",
-            "BENCH_fuzz.json",
-            "BENCH_trace.json",
-            "BENCH_obs.json",
-            "BENCH_aig.json",
-        ] {
-            let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(file);
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                Json::parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+        // Every gated record has a committed baseline in which every row's
+        // value resolves, and which gates green against itself.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for (file, rows) in GATES {
+            let baseline = read_record(&root.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+            for Row(value, _) in *rows {
+                assert!(value.resolve(&baseline).is_some(), "{file}: {} missing", value.label());
             }
+            assert_eq!(gate_record(file, rows, &baseline, &baseline), Vec::<String>::new());
         }
+    }
+
+    #[test]
+    fn a_gated_value_missing_from_the_fresh_record_fails() {
+        // Regression: a missing array used to sum to 0 and pass.
+        let baseline = trace_doc(0, 500, 1000, true);
+        let mut fresh = trace_doc(0, 500, 1000, true);
+        if let Json::Obj(map) = &mut fresh {
+            map.remove("benchmarks");
+        }
+        let failures = gate("BENCH_trace.json", &baseline, &fresh);
+        assert!(
+            failures.iter().any(|f| f.contains("benchmarks[].conflicts is missing")),
+            "{failures:?}"
+        );
     }
 
     fn sat_doc(conflicts: u64, propagations: u64, gates_pass: bool) -> String {
@@ -661,221 +398,193 @@ mod tests {
 
     #[test]
     fn sat_rule_fails_on_conflict_regression_and_passes_within_tolerance() {
-        let baseline = Json::parse(&sat_doc(10_000, 1_000_000, true)).unwrap();
+        let baseline = doc(&sat_doc(10_000, 1_000_000, true));
         // +5% conflicts: within tolerance.
-        let ok = Json::parse(&sat_doc(10_500, 1_000_000, true)).unwrap();
-        let mut failures = Vec::new();
-        check_sat(&mut failures, &baseline, &ok);
+        let failures = gate("BENCH_sat.json", &baseline, &doc(&sat_doc(10_500, 1_000_000, true)));
         assert!(failures.is_empty(), "{failures:?}");
         // +50% conflicts: regression.
-        let bad = Json::parse(&sat_doc(15_000, 1_000_000, true)).unwrap();
-        let mut failures = Vec::new();
-        check_sat(&mut failures, &baseline, &bad);
+        let failures = gate("BENCH_sat.json", &baseline, &doc(&sat_doc(15_000, 1_000_000, true)));
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("total_conflicts_modern"));
         // gates_pass=false always fails.
-        let bad = Json::parse(&sat_doc(10_000, 1_000_000, false)).unwrap();
-        let mut failures = Vec::new();
-        check_sat(&mut failures, &baseline, &bad);
+        let failures = gate("BENCH_sat.json", &baseline, &doc(&sat_doc(10_000, 1_000_000, false)));
         assert!(!failures.is_empty());
     }
 
     #[test]
     fn cegis_rule_compares_per_mode_sums_and_verdicts() {
-        let doc = |conflicts: u64, verdict: &str| {
-            Json::parse(&format!(
+        let record = |conflicts: u64, verdict: &str| {
+            doc(&format!(
                 "{{\"scale\": \"Quick\", \"benchmarks\": [\
                  {{\"incremental\": true, \"conflicts\": {conflicts}, \"iterations\": 2, \
                  \"verdict\": \"{verdict}\"}}, \
                  {{\"incremental\": false, \"conflicts\": 500, \"iterations\": 2, \
                  \"verdict\": \"success\"}}]}}"
             ))
-            .unwrap()
         };
-        let baseline = doc(1000, "success");
-        let mut failures = Vec::new();
-        check_cegis(&mut failures, &baseline, &doc(1050, "success"));
+        let baseline = record(1000, "success");
+        let failures = gate("BENCH_cegis.json", &baseline, &record(1050, "success"));
         assert!(failures.is_empty(), "{failures:?}");
-        let mut failures = Vec::new();
-        check_cegis(&mut failures, &baseline, &doc(5000, "success"));
+        let failures = gate("BENCH_cegis.json", &baseline, &record(5000, "success"));
         assert!(failures.iter().any(|f| f.contains("conflicts")));
-        let mut failures = Vec::new();
-        check_cegis(&mut failures, &baseline, &doc(1000, "timeout"));
+        let failures = gate("BENCH_cegis.json", &baseline, &record(1000, "timeout"));
         assert!(failures.iter().any(|f| f.contains("verdict tally")));
     }
 
     fn daemon_doc(lost: u64, warm_served: u64, gates_pass: bool) -> Json {
-        Json::parse(&format!(
+        doc(&format!(
             "{{\"scale\": \"Quick\", \"accepted\": 30, \"completed\": 30, \"rejected\": 0, \
              \"lost\": {lost}, \"warm_served\": {warm_served}, \"warm_hits\": {warm_served}, \
              \"cold_misses\": 3, \"warm_p99_ms\": 90.0, \"gates_pass\": {gates_pass}}}"
         ))
-        .unwrap()
     }
 
     #[test]
     fn daemon_rule_pins_accounting_exactly_and_ignores_latency() {
         let baseline = daemon_doc(0, 24, true);
         // Identical counters pass, no matter how the (ungated) latency moved.
-        let mut failures = Vec::new();
-        check_daemon(&mut failures, &baseline, &daemon_doc(0, 24, true));
+        let failures = gate("BENCH_daemon.json", &baseline, &daemon_doc(0, 24, true));
         assert!(failures.is_empty(), "{failures:?}");
 
         // One lost job is an absolute failure, not a tolerance question.
-        let mut failures = Vec::new();
-        check_daemon(&mut failures, &baseline, &daemon_doc(1, 24, true));
+        let failures = gate("BENCH_daemon.json", &baseline, &daemon_doc(1, 24, true));
         assert!(failures.iter().any(|f| f.contains("lost")));
 
         // A warm verdict that fell out of the cache shifts the deterministic
         // counters and fails exactly.
-        let mut failures = Vec::new();
-        check_daemon(&mut failures, &baseline, &daemon_doc(0, 23, true));
+        let failures = gate("BENCH_daemon.json", &baseline, &daemon_doc(0, 23, true));
         assert!(failures.iter().any(|f| f.contains("warm_served")));
 
-        let mut failures = Vec::new();
-        check_daemon(&mut failures, &baseline, &daemon_doc(0, 24, false));
-        assert!(failures.iter().any(|f| f.contains("own gates")));
+        let failures = gate("BENCH_daemon.json", &baseline, &daemon_doc(0, 24, false));
+        assert!(failures.iter().any(|f| f.contains("gates_pass")));
     }
 
     fn fuzz_doc(mismatches: u64, roundtrip_ok: u64, gates_pass: bool) -> Json {
-        Json::parse(&format!(
+        doc(&format!(
             "{{\"scale\": \"Quick\", \"seeds_run\": 200, \"parse_ok\": 200, \
              \"elaborate_ok\": 200, \"roundtrip_ok\": {roundtrip_ok}, \"map_attempted\": 8, \
              \"map_success\": 2, \"map_unsat\": 3, \"map_timeout\": 3, \"map_agree\": 2, \
-             \"mismatch_count\": {mismatches}, \"mismatches\": [], \
+             \"map_error_kinds\": {{}}, \"mismatch_count\": {mismatches}, \"mismatches\": [], \
              \"gates_pass\": {gates_pass}}}"
         ))
-        .unwrap()
     }
 
     #[test]
     fn fuzz_rule_is_zero_tolerance_on_mismatches_and_ignores_map_tallies() {
         let baseline = fuzz_doc(0, 200, true);
-        let mut failures = Vec::new();
-        check_fuzz(&mut failures, &baseline, &fuzz_doc(0, 200, true));
+        let failures = gate("BENCH_fuzz.json", &baseline, &fuzz_doc(0, 200, true));
         assert!(failures.is_empty(), "{failures:?}");
 
         // A single mismatch is an absolute failure.
-        let mut failures = Vec::new();
-        check_fuzz(&mut failures, &baseline, &fuzz_doc(1, 200, true));
+        let failures = gate("BENCH_fuzz.json", &baseline, &fuzz_doc(1, 200, true));
         assert!(failures.iter().any(|f| f.contains("mismatch_count")));
 
         // Deterministic counters must reproduce exactly.
-        let mut failures = Vec::new();
-        check_fuzz(&mut failures, &baseline, &fuzz_doc(0, 199, true));
+        let failures = gate("BENCH_fuzz.json", &baseline, &fuzz_doc(0, 199, true));
         assert!(failures.iter().any(|f| f.contains("roundtrip_ok")));
 
         // Mapping verdict tallies are timing-dependent and ungated: a fresh
         // record whose success/unsat/timeout split moved still passes.
-        let moved = Json::parse(
-            "{\"scale\": \"Quick\", \"seeds_run\": 200, \"parse_ok\": 200, \
+        let moved = doc("{\"scale\": \"Quick\", \"seeds_run\": 200, \"parse_ok\": 200, \
              \"elaborate_ok\": 200, \"roundtrip_ok\": 200, \"map_attempted\": 8, \
              \"map_success\": 0, \"map_unsat\": 1, \"map_timeout\": 7, \"map_agree\": 0, \
-             \"mismatch_count\": 0, \"mismatches\": [], \"gates_pass\": true}",
-        )
-        .unwrap();
-        let mut failures = Vec::new();
-        check_fuzz(&mut failures, &baseline, &moved);
+             \"map_error_kinds\": {}, \"mismatch_count\": 0, \"mismatches\": [], \
+             \"gates_pass\": true}");
+        let failures = gate("BENCH_fuzz.json", &baseline, &moved);
         assert!(failures.is_empty(), "map tallies must be ungated: {failures:?}");
 
-        let mut failures = Vec::new();
-        check_fuzz(&mut failures, &baseline, &fuzz_doc(0, 200, false));
-        assert!(failures.iter().any(|f| f.contains("own gates")));
+        // Mapping errors are structural, not timing: their kinds are exact.
+        let mut errored = fuzz_doc(0, 200, true);
+        if let Json::Obj(map) = &mut errored {
+            map.insert(
+                "map_error_kinds".into(),
+                Json::obj([("sketch: unsupported", Json::num(1))]),
+            );
+        }
+        let failures = gate("BENCH_fuzz.json", &baseline, &errored);
+        assert!(failures.iter().any(|f| f.contains("map_error_kinds")), "{failures:?}");
+
+        let failures = gate("BENCH_fuzz.json", &baseline, &fuzz_doc(0, 200, false));
+        assert!(failures.iter().any(|f| f.contains("gates_pass")));
     }
 
     fn trace_doc(mismatches: u64, events: u64, conflicts: u64, gates_pass: bool) -> Json {
-        Json::parse(&format!(
+        doc(&format!(
             "{{\"scale\": \"Quick\", \"untraced_total_ms\": 100.0, \"traced_total_ms\": 103.0, \
              \"overhead_ratio\": 1.03, \"traced_events\": {events}, \"dropped_events\": 0, \
              \"counter_mismatches\": {mismatches}, \"missing_spans\": [], \
              \"gates_pass\": {gates_pass}, \"benchmarks\": [{{\"benchmark\": \"mul_w8_s0\", \
              \"conflicts\": {conflicts}, \"iterations\": 2, \"identical\": true}}]}}"
         ))
-        .unwrap()
     }
 
     #[test]
     fn trace_rule_is_zero_tolerance_on_identity_and_ignores_overhead() {
         let baseline = trace_doc(0, 500, 1000, true);
-        let mut failures = Vec::new();
-        check_trace(&mut failures, &baseline, &trace_doc(0, 500, 1050, true));
+        let failures = gate("BENCH_trace.json", &baseline, &trace_doc(0, 500, 1050, true));
         assert!(failures.is_empty(), "{failures:?}");
 
         // A single counter mismatch between traced and untraced is absolute.
-        let mut failures = Vec::new();
-        check_trace(&mut failures, &baseline, &trace_doc(1, 500, 1000, true));
+        let failures = gate("BENCH_trace.json", &baseline, &trace_doc(1, 500, 1000, true));
         assert!(failures.iter().any(|f| f.contains("counter_mismatches")));
 
         // A traced pass with no events means the spans rotted.
-        let mut failures = Vec::new();
-        check_trace(&mut failures, &baseline, &trace_doc(0, 0, 1000, true));
-        assert!(failures.iter().any(|f| f.contains("no span events")));
+        let failures = gate("BENCH_trace.json", &baseline, &trace_doc(0, 0, 1000, true));
+        assert!(failures.iter().any(|f| f.contains("traced_events")));
 
         // Search-work regressions beyond tolerance still trip the gate.
-        let mut failures = Vec::new();
-        check_trace(&mut failures, &baseline, &trace_doc(0, 500, 5000, true));
-        assert!(failures.iter().any(|f| f.contains("total conflicts")));
+        let failures = gate("BENCH_trace.json", &baseline, &trace_doc(0, 500, 5000, true));
+        assert!(failures.iter().any(|f| f.contains("benchmarks[].conflicts")));
 
         // Overhead ratio and wall times are ungated: a 100x slower traced pass
         // with identical counters passes.
-        let mut failures = Vec::new();
-        let slow = Json::parse(
-            "{\"scale\": \"Quick\", \"untraced_total_ms\": 100.0, \
+        let slow = doc("{\"scale\": \"Quick\", \"untraced_total_ms\": 100.0, \
              \"traced_total_ms\": 10000.0, \"overhead_ratio\": 100.0, \
              \"traced_events\": 500, \"dropped_events\": 0, \"counter_mismatches\": 0, \
              \"missing_spans\": [], \"gates_pass\": true, \"benchmarks\": [{\"benchmark\": \
-             \"mul_w8_s0\", \"conflicts\": 1000, \"iterations\": 2, \"identical\": true}]}",
-        )
-        .unwrap();
-        check_trace(&mut failures, &baseline, &slow);
+             \"mul_w8_s0\", \"conflicts\": 1000, \"iterations\": 2, \"identical\": true}]}");
+        let failures = gate("BENCH_trace.json", &baseline, &slow);
         assert!(failures.is_empty(), "overhead must be ungated: {failures:?}");
 
-        let mut failures = Vec::new();
-        check_trace(&mut failures, &baseline, &trace_doc(0, 500, 1000, false));
-        assert!(failures.iter().any(|f| f.contains("own gates")));
+        let failures = gate("BENCH_trace.json", &baseline, &trace_doc(0, 500, 1000, false));
+        assert!(failures.iter().any(|f| f.contains("gates_pass")));
     }
 
     fn obs_doc(mismatches: u64, metrics_errors: u64, bundles: u64, gates_pass: bool) -> Json {
-        Json::parse(&format!(
+        doc(&format!(
             "{{\"scale\": \"Quick\", \"distinct\": 4, \"accepted\": 9, \"completed\": 9, \
              \"lost\": 0, \"counter_mismatches\": {mismatches}, \"bundles_written\": {bundles}, \
              \"bundle_files\": 10, \"records_retrieved\": 4, \
              \"metrics_errors\": {metrics_errors}, \"metrics_lines\": 120, \
              \"off_wall_ms\": 500.0, \"on_wall_ms\": 520.0, \"gates_pass\": {gates_pass}}}"
         ))
-        .unwrap()
     }
 
     #[test]
     fn obs_rule_is_zero_tolerance_on_identity_and_exposition() {
         let baseline = obs_doc(0, 0, 9, true);
         // Identical counters pass, no matter how the (ungated) wall time moved.
-        let mut failures = Vec::new();
-        check_obs(&mut failures, &baseline, &obs_doc(0, 0, 9, true));
+        let failures = gate("BENCH_obs.json", &baseline, &obs_doc(0, 0, 9, true));
         assert!(failures.is_empty(), "{failures:?}");
 
         // One deterministic counter perturbed by forensics is absolute.
-        let mut failures = Vec::new();
-        check_obs(&mut failures, &baseline, &obs_doc(1, 0, 9, true));
+        let failures = gate("BENCH_obs.json", &baseline, &obs_doc(1, 0, 9, true));
         assert!(failures.iter().any(|f| f.contains("counter_mismatches")));
 
         // A malformed metrics exposition is absolute.
-        let mut failures = Vec::new();
-        check_obs(&mut failures, &baseline, &obs_doc(0, 2, 9, true));
+        let failures = gate("BENCH_obs.json", &baseline, &obs_doc(0, 2, 9, true));
         assert!(failures.iter().any(|f| f.contains("metrics_errors")));
 
         // The bundle-per-request contract must reproduce exactly.
-        let mut failures = Vec::new();
-        check_obs(&mut failures, &baseline, &obs_doc(0, 0, 8, true));
+        let failures = gate("BENCH_obs.json", &baseline, &obs_doc(0, 0, 8, true));
         assert!(failures.iter().any(|f| f.contains("bundles_written")));
 
-        let mut failures = Vec::new();
-        check_obs(&mut failures, &baseline, &obs_doc(0, 0, 9, false));
-        assert!(failures.iter().any(|f| f.contains("own gates")));
+        let failures = gate("BENCH_obs.json", &baseline, &obs_doc(0, 0, 9, false));
+        assert!(failures.iter().any(|f| f.contains("gates_pass")));
     }
 
     fn aig_doc(mismatches: u64, cones: u64, warm_all: bool, gates_pass: bool) -> Json {
-        Json::parse(&format!(
+        doc(&format!(
             "{{\"scale\": \"Quick\", \"total_ands\": 1326, \"largest_fixture_ands\": 1100, \
              \"total_cones\": {cones}, \"unique_cones\": 80, \
              \"total_mismatches\": {mismatches}, \"warm_all_hits\": {warm_all}, \
@@ -884,43 +593,36 @@ mod tests {
              \"logic_elements\": 2, \"registers\": 0, \"cold_wall_ms\": 120.0, \
              \"warm_wall_ms\": 4.0}}]}}"
         ))
-        .unwrap()
     }
 
     #[test]
     fn aig_rule_is_zero_tolerance_on_stitch_identity_and_cone_accounting() {
         let baseline = aig_doc(0, 400, true, true);
         // Identical counters pass, no matter how the (ungated) wall time moved.
-        let mut failures = Vec::new();
-        check_aig(&mut failures, &baseline, &aig_doc(0, 400, true, true));
+        let failures = gate("BENCH_aig.json", &baseline, &aig_doc(0, 400, true, true));
         assert!(failures.is_empty(), "{failures:?}");
 
         // A single stitched-verification mismatch is absolute.
-        let mut failures = Vec::new();
-        check_aig(&mut failures, &baseline, &aig_doc(1, 400, true, true));
+        let failures = gate("BENCH_aig.json", &baseline, &aig_doc(1, 400, true, true));
         assert!(failures.iter().any(|f| f.contains("total_mismatches")));
 
         // A warm cone that missed the cache is absolute.
-        let mut failures = Vec::new();
-        check_aig(&mut failures, &baseline, &aig_doc(0, 400, false, true));
-        assert!(failures.iter().any(|f| f.contains("warm cone")));
+        let failures = gate("BENCH_aig.json", &baseline, &aig_doc(0, 400, false, true));
+        assert!(failures.iter().any(|f| f.contains("warm_all_hits")));
 
         // The partitioner is deterministic: cone counts must reproduce exactly.
-        let mut failures = Vec::new();
-        check_aig(&mut failures, &baseline, &aig_doc(0, 401, true, true));
+        let failures = gate("BENCH_aig.json", &baseline, &aig_doc(0, 401, true, true));
         assert!(failures.iter().any(|f| f.contains("total_cones")));
 
-        let mut failures = Vec::new();
-        check_aig(&mut failures, &baseline, &aig_doc(0, 400, true, false));
-        assert!(failures.iter().any(|f| f.contains("own gates")));
+        let failures = gate("BENCH_aig.json", &baseline, &aig_doc(0, 400, true, false));
+        assert!(failures.iter().any(|f| f.contains("gates_pass")));
     }
 
     #[test]
     fn scale_mismatch_is_reported_not_compared() {
-        let quick = Json::parse(&sat_doc(10, 10, true)).unwrap();
-        let full = Json::parse(&sat_doc(10, 10, true).replace("Quick", "Full")).unwrap();
-        let mut failures = Vec::new();
-        check_sat(&mut failures, &quick, &full);
+        let quick = doc(&sat_doc(10, 10, true));
+        let full = doc(&sat_doc(10, 10, true).replace("Quick", "Full"));
+        let failures = gate("BENCH_sat.json", &quick, &full);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("scale mismatch"));
     }
@@ -928,18 +630,11 @@ mod tests {
     #[test]
     fn wall_clock_fields_are_never_gated() {
         // A fresh record that is 100x slower but otherwise identical passes.
-        let baseline = Json::parse(
-            "{\"scale\": \"Quick\", \"total_wall_ms_incremental\": 100.0, \
-             \"total_wall_ms_from_scratch\": 200.0, \"speedup\": 2.0, \"benchmarks\": []}",
-        )
-        .unwrap();
-        let slow = Json::parse(
-            "{\"scale\": \"Quick\", \"total_wall_ms_incremental\": 10000.0, \
-             \"total_wall_ms_from_scratch\": 10000.0, \"speedup\": 1.0, \"benchmarks\": []}",
-        )
-        .unwrap();
-        let mut failures = Vec::new();
-        check_cegis(&mut failures, &baseline, &slow);
+        let baseline = doc("{\"scale\": \"Quick\", \"total_wall_ms_incremental\": 100.0, \
+             \"total_wall_ms_from_scratch\": 200.0, \"speedup\": 2.0, \"benchmarks\": []}");
+        let slow = doc("{\"scale\": \"Quick\", \"total_wall_ms_incremental\": 10000.0, \
+             \"total_wall_ms_from_scratch\": 10000.0, \"speedup\": 1.0, \"benchmarks\": []}");
+        let failures = gate("BENCH_cegis.json", &baseline, &slow);
         assert!(failures.is_empty(), "{failures:?}");
     }
 }

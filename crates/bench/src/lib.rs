@@ -18,6 +18,7 @@ pub mod serve;
 pub mod trace;
 
 use std::collections::HashMap;
+use std::process::ExitCode;
 use std::time::Duration;
 
 use lakeroad::report::{proportion_bar, runtime_histogram, summarize_timing, RunClass, Tally};
@@ -25,7 +26,66 @@ use lakeroad::suite::{full_suite, suite_for, Microbenchmark};
 use lakeroad::{MapConfig, MapOutcome, Template};
 use lr_arch::{ArchName, Architecture};
 use lr_baselines::{estimate, BaselineTool};
-use lr_serve::{run_batch, BatchJob, BatchOptions, JobResult, TemplateChoice};
+use lr_serve::{run_batch, BatchJob, BatchOptions, JobResult, Json, TemplateChoice};
+
+/// One experiment's machine-readable `BENCH_*.json` record.
+pub trait Record {
+    /// Where the record is written (repo-relative; CI uploads every
+    /// `BENCH_*.json` and [`gate`] compares it against the committed baseline).
+    const PATH: &'static str;
+
+    /// The record as a JSON document.
+    fn to_json(&self) -> Json;
+
+    /// The experiment's own failed acceptance gates; empty when healthy.
+    fn gate_failures(&self) -> Vec<String>;
+
+    /// Prints the human-readable summary.
+    fn print_summary(&self);
+}
+
+/// Prints the summary and writes `record` to its [`Record::PATH`] in the
+/// indented layout (one top-level entry per line), so a baseline refresh
+/// reads as a line diff.
+///
+/// # Errors
+/// The experiment's gate failures, plus the write error if the record could
+/// not be written: a record left unwritten fails its run, because CI would
+/// otherwise gate the committed baseline against itself.
+pub fn report_and_write<R: Record>(record: &R) -> Result<(), Vec<String>> {
+    record.print_summary();
+    let mut failures = record.gate_failures();
+    match std::fs::write(R::PATH, record.to_json().render_indented()) {
+        Ok(()) => println!("wrote {}", R::PATH),
+        Err(e) => failures.push(format!("cannot write {}: {e}", R::PATH)),
+    }
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures)
+    }
+}
+
+/// The exit convention of every record-writing `exp_*` binary: success, or
+/// every failure on stderr and a failing exit code.
+pub fn exit_code(result: Result<(), Vec<String>>) -> ExitCode {
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(failures) => {
+            for failure in failures {
+                eprintln!("FAILED: {failure}");
+            }
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// A measured, ungated value (wall clock, ratio) rounded to the `places`
+/// decimals the records carry.
+pub(crate) fn decimal(value: f64, places: i32) -> Json {
+    let scale = 10f64.powi(places);
+    Json::Num((value * scale).round() / scale)
+}
 
 /// How much of the paper-scale suite to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -362,6 +422,32 @@ mod tests {
         assert_eq!(Scale::Full.timeout(ArchName::XilinxUltraScalePlus), Duration::from_secs(120));
         assert_eq!(Scale::Full.timeout(ArchName::LatticeEcp5), Duration::from_secs(40));
         assert_eq!(Scale::Full.timeout(ArchName::IntelCyclone10Lp), Duration::from_secs(20));
+    }
+
+    struct Unwritable;
+
+    impl Record for Unwritable {
+        const PATH: &'static str = "no-such-directory/BENCH_unwritable.json";
+
+        fn to_json(&self) -> Json {
+            Json::obj([("scale", Json::str("Quick"))])
+        }
+
+        fn gate_failures(&self) -> Vec<String> {
+            vec!["own gate".to_string()]
+        }
+
+        fn print_summary(&self) {}
+    }
+
+    #[test]
+    fn a_record_that_cannot_be_written_fails_its_run() {
+        // Regression: a failed write used to be printed and forgotten, leaving
+        // the committed baseline in place to be gated against itself.
+        let failures = report_and_write(&Unwritable).unwrap_err();
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert_eq!(failures[0], "own gate");
+        assert!(failures[1].starts_with("cannot write no-such-directory/"), "{failures:?}");
     }
 
     #[test]

@@ -32,11 +32,7 @@ use lakeroad::MapConfig;
 use lr_arch::ArchName;
 use lr_serve::{Daemon, DaemonClient, DaemonConfig, ForensicsConfig, Json};
 
-use crate::Scale;
-
-/// Where the machine-readable record is written (repo-relative; CI uploads
-/// this exact path as an artifact, next to the other `BENCH_*.json` files).
-pub const REPORT_PATH: &str = "BENCH_obs.json";
+use crate::{decimal, Record, Scale};
 
 /// The deterministic counters compared between the forensics-off and
 /// forensics-on runs, in a stable order.
@@ -85,9 +81,34 @@ impl ObsReport {
     pub fn lost(&self) -> u64 {
         (self.off.accepted - self.off.completed) + (self.on.accepted - self.on.completed)
     }
+}
 
-    /// The failed acceptance gates, empty when the experiment is healthy.
-    pub fn gate_failures(&self) -> Vec<String> {
+impl Record for ObsReport {
+    const PATH: &'static str = "BENCH_obs.json";
+
+    fn to_json(&self) -> Json {
+        let n = |v: u64| Json::Num(v as f64);
+        let counters = self.on.counters.iter().map(|(&name, &value)| (name.to_string(), n(value)));
+        Json::obj([
+            ("scale", Json::str(format!("{:?}", self.scale))),
+            ("distinct", n(self.distinct)),
+            ("accepted", n(self.on.accepted)),
+            ("completed", n(self.on.completed)),
+            ("lost", n(self.lost())),
+            ("counter_mismatches", Json::Num(self.mismatches.len() as f64)),
+            ("bundles_written", n(self.bundles_written)),
+            ("bundle_files", n(self.bundle_files)),
+            ("records_retrieved", n(self.records_retrieved)),
+            ("metrics_errors", Json::Num(self.metrics_errors.len() as f64)),
+            ("metrics_lines", n(self.metrics_lines)),
+            ("off_wall_ms", decimal(self.off.wall_ms, 3)),
+            ("on_wall_ms", decimal(self.on.wall_ms, 3)),
+            ("counters", Json::Obj(counters.collect())),
+            ("gates_pass", Json::Bool(self.gate_failures().is_empty())),
+        ])
+    }
+
+    fn gate_failures(&self) -> Vec<String> {
         let mut failures = Vec::new();
         if !self.mismatches.is_empty() {
             failures.push(format!(
@@ -131,46 +152,7 @@ impl ObsReport {
         failures
     }
 
-    /// Renders the record as a JSON document (dependency-free, stable for CI).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
-        out.push_str(&format!("  \"distinct\": {},\n", self.distinct));
-        out.push_str(&format!("  \"accepted\": {},\n", self.on.accepted));
-        out.push_str(&format!("  \"completed\": {},\n", self.on.completed));
-        out.push_str(&format!("  \"lost\": {},\n", self.lost()));
-        out.push_str(&format!("  \"counter_mismatches\": {},\n", self.mismatches.len()));
-        out.push_str(&format!("  \"bundles_written\": {},\n", self.bundles_written));
-        out.push_str(&format!("  \"bundle_files\": {},\n", self.bundle_files));
-        out.push_str(&format!("  \"records_retrieved\": {},\n", self.records_retrieved));
-        out.push_str(&format!("  \"metrics_errors\": {},\n", self.metrics_errors.len()));
-        out.push_str(&format!("  \"metrics_lines\": {},\n", self.metrics_lines));
-        out.push_str(&format!("  \"off_wall_ms\": {:.3},\n", self.off.wall_ms));
-        out.push_str(&format!("  \"on_wall_ms\": {:.3},\n", self.on.wall_ms));
-        out.push_str("  \"counters\": {\n");
-        let rows: Vec<String> = self
-            .on
-            .counters
-            .iter()
-            .map(|(name, value)| format!("    \"{name}\": {value}"))
-            .collect();
-        out.push_str(&rows.join(",\n"));
-        out.push_str("\n  },\n");
-        out.push_str(&format!("  \"gates_pass\": {}\n", self.gate_failures().is_empty()));
-        out.push_str("}\n");
-        out
-    }
-
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Prints a human-readable summary.
-    pub fn print_summary(&self) {
+    fn print_summary(&self) {
         println!(
             "\n-- Observability: {} distinct mappings + poison, forensics off vs on --",
             self.distinct
@@ -496,24 +478,6 @@ pub fn run_obs_experiment(scale: Scale) -> ObsReport {
     }
 }
 
-/// Prints the summary, writes [`REPORT_PATH`], and reports gate failures.
-pub fn report_and_write(report: &ObsReport) -> Result<(), String> {
-    report.print_summary();
-    match report.write_json(REPORT_PATH) {
-        Ok(()) => println!(
-            "wrote {REPORT_PATH} ({} deterministic counters compared)",
-            report.on.counters.len(),
-        ),
-        Err(e) => eprintln!("failed to write {REPORT_PATH}: {e}"),
-    }
-    let failures = report.gate_failures();
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("; "))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -579,10 +543,10 @@ mod tests {
     #[test]
     fn json_report_is_well_formed() {
         let json = sample_report().to_json();
-        assert!(json.contains("\"gates_pass\": true"));
-        assert!(json.contains("\"counter_mismatches\": 0"));
-        assert!(json.contains("\"sat_conflicts\": 100"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json.get(&["gates_pass"]), Some(&Json::Bool(true)));
+        assert_eq!(json.get(&["counter_mismatches"]), Some(&Json::num(0)));
+        assert_eq!(json.get(&["counters", "sat_conflicts"]), Some(&Json::num(100)));
+        assert_eq!(Json::parse(&json.render_indented()).unwrap(), json);
     }
 
     #[test]

@@ -15,14 +15,11 @@ use std::time::Instant;
 use lakeroad::suite::Microbenchmark;
 use lakeroad::{generate_sketch, pipeline_depth, Template};
 use lr_arch::Architecture;
+use lr_serve::Json;
 use lr_smt::SolverConfig;
 use lr_synth::{synthesize, SynthesisConfig, SynthesisOutcome, SynthesisTask};
 
-use crate::Scale;
-
-/// Where the machine-readable comparison record is written (repo-relative; CI
-/// uploads this exact path as an artifact, next to the other `BENCH_*.json`).
-pub const REPORT_PATH: &str = "BENCH_sat.json";
+use crate::{decimal, Record, Scale};
 
 /// The modernized configuration under test (the workspace default).
 pub fn modern_config() -> SolverConfig {
@@ -93,14 +90,51 @@ impl SatComparison {
     pub fn total_learnt_literals(&self, mode: &str) -> u64 {
         self.total(mode, |r| r.learnt_literals)
     }
+}
+
+impl Record for SatComparison {
+    const PATH: &'static str = "BENCH_sat.json";
+
+    fn to_json(&self) -> Json {
+        let runs = self.runs.iter().map(|r| {
+            Json::obj([
+                ("arch", Json::str(&r.arch)),
+                ("benchmark", Json::str(&r.benchmark)),
+                ("mode", Json::str(r.mode)),
+                ("verdict", Json::str(r.verdict)),
+                ("wall_ms", decimal(r.wall_ms, 3)),
+                ("iterations", Json::Num(r.iterations as f64)),
+                ("conflicts", Json::Num(r.conflicts as f64)),
+                ("propagations", Json::Num(r.propagations as f64)),
+                ("restarts", Json::Num(r.restarts as f64)),
+                ("learnt_literals", Json::Num(r.learnt_literals as f64)),
+                ("minimized_literals", Json::Num(r.minimized_literals as f64)),
+                ("low_glue_clauses", Json::Num(r.low_glue_clauses as f64)),
+                ("learnt_clauses", Json::Num(r.learnt_clauses as f64)),
+            ])
+        });
+        let total = |n: u64| Json::Num(n as f64);
+        Json::obj([
+            ("scale", Json::str(format!("{:?}", self.scale))),
+            ("total_conflicts_modern", total(self.total_conflicts("modern"))),
+            ("total_propagations_modern", total(self.total_propagations("modern"))),
+            ("total_learnt_literals_modern", total(self.total_learnt_literals("modern"))),
+            ("total_conflicts_legacy", total(self.total_conflicts("legacy"))),
+            ("total_propagations_legacy", total(self.total_propagations("legacy"))),
+            ("total_learnt_literals_legacy", total(self.total_learnt_literals("legacy"))),
+            (
+                "total_minimized_literals_modern",
+                total(self.total("modern", |r| r.minimized_literals)),
+            ),
+            ("gates_pass", Json::Bool(self.gate_failures().is_empty())),
+            ("benchmarks", Json::Arr(runs.collect())),
+        ])
+    }
 
     /// The acceptance gate: the modernized configuration must reduce total
     /// conflicts or total propagations on the tier (and both modes must agree on
     /// every verdict).
-    ///
-    /// # Errors
-    /// Returns a description of every gate that failed.
-    pub fn gates(&self) -> Result<(), String> {
+    fn gate_failures(&self) -> Vec<String> {
         let mut failures = Vec::new();
         if self.runs.is_empty() {
             // An empty comparison must not pass vacuously: it means every
@@ -126,75 +160,10 @@ impl SatComparison {
                  propagations {mp} > {lp}"
             ));
         }
-        if failures.is_empty() {
-            Ok(())
-        } else {
-            Err(failures.join("; "))
-        }
+        failures
     }
 
-    /// Renders the comparison as a JSON document (no external dependencies; the
-    /// format is stable for CI consumption, like `BENCH_cegis.json`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
-        for mode in ["modern", "legacy"] {
-            out.push_str(&format!(
-                "  \"total_conflicts_{mode}\": {},\n",
-                self.total_conflicts(mode)
-            ));
-            out.push_str(&format!(
-                "  \"total_propagations_{mode}\": {},\n",
-                self.total_propagations(mode)
-            ));
-            out.push_str(&format!(
-                "  \"total_learnt_literals_{mode}\": {},\n",
-                self.total_learnt_literals(mode)
-            ));
-        }
-        out.push_str(&format!(
-            "  \"total_minimized_literals_modern\": {},\n",
-            self.total("modern", |r| r.minimized_literals)
-        ));
-        out.push_str(&format!("  \"gates_pass\": {},\n", self.gates().is_ok()));
-        out.push_str("  \"benchmarks\": [\n");
-        for (i, r) in self.runs.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"arch\": \"{}\", \"benchmark\": \"{}\", \"mode\": \"{}\", \
-                 \"verdict\": \"{}\", \"wall_ms\": {:.3}, \"iterations\": {}, \
-                 \"conflicts\": {}, \"propagations\": {}, \"restarts\": {}, \
-                 \"learnt_literals\": {}, \"minimized_literals\": {}, \
-                 \"low_glue_clauses\": {}, \"learnt_clauses\": {}}}{}\n",
-                r.arch,
-                r.benchmark,
-                r.mode,
-                r.verdict,
-                r.wall_ms,
-                r.iterations,
-                r.conflicts,
-                r.propagations,
-                r.restarts,
-                r.learnt_literals,
-                r.minimized_literals,
-                r.low_glue_clauses,
-                r.learnt_clauses,
-                if i + 1 < self.runs.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Prints a human-readable summary table.
-    pub fn print_summary(&self) {
+    fn print_summary(&self) {
         println!(
             "\n-- CDCL modernization: tiered+EMA vs. activity+Luby ({:?} scale) --",
             self.scale
@@ -305,20 +274,6 @@ pub fn run_sat_comparison(scale: Scale) -> SatComparison {
     SatComparison { scale, runs }
 }
 
-/// Prints the human-readable summary, writes [`REPORT_PATH`], and evaluates the
-/// acceptance gates.
-///
-/// # Errors
-/// Returns the gate-failure description when a gate fails.
-pub fn report_and_write(comparison: &SatComparison) -> Result<(), String> {
-    comparison.print_summary();
-    match comparison.write_json(REPORT_PATH) {
-        Ok(()) => println!("wrote {REPORT_PATH} ({} runs)", comparison.runs.len()),
-        Err(e) => eprintln!("failed to write {REPORT_PATH}: {e}"),
-    }
-    comparison.gates()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,12 +302,12 @@ mod tests {
             scale: Scale::Quick,
             runs: vec![run("modern", "b", 10, 2000), run("legacy", "b", 20, 1000)],
         };
-        assert!(cmp.gates().is_ok(), "fewer conflicts suffices");
+        assert!(cmp.gate_failures().is_empty(), "fewer conflicts suffices");
         let cmp = SatComparison {
             scale: Scale::Quick,
             runs: vec![run("modern", "b", 30, 500), run("legacy", "b", 20, 1000)],
         };
-        assert!(cmp.gates().is_ok(), "fewer propagations suffices");
+        assert!(cmp.gate_failures().is_empty(), "fewer propagations suffices");
     }
 
     #[test]
@@ -361,13 +316,13 @@ mod tests {
             scale: Scale::Quick,
             runs: vec![run("modern", "b", 30, 2000), run("legacy", "b", 20, 1000)],
         };
-        assert!(cmp.gates().is_err());
+        assert!(!cmp.gate_failures().is_empty());
     }
 
     #[test]
     fn gates_fail_on_an_empty_comparison() {
         let cmp = SatComparison { scale: Scale::Quick, runs: Vec::new() };
-        assert!(cmp.gates().unwrap_err().contains("measured nothing"));
+        assert!(cmp.gate_failures().iter().any(|f| f.contains("measured nothing")));
     }
 
     #[test]
@@ -376,7 +331,7 @@ mod tests {
         worse.verdict = "unsat";
         let cmp =
             SatComparison { scale: Scale::Quick, runs: vec![run("modern", "b", 10, 500), worse] };
-        assert!(cmp.gates().unwrap_err().contains("verdict drift"));
+        assert!(cmp.gate_failures().iter().any(|f| f.contains("verdict drift")));
     }
 
     #[test]
@@ -386,11 +341,13 @@ mod tests {
             runs: vec![run("modern", "b", 10, 500), run("legacy", "b", 20, 1000)],
         };
         let json = cmp.to_json();
-        assert!(json.contains("\"total_conflicts_modern\": 10"));
-        assert!(json.contains("\"total_conflicts_legacy\": 20"));
-        assert!(json.contains("\"total_propagations_modern\": 500"));
-        assert!(json.contains("\"gates_pass\": true"));
-        assert_eq!(json.matches("},").count(), 1);
+        assert_eq!(json.get(&["total_conflicts_modern"]), Some(&Json::num(10)));
+        assert_eq!(json.get(&["total_conflicts_legacy"]), Some(&Json::num(20)));
+        assert_eq!(json.get(&["total_propagations_modern"]), Some(&Json::num(500)));
+        assert_eq!(json.get(&["gates_pass"]), Some(&Json::Bool(true)));
+        let text = json.render_indented();
+        assert_eq!(text.matches("},\n").count(), 1);
+        assert_eq!(Json::parse(&text).unwrap(), json);
     }
 
     #[test]

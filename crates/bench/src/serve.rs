@@ -26,14 +26,10 @@ use lakeroad::{MapConfig, MapOutcome};
 use lr_arch::ArchName;
 use lr_serve::{
     fuzz_jobs, grinder_jobs, netlist_jobs, run_batch, suite_jobs, BatchJob, BatchOptions,
-    BatchReport, BatchRun, CacheSnapshot, JobResult, SynthCache,
+    BatchReport, BatchRun, CacheSnapshot, JobResult, Json, SynthCache,
 };
 
-use crate::Scale;
-
-/// Where the machine-readable record is written (repo-relative; CI uploads this
-/// exact path as an artifact, next to `BENCH_cegis.json` and `BENCH_egraph.json`).
-pub const REPORT_PATH: &str = "BENCH_serve.json";
+use crate::{decimal, Record, Scale};
 
 /// One point of the scaling curve: the mixed batch at one worker count.
 #[derive(Debug, Clone)]
@@ -136,9 +132,48 @@ impl ServeReport {
     pub fn warm_hit_rate(&self) -> f64 {
         self.warm.cache.hit_rate()
     }
+}
 
-    /// The failed acceptance gates, empty when the experiment is healthy.
-    pub fn gate_failures(&self) -> Vec<String> {
+impl Record for ServeReport {
+    const PATH: &'static str = "BENCH_serve.json";
+
+    fn to_json(&self) -> Json {
+        let scaling = self.scaling.iter().map(|r| {
+            Json::obj([
+                ("workers", Json::Num(r.workers as f64)),
+                ("wall_ms", decimal(r.wall_ms, 3)),
+                ("throughput_jobs_per_s", decimal(r.throughput, 3)),
+                ("successes", Json::Num(r.successes as f64)),
+                ("unsats", Json::Num(r.unsats as f64)),
+                ("timeouts", Json::Num(r.timeouts as f64)),
+                ("errors", Json::Num(r.errors as f64)),
+                ("steals", Json::Num(r.steals as f64)),
+            ])
+        });
+        let cache = [&self.cold, &self.warm].map(|p| {
+            Json::obj([
+                ("phase", Json::str(p.label)),
+                ("wall_ms", decimal(p.wall_ms, 3)),
+                ("hits", Json::Num(p.cache.hits as f64)),
+                ("misses", Json::Num(p.cache.misses as f64)),
+                ("stores", Json::Num(p.cache.stores as f64)),
+                ("invalidations", Json::Num(p.cache.invalidations as f64)),
+                ("served", Json::Num(p.served as f64)),
+                ("verdicts", Json::str(&p.verdicts)),
+            ])
+        });
+        Json::obj([
+            ("scale", Json::str(format!("{:?}", self.scale))),
+            ("scaling_jobs", Json::Num(self.scaling_jobs as f64)),
+            ("speedup_4_workers_vs_1", decimal(self.speedup_4v1().unwrap_or(0.0), 3)),
+            ("warm_hit_rate", decimal(self.warm_hit_rate(), 4)),
+            ("gates_pass", Json::Bool(self.gate_failures().is_empty())),
+            ("scaling", Json::Arr(scaling.collect())),
+            ("cache", Json::Arr(cache.into())),
+        ])
+    }
+
+    fn gate_failures(&self) -> Vec<String> {
         let mut failures = Vec::new();
         if self.warm.cache.misses > 0 || self.warm.cache.hits == 0 {
             failures.push(format!(
@@ -177,65 +212,7 @@ impl ServeReport {
         failures
     }
 
-    /// Renders the record as a JSON document (dependency-free, like the other
-    /// `BENCH_*.json` writers; the format is stable for CI consumption).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
-        out.push_str(&format!("  \"scaling_jobs\": {},\n", self.scaling_jobs));
-        out.push_str(&format!(
-            "  \"speedup_4_workers_vs_1\": {:.3},\n",
-            self.speedup_4v1().unwrap_or(0.0)
-        ));
-        out.push_str(&format!("  \"warm_hit_rate\": {:.4},\n", self.warm_hit_rate()));
-        out.push_str(&format!("  \"gates_pass\": {},\n", self.gate_failures().is_empty()));
-        out.push_str("  \"scaling\": [\n");
-        for (i, r) in self.scaling.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"workers\": {}, \"wall_ms\": {:.3}, \"throughput_jobs_per_s\": {:.3}, \
-                 \"successes\": {}, \"unsats\": {}, \"timeouts\": {}, \"errors\": {}, \
-                 \"steals\": {}}}{}\n",
-                r.workers,
-                r.wall_ms,
-                r.throughput,
-                r.successes,
-                r.unsats,
-                r.timeouts,
-                r.errors,
-                r.steals,
-                if i + 1 < self.scaling.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ],\n  \"cache\": [\n");
-        for (i, p) in [&self.cold, &self.warm].into_iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"phase\": \"{}\", \"wall_ms\": {:.3}, \"hits\": {}, \"misses\": {}, \
-                 \"stores\": {}, \"invalidations\": {}, \"served\": {}, \"verdicts\": \"{}\"}}{}\n",
-                p.label,
-                p.wall_ms,
-                p.cache.hits,
-                p.cache.misses,
-                p.cache.stores,
-                p.cache.invalidations,
-                p.served,
-                p.verdicts,
-                if i == 0 { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Prints a human-readable summary.
-    pub fn print_summary(&self) {
+    fn print_summary(&self) {
         println!("\n-- Batch scaling: mixed workload of {} jobs, cold cache --", self.scaling_jobs);
         for r in &self.scaling {
             println!(
@@ -355,25 +332,6 @@ pub fn run_serve_experiment(scale: Scale) -> ServeReport {
     }
 }
 
-/// Prints the summary, writes [`REPORT_PATH`], and reports gate failures.
-pub fn report_and_write(report: &ServeReport) -> Result<(), String> {
-    report.print_summary();
-    match report.write_json(REPORT_PATH) {
-        Ok(()) => println!(
-            "wrote {REPORT_PATH} ({} scaling points, {} cache-phase jobs)",
-            report.scaling.len(),
-            report.cold.verdicts.len(),
-        ),
-        Err(e) => eprintln!("failed to write {REPORT_PATH}: {e}"),
-    }
-    let failures = report.gate_failures();
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("; "))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,9 +423,10 @@ mod tests {
     fn json_report_is_well_formed() {
         let report = sample_report();
         let json = report.to_json();
-        assert!(json.contains("\"gates_pass\": true"));
-        assert!(json.contains("\"warm_hit_rate\": 1.0000"));
-        assert!(json.contains("\"workers\": 4"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json.get(&["gates_pass"]), Some(&Json::Bool(true)));
+        assert_eq!(json.get(&["warm_hit_rate"]), Some(&Json::num(1)));
+        let scaling = json.get(&["scaling"]).and_then(Json::as_arr).unwrap();
+        assert_eq!(scaling[1].get(&["workers"]), Some(&Json::num(4)));
+        assert_eq!(Json::parse(&json.render_indented()).unwrap(), json);
     }
 }

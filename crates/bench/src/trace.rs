@@ -20,14 +20,10 @@ use std::time::Instant;
 use lakeroad::suite::Microbenchmark;
 use lakeroad::{generate_sketch, pipeline_depth, Template};
 use lr_arch::Architecture;
+use lr_serve::Json;
 use lr_synth::{synthesize, SynthesisConfig, SynthesisOutcome, SynthesisTask};
 
-use crate::Scale;
-
-/// Where the machine-readable record is written (repo-relative; CI uploads this
-/// exact path as an artifact and `bench_gate` compares it against the committed
-/// baseline).
-pub const REPORT_PATH: &str = "BENCH_trace.json";
+use crate::{decimal, Record, Scale};
 
 /// Span names the traced pass must emit at least once over the sweep. These are
 /// the names `lakeroad --trace`'s stage summary and the batch per-job breakdown
@@ -112,67 +108,66 @@ impl TraceComparison {
         }
         self.total_ms(true) / untraced
     }
+}
+
+impl Record for TraceComparison {
+    const PATH: &'static str = "BENCH_trace.json";
+
+    fn to_json(&self) -> Json {
+        let runs = self.runs.iter().map(|r| {
+            Json::obj([
+                ("arch", Json::str(&r.arch)),
+                ("benchmark", Json::str(&r.benchmark)),
+                ("verdict", Json::str(r.untraced.verdict)),
+                ("iterations", Json::Num(r.untraced.iterations as f64)),
+                ("examples", Json::Num(r.untraced.examples as f64)),
+                ("conflicts", Json::Num(r.untraced.conflicts as f64)),
+                ("propagations", Json::Num(r.untraced.propagations as f64)),
+                ("constraints_encoded", Json::Num(r.untraced.constraints_encoded as f64)),
+                ("identical", Json::Bool(r.identical())),
+                ("untraced_wall_ms", decimal(r.untraced_wall_ms, 3)),
+                ("traced_wall_ms", decimal(r.traced_wall_ms, 3)),
+            ])
+        });
+        Json::obj([
+            ("scale", Json::str(format!("{:?}", self.scale))),
+            ("untraced_total_ms", decimal(self.total_ms(false), 3)),
+            ("traced_total_ms", decimal(self.total_ms(true), 3)),
+            ("overhead_ratio", decimal(self.overhead_ratio(), 4)),
+            ("traced_events", Json::Num(self.traced_events as f64)),
+            ("dropped_events", Json::Num(self.dropped_events as f64)),
+            ("counter_mismatches", Json::Num(self.counter_mismatches() as f64)),
+            (
+                "missing_spans",
+                Json::Arr(self.missing_spans.iter().map(|&s| Json::str(s)).collect()),
+            ),
+            ("gates_pass", Json::Bool(self.gate_failures().is_empty())),
+            ("benchmarks", Json::Arr(runs.collect())),
+        ])
+    }
 
     /// The experiment's own verdict: counters identical, spans present.
-    pub fn gates_pass(&self) -> bool {
-        !self.runs.is_empty()
-            && self.counter_mismatches() == 0
-            && self.traced_events > 0
-            && self.missing_spans.is_empty()
-    }
-
-    /// Renders the record as a JSON document (no external dependencies; the
-    /// format is stable for CI and `bench_gate` consumption).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
-        out.push_str(&format!("  \"untraced_total_ms\": {:.3},\n", self.total_ms(false)));
-        out.push_str(&format!("  \"traced_total_ms\": {:.3},\n", self.total_ms(true)));
-        out.push_str(&format!("  \"overhead_ratio\": {:.4},\n", self.overhead_ratio()));
-        out.push_str(&format!("  \"traced_events\": {},\n", self.traced_events));
-        out.push_str(&format!("  \"dropped_events\": {},\n", self.dropped_events));
-        out.push_str(&format!("  \"counter_mismatches\": {},\n", self.counter_mismatches()));
-        out.push_str("  \"missing_spans\": [");
-        for (i, name) in self.missing_spans.iter().enumerate() {
-            out.push_str(&format!("{}\"{name}\"", if i > 0 { ", " } else { "" }));
+    fn gate_failures(&self) -> Vec<String> {
+        let mut failures = Vec::new();
+        if self.runs.is_empty() {
+            failures.push("no benchmark produced an untraced/traced pair".to_string());
         }
-        out.push_str("],\n");
-        out.push_str(&format!("  \"gates_pass\": {},\n", self.gates_pass()));
-        out.push_str("  \"benchmarks\": [\n");
-        for (i, r) in self.runs.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"arch\": \"{}\", \"benchmark\": \"{}\", \"verdict\": \"{}\", \
-                 \"iterations\": {}, \"examples\": {}, \"conflicts\": {}, \
-                 \"propagations\": {}, \"constraints_encoded\": {}, \"identical\": {}, \
-                 \"untraced_wall_ms\": {:.3}, \"traced_wall_ms\": {:.3}}}{}\n",
-                r.arch,
-                r.benchmark,
-                r.untraced.verdict,
-                r.untraced.iterations,
-                r.untraced.examples,
-                r.untraced.conflicts,
-                r.untraced.propagations,
-                r.untraced.constraints_encoded,
-                r.identical(),
-                r.untraced_wall_ms,
-                r.traced_wall_ms,
-                if i + 1 < self.runs.len() { "," } else { "" },
+        if self.counter_mismatches() > 0 {
+            failures.push(format!(
+                "{} benchmark(s) changed a deterministic counter under tracing",
+                self.counter_mismatches()
             ));
         }
-        out.push_str("  ]\n}\n");
-        out
+        if self.traced_events == 0 {
+            failures.push("the traced pass recorded no span events".to_string());
+        }
+        if !self.missing_spans.is_empty() {
+            failures.push(format!("required spans never emitted: {:?}", self.missing_spans));
+        }
+        failures
     }
 
-    /// Writes the JSON record to `path`.
-    ///
-    /// # Errors
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Prints a human-readable summary.
-    pub fn print_summary(&self) {
+    fn print_summary(&self) {
         println!("\n-- Tracing overhead and identity ({:?} scale) --", self.scale);
         println!("  {:44} {:>12} {:>12} {:>10}", "benchmark", "off (ms)", "on (ms)", "identical");
         for r in &self.runs {
@@ -196,17 +191,9 @@ impl TraceComparison {
         if !self.missing_spans.is_empty() {
             println!("  MISSING SPANS: {:?}", self.missing_spans);
         }
-        println!("  gates: {}", if self.gates_pass() { "PASS" } else { "FAIL" });
-    }
-}
-
-/// Prints the summary and writes [`REPORT_PATH`] — the shared tail of the
-/// `exp_trace` driver.
-pub fn report_and_write(comparison: &TraceComparison) {
-    comparison.print_summary();
-    match comparison.write_json(REPORT_PATH) {
-        Ok(()) => println!("wrote {REPORT_PATH} ({} benchmarks)", comparison.runs.len()),
-        Err(e) => eprintln!("failed to write {REPORT_PATH}: {e}"),
+        for failure in self.gate_failures() {
+            println!("  GATE FAILED: {failure}");
+        }
     }
 }
 
@@ -322,33 +309,35 @@ mod tests {
     fn identical_counters_pass_and_any_drift_fails() {
         let good = comparison(34, 120);
         assert_eq!(good.counter_mismatches(), 0);
-        assert!(good.gates_pass());
+        assert!(good.gate_failures().is_empty());
         assert!((good.overhead_ratio() - 1.1).abs() < 1e-9);
 
         // One conflict of drift is a gate failure, not a tolerance question.
         let bad = comparison(35, 120);
         assert_eq!(bad.counter_mismatches(), 1);
-        assert!(!bad.gates_pass());
+        assert!(!bad.gate_failures().is_empty());
 
         // A traced pass that recorded nothing means the spans rotted.
         let silent = comparison(34, 0);
-        assert!(!silent.gates_pass());
+        assert!(!silent.gate_failures().is_empty());
 
         let mut blind = comparison(34, 120);
         blind.missing_spans.push("sat-check");
-        assert!(!blind.gates_pass());
+        assert!(!blind.gate_failures().is_empty());
     }
 
     #[test]
     fn json_record_is_well_formed() {
         let json = comparison(34, 120).to_json();
-        assert!(json.contains("\"counter_mismatches\": 0"));
-        assert!(json.contains("\"overhead_ratio\": 1.1000"));
-        assert!(json.contains("\"gates_pass\": true"));
-        assert!(json.contains("\"identical\": true"));
-        assert!(json.contains("\"missing_spans\": []"));
-        // The gate's mini parser must accept the record verbatim.
-        crate::gate::Json::parse(&json).unwrap();
+        assert_eq!(json.get(&["counter_mismatches"]), Some(&Json::num(0)));
+        assert_eq!(json.get(&["overhead_ratio"]), Some(&Json::num(1.1)));
+        assert_eq!(json.get(&["gates_pass"]), Some(&Json::Bool(true)));
+        let runs = json.get(&["benchmarks"]).and_then(Json::as_arr).unwrap();
+        assert_eq!(runs[0].get(&["identical"]), Some(&Json::Bool(true)));
+        let text = json.render_indented();
+        assert!(text.contains("\"missing_spans\": []"));
+        // The gate reads the written record back verbatim.
+        assert_eq!(Json::parse(&text).unwrap(), json);
     }
 
     #[test]

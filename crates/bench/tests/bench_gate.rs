@@ -94,7 +94,7 @@ fn gate_fails_when_an_embedded_gate_flag_flips() {
     write_serve_record(&fresh, 0.5, true); // warm hit rate collapsed
     let output = run_gate_binary(&baseline, &fresh);
     assert!(!output.status.success());
-    assert!(String::from_utf8_lossy(&output.stderr).contains("warm cache hit rate"));
+    assert!(String::from_utf8_lossy(&output.stderr).contains("warm_hit_rate"));
 }
 
 #[test]

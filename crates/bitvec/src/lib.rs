@@ -18,11 +18,21 @@
 //! assert_eq!(a.mul(&b), BitVec::from_u64(35, 8));
 //! assert_eq!(a.concat(&b).width(), 16);
 //! ```
+//!
+//! The crate also holds [`Rng`], the workspace's one seeded generator (xorshift64*
+//! with Lemire reduction). Every seeded stream draws from it: the HDL fuzz
+//! generator, random AIGs, synthetic batch scenarios, cache-replay stimulus, the
+//! enumerator's probes, and the spec-vs-implementation agreement check in `lr_ir`.
+//! Two streams deliberately stay separate: the SAT solver's branch randomizer and
+//! CEGIS's seed examples. Their exact values steer the search that the committed
+//! SAT and CEGIS bench records pin, and `lr_sat` depends on nothing.
 
 mod format;
 mod ops;
+mod rng;
 
 pub use format::ParseBitVecError;
+pub use rng::Rng;
 
 /// A fixed-width bitvector value.
 ///

@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 
 use lr_arch::Architecture;
 use lr_bv::BitVec;
-use lr_ir::{HoleDomain, Node, NodeId, Prog, StreamInputs};
+use lr_ir::{interp_equivalent, HoleDomain, Node, NodeId, Prog};
 use lr_sketch::Template;
 use lr_synth::SynthesisStats;
 
@@ -344,21 +344,12 @@ pub fn spec_fingerprint(spec: &Prog) -> (u64, u64) {
 // Verified replay
 // ---------------------------------------------------------------------------
 
-/// Pseudorandom but deterministic stimulus for replay verification: xorshift64
-/// seeded per (round, input), never zero.
-fn stimulus(round: u64, input_index: u64) -> u64 {
-    let mut s = ((round << 32) | input_index).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    for _ in 0..3 {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-    }
-    s
-}
-
 /// Rounds of random stimulus a replayed implementation must match before it is
 /// served. Cheap (pure interpretation) relative to even one solver call.
-const REPLAY_ROUNDS: u64 = 12;
+const REPLAY_ROUNDS: usize = 12;
+
+/// Seed of the replay stimulus, fixed so a replay verdict is reproducible.
+const REPLAY_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Replays a cached hole assignment: regenerates the sketch for `(template,
 /// arch, spec)`, fills the holes, simplifies, and checks the result against the
@@ -378,18 +369,8 @@ pub fn replay(
     let filled = sketch.fill_holes(holes).ok()?;
     let implementation = filled.simplified().with_name(format!("{}_impl", spec.name()));
     let t = pipeline_depth(spec);
-    let inputs = spec.free_vars();
-    for round in 0..REPLAY_ROUNDS {
-        let mut env = StreamInputs::new();
-        for (i, (name, width)) in inputs.iter().enumerate() {
-            env.set_constant(name.clone(), BitVec::from_u64(stimulus(round, i as u64), *width));
-        }
-        for cycle in t..=t + config.bmc_window {
-            if spec.interp(&env, cycle).ok()? != implementation.interp(&env, cycle).ok()? {
-                return None;
-            }
-        }
-    }
+    interp_equivalent(spec, &implementation, REPLAY_SEED, REPLAY_ROUNDS, t, t + config.bmc_window)
+        .ok()?;
     let resources = count_resources(&implementation);
     let verilog = lr_hdl::emit_verilog(&implementation);
     let elapsed = started.elapsed();

@@ -7,7 +7,8 @@
 //! microbenchmark design (emitted from IR rather than parsed, so this is the
 //! emit-side half of the loop over realistic DSP-shaped programs).
 
-use lr_hdl::{check_seed, emit_verilog, interp_equivalent, parse_and_elaborate};
+use lr_hdl::{check_seed, emit_verilog, parse_and_elaborate};
+use lr_ir::interp_equivalent;
 
 const FIXTURES: &[(&str, &str)] = &[
     ("reg_data_forward_ref", include_str!("fixtures/reg_data_forward_ref.v")),

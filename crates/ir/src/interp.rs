@@ -142,6 +142,58 @@ impl Prog {
     }
 }
 
+/// The one spec-vs-implementation agreement check: `candidate` must interpret
+/// like `spec` in `envs` environments of constant inputs over `spec`'s free
+/// variables, drawn deterministically from `seed`, at every cycle in
+/// `first_cycle..=last_cycle`.
+///
+/// Cache replay, the HDL fuzz oracle (round-trip and mapped layers) and the
+/// mapping integration tests all call this, so a faster evaluator changes one
+/// call site. A mapped implementation owes agreement from the spec's pipeline
+/// depth through the BMC window (earlier cycles may differ while pipelines
+/// fill).
+///
+/// # Errors
+/// Describes the first disagreement, with its input values, or the first
+/// interpreter error.
+pub fn interp_equivalent(
+    spec: &Prog,
+    candidate: &Prog,
+    seed: u64,
+    envs: usize,
+    first_cycle: u32,
+    last_cycle: u32,
+) -> Result<(), String> {
+    let vars = spec.free_vars();
+    let mut rng = lr_bv::Rng::new(seed ^ 0xD1FF_F00D_5EED_5EED);
+    for round in 0..envs {
+        let values: Vec<(String, BitVec)> = vars
+            .iter()
+            .map(|(name, width)| (name.clone(), BitVec::from_u64(rng.next_u64(), *width)))
+            .collect();
+        let env = StreamInputs::from_constants(values.iter().cloned());
+        for t in first_cycle..=last_cycle {
+            let a = spec
+                .interp(&env, t)
+                .map_err(|e| format!("round {round} cycle {t}: spec interp failed: {e}"))?;
+            let b = candidate
+                .interp(&env, t)
+                .map_err(|e| format!("round {round} cycle {t}: candidate interp failed: {e}"))?;
+            if a != b {
+                let inputs: Vec<String> = values
+                    .iter()
+                    .map(|(name, value)| format!("{name}={}", value.to_verilog_literal()))
+                    .collect();
+                return Err(format!(
+                    "round {round} cycle {t}: spec = {a}, candidate = {b} (inputs: {})",
+                    inputs.join(", ")
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 fn eval(
     prog: &Prog,
     env: &EnvCtx<'_>,

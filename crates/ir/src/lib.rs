@@ -44,7 +44,7 @@ use std::fmt;
 use lr_bv::BitVec;
 
 pub use holes::{HoleDomain, HoleInfo};
-pub use interp::{Inputs, InterpError, StreamInputs};
+pub use interp::{interp_equivalent, Inputs, InterpError, StreamInputs};
 pub use lr_smt::BvOp;
 pub use saturate::{SaturateOutcome, StructuralEvidence};
 pub use wf::WellFormednessError;

@@ -169,6 +169,65 @@ fn finish_trace(path: &str) -> Vec<lr_trace::TraceEvent> {
     events
 }
 
+/// Reads one mode's arguments left to right. Every flag that takes a value
+/// reads it through here, so the error text is the same in every mode.
+struct Flags<'a> {
+    args: std::slice::Iter<'a, String>,
+}
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Flags<'a> {
+        Flags { args: args.iter() }
+    }
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.args.next().map(String::as_str)
+    }
+
+    /// The argument after `flag`, or "`flag` needs `what`".
+    fn value(&mut self, flag: &str, what: &str) -> Result<String, String> {
+        self.next().map(str::to_string).ok_or_else(|| format!("{flag} needs {what}"))
+    }
+
+    /// The argument after `flag`, parsed, or "`flag` expects `what`".
+    fn parse<T: std::str::FromStr>(&mut self, flag: &str, what: &str) -> Result<T, String> {
+        self.value(flag, "a value")?.parse().map_err(|_| format!("{flag} expects {what}"))
+    }
+
+    /// A count of at least 1 after `flag`.
+    fn positive(&mut self, flag: &str, what: &str) -> Result<usize, String> {
+        match self.parse(flag, what)? {
+            0 => Err(format!("{flag} expects {what}")),
+            n => Ok(n),
+        }
+    }
+
+    fn seconds(&mut self, flag: &str) -> Result<Duration, String> {
+        self.parse(flag, "a number of seconds").map(Duration::from_secs)
+    }
+
+    fn jobs(&mut self) -> Result<usize, String> {
+        self.positive("--jobs", "a worker count of at least 1")
+    }
+
+    fn cache(&mut self) -> Result<String, String> {
+        self.value("--cache", "a file path")
+    }
+
+    fn arch(&mut self) -> Result<ArchName, String> {
+        let name = self.value("--arch-desc", "a value")?;
+        parse_arch_name(&name).ok_or(format!("unknown architecture `{name}`"))
+    }
+}
+
+fn default_jobs() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+}
+
+fn unknown(flag: &str) -> String {
+    format!("unknown flag `{flag}`\n{}", usage())
+}
+
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut template = None;
     let mut arch = None;
@@ -179,52 +238,31 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut egraph = true;
     let mut stats = false;
     let mut trace = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        match arg {
             "--stats" => stats = true,
-            "--trace" => {
-                i += 1;
-                trace = Some(args.get(i).ok_or("--trace needs an output file")?.clone());
-            }
+            "--trace" => trace = Some(flags.value("--trace", "an output file")?),
             "--template" => {
-                i += 1;
-                let name = args.get(i).ok_or("--template needs a value")?;
+                let name = flags.value("--template", "a value")?;
                 template = Some(if name == "auto" {
                     TemplateChoice::Auto
                 } else {
                     TemplateChoice::Named(
-                        Template::from_cli_name(name)
+                        Template::from_cli_name(&name)
                             .ok_or(format!("unknown template `{name}`"))?,
                     )
                 });
             }
-            "--arch-desc" => {
-                i += 1;
-                let name = args.get(i).ok_or("--arch-desc needs a value")?;
-                arch = Some(parse_arch_name(name).ok_or(format!("unknown architecture `{name}`"))?);
-            }
-            "--timeout" => {
-                i += 1;
-                let secs: u64 = args
-                    .get(i)
-                    .ok_or("--timeout needs a value")?
-                    .parse()
-                    .map_err(|_| "--timeout expects a number of seconds".to_string())?;
-                timeout = Duration::from_secs(secs);
-            }
+            "--arch-desc" => arch = Some(flags.arch()?),
+            "--timeout" => timeout = flags.seconds("--timeout")?,
             "--no-incremental" => incremental = false,
             "--no-egraph" => egraph = false,
-            "--egraph" => egraph = true,
-            "--output" | "-o" => {
-                i += 1;
-                output = Some(args.get(i).ok_or("--output needs a value")?.clone());
-            }
+            "--output" | "-o" => output = Some(flags.value("--output", "a value")?),
             "--help" | "-h" => return Err(usage()),
             other if !other.starts_with('-') => input = Some(other.to_string()),
-            other => return Err(format!("unknown flag `{other}`\n{}", usage())),
+            other => return Err(unknown(other)),
         }
-        i += 1;
     }
     let arch_name = arch.ok_or(format!("missing --arch-desc\n{}", usage()))?;
     Ok(Options {
@@ -254,51 +292,27 @@ struct BatchArgs {
 
 fn parse_batch_args(args: &[String]) -> Result<BatchArgs, String> {
     let mut manifest = None;
-    let mut jobs = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let mut jobs = default_jobs();
     let mut cache_path = None;
     let mut use_cache = true;
     let mut timeout = Duration::from_secs(120);
     let mut incremental = true;
     let mut egraph = true;
     let mut trace = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--trace" => {
-                i += 1;
-                trace = Some(args.get(i).ok_or("--trace needs an output file")?.clone());
-            }
-            "--jobs" | "-j" => {
-                i += 1;
-                jobs = args
-                    .get(i)
-                    .ok_or("--jobs needs a value")?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| "--jobs expects a worker count of at least 1".to_string())?;
-            }
-            "--cache" => {
-                i += 1;
-                cache_path = Some(args.get(i).ok_or("--cache needs a file path")?.clone());
-            }
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--trace" => trace = Some(flags.value("--trace", "an output file")?),
+            "--jobs" | "-j" => jobs = flags.jobs()?,
+            "--cache" => cache_path = Some(flags.cache()?),
             "--no-cache" => use_cache = false,
-            "--timeout" => {
-                i += 1;
-                let secs: u64 = args
-                    .get(i)
-                    .ok_or("--timeout needs a value")?
-                    .parse()
-                    .map_err(|_| "--timeout expects a number of seconds".to_string())?;
-                timeout = Duration::from_secs(secs);
-            }
+            "--timeout" => timeout = flags.seconds("--timeout")?,
             "--no-incremental" => incremental = false,
             "--no-egraph" => egraph = false,
             "--help" | "-h" => return Err(usage()),
             other if !other.starts_with('-') => manifest = Some(other.to_string()),
-            other => return Err(format!("unknown flag `{other}`\n{}", usage())),
+            other => return Err(unknown(other)),
         }
-        i += 1;
     }
     Ok(BatchArgs {
         manifest: manifest.ok_or(format!("missing batch manifest\n{}", usage()))?,
@@ -443,7 +457,7 @@ struct MapNetlistArgs {
 fn parse_map_netlist_args(args: &[String]) -> Result<MapNetlistArgs, String> {
     let mut input = None;
     let mut arch_name = ArchName::IntelCyclone10Lp;
-    let mut jobs = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let mut jobs = default_jobs();
     let mut cache_path = None;
     let mut use_cache = true;
     let mut timeout = Duration::from_secs(120);
@@ -452,78 +466,27 @@ fn parse_map_netlist_args(args: &[String]) -> Result<MapNetlistArgs, String> {
     let mut seed = 0x1a4e_715d;
     let mut output = None;
     let mut trace = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--arch-desc" => {
-                i += 1;
-                let name = args.get(i).ok_or("--arch-desc needs a value")?;
-                arch_name =
-                    parse_arch_name(name).ok_or(format!("unknown architecture `{name}`"))?;
-            }
-            "--jobs" | "-j" => {
-                i += 1;
-                jobs = args
-                    .get(i)
-                    .ok_or("--jobs needs a value")?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| "--jobs expects a worker count of at least 1".to_string())?;
-            }
-            "--cache" => {
-                i += 1;
-                cache_path = Some(args.get(i).ok_or("--cache needs a file path")?.clone());
-            }
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--arch-desc" => arch_name = flags.arch()?,
+            "--jobs" | "-j" => jobs = flags.jobs()?,
+            "--cache" => cache_path = Some(flags.cache()?),
             "--no-cache" => use_cache = false,
-            "--timeout" => {
-                i += 1;
-                let secs: u64 = args
-                    .get(i)
-                    .ok_or("--timeout needs a value")?
-                    .parse()
-                    .map_err(|_| "--timeout expects a number of seconds".to_string())?;
-                timeout = Duration::from_secs(secs);
-            }
+            "--timeout" => timeout = flags.seconds("--timeout")?,
             "--max-cone-ands" => {
-                i += 1;
-                max_cone_ands = args
-                    .get(i)
-                    .ok_or("--max-cone-ands needs a value")?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| "--max-cone-ands expects a bound of at least 1".to_string())?;
+                max_cone_ands = flags.positive("--max-cone-ands", "a bound of at least 1")?;
             }
             "--verify-envs" => {
-                i += 1;
-                verify_envs = args
-                    .get(i)
-                    .ok_or("--verify-envs needs a value")?
-                    .parse::<usize>()
-                    .map_err(|_| "--verify-envs expects an environment count".to_string())?;
+                verify_envs = flags.parse("--verify-envs", "an environment count")?
             }
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .ok_or("--seed needs a value")?
-                    .parse::<u64>()
-                    .map_err(|_| "--seed expects an unsigned integer".to_string())?;
-            }
-            "--output" | "-o" => {
-                i += 1;
-                output = Some(args.get(i).ok_or("--output needs a value")?.clone());
-            }
-            "--trace" => {
-                i += 1;
-                trace = Some(args.get(i).ok_or("--trace needs an output file")?.clone());
-            }
+            "--seed" => seed = flags.parse("--seed", "an unsigned integer")?,
+            "--output" | "-o" => output = Some(flags.value("--output", "a value")?),
+            "--trace" => trace = Some(flags.value("--trace", "an output file")?),
             "--help" | "-h" => return Err(usage()),
             other if !other.starts_with('-') => input = Some(other.to_string()),
-            other => return Err(format!("unknown flag `{other}`\n{}", usage())),
+            other => return Err(unknown(other)),
         }
-        i += 1;
     }
     Ok(MapNetlistArgs {
         input: input.ok_or(format!("missing netlist file\n{}", usage()))?,
@@ -644,105 +607,53 @@ fn map_netlist_main(args: &[String]) -> ExitCode {
 fn parse_serve_args(args: &[String]) -> Result<(DaemonConfig, bool), String> {
     let mut config = DaemonConfig {
         addr: "127.0.0.1:9077".to_string(),
-        workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        workers: default_jobs(),
         ..DaemonConfig::default()
     };
     let mut timeout = Duration::from_secs(120);
     let mut incremental = true;
     let mut egraph = true;
     let mut trace = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        match arg {
             "--trace" => trace = true,
-            "--addr" => {
-                i += 1;
-                config.addr = args.get(i).ok_or("--addr needs a host:port value")?.clone();
-            }
-            "--jobs" | "-j" => {
-                i += 1;
-                config.workers = args
-                    .get(i)
-                    .ok_or("--jobs needs a value")?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| "--jobs expects a worker count of at least 1".to_string())?;
-            }
-            "--cache" => {
-                i += 1;
-                let path = args.get(i).ok_or("--cache needs a file path")?;
-                config.persist_path = Some(std::path::PathBuf::from(path));
-            }
+            "--addr" => config.addr = flags.value("--addr", "a host:port value")?,
+            "--jobs" | "-j" => config.workers = flags.jobs()?,
+            "--cache" => config.persist_path = Some(flags.cache()?.into()),
             "--cache-capacity" => {
-                i += 1;
-                let cap: usize = args
-                    .get(i)
-                    .ok_or("--cache-capacity needs a value")?
-                    .parse()
-                    .map_err(|_| "--cache-capacity expects an entry count".to_string())?;
+                let cap: usize = flags.parse("--cache-capacity", "an entry count")?;
                 // 0 = unbounded, matching `SynthCache::set_capacity`.
                 config.cache_capacity = (cap > 0).then_some(cap);
             }
             "--persist-interval" => {
-                i += 1;
-                let secs: u64 =
-                    args.get(i).ok_or("--persist-interval needs a value")?.parse().map_err(
-                        |_| "--persist-interval expects a number of seconds".to_string(),
-                    )?;
-                config.persist_interval = Duration::from_secs(secs.max(1));
+                config.persist_interval =
+                    flags.seconds("--persist-interval")?.max(Duration::from_secs(1));
             }
             "--max-pending" => {
-                i += 1;
-                config.max_pending_per_client = args
-                    .get(i)
-                    .ok_or("--max-pending needs a value")?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| "--max-pending expects a bound of at least 1".to_string())?;
+                config.max_pending_per_client =
+                    flags.positive("--max-pending", "a bound of at least 1")?;
             }
-            "--timeout" => {
-                i += 1;
-                let secs: u64 = args
-                    .get(i)
-                    .ok_or("--timeout needs a value")?
-                    .parse()
-                    .map_err(|_| "--timeout expects a number of seconds".to_string())?;
-                timeout = Duration::from_secs(secs);
-            }
+            "--timeout" => timeout = flags.seconds("--timeout")?,
             "--no-incremental" => incremental = false,
             "--no-egraph" => egraph = false,
             "--slow-ms" => {
-                i += 1;
-                let ms: u64 = args
-                    .get(i)
-                    .ok_or("--slow-ms needs a value")?
-                    .parse()
-                    .map_err(|_| "--slow-ms expects a number of milliseconds".to_string())?;
+                let ms = flags.parse("--slow-ms", "a number of milliseconds")?;
                 // 0 is meaningful: every request breaches the threshold, so
                 // every request is dumped (what the integration tests use).
                 config.forensics.slow = Some(Duration::from_millis(ms));
             }
             "--forensics-dir" => {
-                i += 1;
-                let dir = args.get(i).ok_or("--forensics-dir needs a directory path")?;
-                config.forensics.dir = Some(std::path::PathBuf::from(dir));
+                config.forensics.dir =
+                    Some(flags.value("--forensics-dir", "a directory path")?.into());
             }
             "--forensics-keep" => {
-                i += 1;
-                config.forensics.keep = args
-                    .get(i)
-                    .ok_or("--forensics-keep needs a value")?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| "--forensics-keep expects a bound of at least 1".to_string())?;
+                config.forensics.keep =
+                    flags.positive("--forensics-keep", "a bound of at least 1")?;
             }
             "--help" | "-h" => return Err(usage()),
-            other => return Err(format!("unknown flag `{other}`\n{}", usage())),
+            other => return Err(unknown(other)),
         }
-        i += 1;
     }
     config.map = MapConfig { incremental, egraph, ..MapConfig::default().with_timeout(timeout) };
     Ok((config, trace))
@@ -794,27 +705,15 @@ fn parse_top_args(args: &[String]) -> Result<(String, Duration, bool), String> {
     let mut addr = "127.0.0.1:9077".to_string();
     let mut interval = Duration::from_secs(2);
     let mut once = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                addr = args.get(i).ok_or("--addr needs a host:port value")?.clone();
-            }
-            "--interval" => {
-                i += 1;
-                let secs: u64 = args
-                    .get(i)
-                    .ok_or("--interval needs a value")?
-                    .parse()
-                    .map_err(|_| "--interval expects a number of seconds".to_string())?;
-                interval = Duration::from_secs(secs.max(1));
-            }
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--addr" => addr = flags.value("--addr", "a host:port value")?,
+            "--interval" => interval = flags.seconds("--interval")?.max(Duration::from_secs(1)),
             "--once" => once = true,
             "--help" | "-h" => return Err(usage()),
-            other => return Err(format!("unknown flag `{other}`\n{}", usage())),
+            other => return Err(unknown(other)),
         }
-        i += 1;
     }
     Ok((addr, interval, once))
 }
@@ -930,5 +829,65 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::from(2)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn a_flag_missing_its_value_is_rejected() {
+        let err = parse_batch_args(&args(&["jobs.manifest", "--jobs"])).err().unwrap();
+        assert_eq!(err, "--jobs needs a value");
+        let err = parse_serve_args(&args(&["--cache"])).err().unwrap();
+        assert_eq!(err, "--cache needs a file path");
+    }
+
+    #[test]
+    fn a_non_numeric_value_is_rejected() {
+        let err = parse_map_netlist_args(&args(&["n.aag", "--timeout", "soon"])).err().unwrap();
+        assert_eq!(err, "--timeout expects a number of seconds");
+        let err = parse_top_args(&args(&["--interval", "-1"])).err().unwrap();
+        assert_eq!(err, "--interval expects a number of seconds");
+    }
+
+    #[test]
+    fn zero_jobs_is_rejected() {
+        let zero = args(&["design", "--jobs", "0"]);
+        for err in [
+            parse_batch_args(&zero).err(),
+            parse_map_netlist_args(&zero).err(),
+            parse_serve_args(&zero[1..]).err(),
+        ] {
+            assert_eq!(err.unwrap(), "--jobs expects a worker count of at least 1");
+        }
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        // There is no `--egraph`: the e-graph is on by default and `--no-egraph`
+        // turns it off.
+        for flag in ["--bogus", "--egraph"] {
+            let err = parse_args(&args(&["--template", "dsp", flag])).err().unwrap();
+            assert!(err.starts_with(&format!("unknown flag `{flag}`")), "{err}");
+        }
+        assert!(parse_top_args(&args(&["--bogus"])).err().unwrap().starts_with("unknown flag"));
+    }
+
+    #[test]
+    fn values_and_defaults_are_read() {
+        let batch =
+            parse_batch_args(&args(&["m", "-j", "3", "--cache", "c.lrc", "--timeout", "9"]))
+                .unwrap();
+        assert_eq!((batch.jobs, batch.cache_path.as_deref()), (3, Some("c.lrc")));
+        assert_eq!(batch.timeout, Duration::from_secs(9));
+        let (config, trace) = parse_serve_args(&args(&["--persist-interval", "0"])).unwrap();
+        assert_eq!(config.persist_interval, Duration::from_secs(1));
+        assert!(!trace);
     }
 }

@@ -2,10 +2,10 @@
 //! dependencies.
 //!
 //! The wire protocol (see [`crate::protocol`]) frames one JSON document per
-//! request/response. The bench crate already carries a read-only mini parser
-//! for `BENCH_*.json`; this one also *renders*, and its string handling covers
-//! what protocol payloads need — full escape output for arbitrary Verilog
-//! source (control characters as `\u00XX`) and `\uXXXX` escape input.
+//! request/response, and the `BENCH_*.json` records are written and gated with
+//! the same type. Its string handling covers what protocol payloads need —
+//! full escape output for arbitrary Verilog source (control characters as
+//! `\u00XX`) and `\uXXXX` escape input.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -91,6 +91,37 @@ impl Json {
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out);
+        out
+    }
+
+    /// Renders the document with each entry of a top-level object on its own
+    /// line, and each element of those entries' arrays on its own line;
+    /// deeper values render compact. Bench records use this layout so that a
+    /// baseline refresh reads as a line diff.
+    pub fn render_indented(&self) -> String {
+        let Json::Obj(map) = self else {
+            return self.render() + "\n";
+        };
+        let mut out = String::from("{\n");
+        for (i, (key, value)) in map.iter().enumerate() {
+            out.push_str("  ");
+            render_string(key, &mut out);
+            out.push_str(": ");
+            match value {
+                Json::Arr(items) if !items.is_empty() => {
+                    out.push_str("[\n");
+                    for (j, item) in items.iter().enumerate() {
+                        out.push_str("    ");
+                        item.render_into(&mut out);
+                        out.push_str(if j + 1 < items.len() { ",\n" } else { "\n" });
+                    }
+                    out.push_str("  ]");
+                }
+                _ => value.render_into(&mut out),
+            }
+            out.push_str(if i + 1 < map.len() { ",\n" } else { "\n" });
+        }
+        out.push_str("}\n");
         out
     }
 
@@ -337,6 +368,23 @@ mod tests {
             ("unicode", Json::str("§5.1 → Xilinx")),
         ]);
         let text = doc.render();
+        assert_eq!(Json::parse(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn indented_layout_puts_top_level_entries_and_array_elements_on_lines() {
+        let doc = Json::obj([
+            ("scale", Json::str("Quick")),
+            ("runs", Json::Arr(vec![Json::obj([("n", Json::num(1))]), Json::num(2)])),
+            ("none", Json::Arr(Vec::new())),
+            ("nested", Json::obj([("a", Json::Arr(vec![Json::num(3)]))])),
+        ]);
+        let text = doc.render_indented();
+        assert_eq!(
+            text,
+            "{\n  \"nested\": {\"a\":[3]},\n  \"none\": [],\n  \"runs\": [\n    {\"n\":1},\n    2\n  ],\n  \
+             \"scale\": \"Quick\"\n}\n"
+        );
         assert_eq!(Json::parse(&text).unwrap(), doc);
     }
 

@@ -8,7 +8,7 @@
 //!   mostly carry.
 //! * [`synthetic_jobs`] — random well-formed ℒlr programs from the same
 //!   straight-line generator idea the `Prog::simplified` property suite uses,
-//!   realized here as a seeded, dependency-free generator so batches are
+//!   realized here over the shared seeded [`lr_bv::Rng`] so batches are
 //!   reproducible from a single `u64`. Random programs are overwhelmingly *not*
 //!   single-DSP-mappable, which makes them the deadline/timeout population —
 //!   exactly the traffic a serving scheduler must overlap rather than serialize.
@@ -18,44 +18,10 @@ use std::time::Duration;
 use lakeroad::suite::suite_for;
 use lakeroad::Template;
 use lr_arch::{ArchName, Architecture};
+use lr_bv::Rng;
 use lr_ir::{BvOp, Prog, ProgBuilder};
 
 use crate::scheduler::{BatchJob, TemplateChoice};
-
-/// A tiny deterministic RNG (xorshift64*). Not statistically fancy — batches
-/// only need diversity and reproducibility.
-#[derive(Debug, Clone)]
-pub struct Rng {
-    state: u64,
-}
-
-impl Rng {
-    /// Seeds the generator; a zero seed is remapped (xorshift's absorbing state).
-    pub fn new(seed: u64) -> Rng {
-        Rng { state: if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed } }
-    }
-
-    /// The next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut s = self.state;
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        self.state = s;
-        s.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// A value in `0..bound` (`bound` must be non-zero).
-    ///
-    /// Uses Lemire's widening-multiply reduction rather than `% bound`: the
-    /// modulo mapping over-weights the low residues whenever `2^64` is not a
-    /// multiple of `bound`. The streams stay fully deterministic in the seed —
-    /// they just land on different (now uniformly distributed) values.
-    pub fn below(&mut self, bound: u64) -> u64 {
-        debug_assert!(bound > 0);
-        ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
-    }
-}
 
 /// Width of every generated program (the narrow end of the paper's sweep keeps
 /// the solver work small enough for batch-scale experiments).
@@ -308,24 +274,6 @@ mod tests {
             assert_eq!(job.timeout, Some(Duration::from_secs(2)));
             assert!(job.spec.well_formed().is_ok());
             assert!(matches!(job.template, TemplateChoice::Named(Template::Multiplication)));
-        }
-    }
-
-    #[test]
-    fn below_is_unbiased_and_in_range() {
-        let mut rng = Rng::new(7);
-        let mut counts = [0u32; 3];
-        for _ in 0..3000 {
-            let v = rng.below(3);
-            assert!(v < 3);
-            counts[v as usize] += 1;
-        }
-        for c in counts {
-            // Loose uniformity bound: each bucket within ±30% of the mean
-            // (the old modulo reduction stays inside this too — the bias it
-            // introduces is small for tiny bounds — but the property the
-            // widening multiply guarantees is worth pinning).
-            assert!((700..=1300).contains(&c), "skewed bucket counts {counts:?}");
         }
     }
 

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use lr_bv::BitVec;
+use lr_bv::{BitVec, Rng};
 use lr_ir::{HoleDomain, HoleInfo, Prog, StreamInputs};
 
 use crate::{SynthesisError, SynthesisOutcome, SynthesisStats, SynthesisTask, Synthesized};
@@ -116,19 +116,14 @@ fn domain_values(hole: &HoleInfo, cap: u64) -> Result<Vec<BitVec>, SynthesisErro
 
 fn probe_environments(inputs: &[(String, u32)], probes: usize) -> Vec<StreamInputs> {
     let mut envs = Vec::new();
-    let mut state = 0x9e3779b97f4a7c15u64;
+    let mut rng = Rng::new(0x9e37_79b9_7f4a_7c15);
     for i in 0..probes.max(2) {
         let mut env = StreamInputs::new();
         for (name, width) in inputs {
             let value = match i {
                 0 => 0,
                 1 => u64::MAX,
-                _ => {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    state
-                }
+                _ => rng.next_u64(),
             };
             env.set_constant(name.clone(), BitVec::from_u64(value, *width));
         }

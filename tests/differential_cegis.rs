@@ -37,37 +37,13 @@ fn verdict_name(outcome: &SynthesisOutcome) -> &'static str {
     }
 }
 
-/// xorshift64 seeded per (round, input); `| 1` keeps the seed non-zero.
-fn stimulus(round: u64, input_index: u64) -> u64 {
-    let mut s = (round << 32 | input_index).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    for _ in 0..3 {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-    }
-    s
-}
-
 /// The returned model must verify: the completed implementation simulates
 /// identically to the spec on random stimulus at (and a little past) the checked
 /// cycles, and the hole assignment it claims must reproduce that implementation.
 fn assert_model_verifies(name: &str, spec: &Prog, result: &Synthesized, at_cycle: u32) {
     assert!(!result.implementation.has_holes(), "{name}: implementation still has holes");
-    let inputs = spec.free_vars();
-    for round in 0..8u64 {
-        let mut env = StreamInputs::new();
-        for (i, (input, width)) in inputs.iter().enumerate() {
-            let value = stimulus(round, i as u64);
-            env.set_constant(input.clone(), BitVec::from_u64(value, *width));
-        }
-        for t in at_cycle..at_cycle + 3 {
-            assert_eq!(
-                spec.interp(&env, t).unwrap(),
-                result.implementation.interp(&env, t).unwrap(),
-                "{name}: model does not verify at cycle {t} (round {round})"
-            );
-        }
-    }
+    lr_ir::interp_equivalent(spec, &result.implementation, 0xD1FF, 8, at_cycle, at_cycle + 2)
+        .unwrap_or_else(|e| panic!("{name}: model does not verify: {e}"));
 }
 
 /// Runs one task through both modes and cross-checks the results. Returns the pair

@@ -11,37 +11,11 @@ fn quick_config() -> MapConfig {
     MapConfig::default().with_timeout(Duration::from_secs(60))
 }
 
-/// xorshift64, seeded independently per (round, input). Seeding per-input rather
-/// than threading one state through the loop means no input's stream depends on
-/// how many inputs came before it, and the seed can never be zero (xorshift's
-/// absorbing state), so no round degenerates to all-equal stimulus.
-fn stimulus(round: u64, input_index: u64) -> u64 {
-    // Mix the coordinates splitmix-style; `| 1` keeps the seed odd, hence non-zero.
-    let mut s = (round << 32 | input_index).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    for _ in 0..3 {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-    }
-    s
-}
-
+/// The mapped implementation must agree with the source design on random
+/// stimulus at the checked cycle and the two after it.
 fn check_equivalent(spec: &Prog, implementation: &Prog, widths: u32, cycles: u32) {
-    let inputs = spec.free_vars();
-    for round in 0..16u64 {
-        let mut env = StreamInputs::new();
-        for (i, (name, width)) in inputs.iter().enumerate() {
-            let value = stimulus(round, i as u64);
-            env.set_constant(name.clone(), BitVec::from_u64(value, *width));
-        }
-        for t in cycles..cycles + 3 {
-            assert_eq!(
-                spec.interp(&env, t).unwrap(),
-                implementation.interp(&env, t).unwrap(),
-                "mismatch at width {widths}, cycle {t}"
-            );
-        }
-    }
+    lr_ir::interp_equivalent(spec, implementation, 0xE2E, 16, cycles, cycles + 2)
+        .unwrap_or_else(|e| panic!("mismatch at width {widths}: {e}"));
 }
 
 #[test]
