@@ -359,6 +359,21 @@ mod tests {
     }
 
     #[test]
+    fn below_is_unbiased_and_in_range() {
+        let mut rng = Rng::new(99);
+        let mut counts = [0u32; 3];
+        for _ in 0..3000 {
+            let v = rng.below(3);
+            assert!(v < 3);
+            counts[v as usize] += 1;
+        }
+        for c in counts {
+            // Loose uniformity bound: each bucket within ±30% of the mean.
+            assert!((700..=1300).contains(&c), "skewed bucket counts {counts:?}");
+        }
+    }
+
+    #[test]
     fn early_seeds_survive_the_full_oracle() {
         for seed in 0..50 {
             let outcome = check_seed(seed, 8, 4);

@@ -278,6 +278,21 @@ mod tests {
     }
 
     #[test]
+    fn below_is_unbiased_and_in_range() {
+        let mut rng = Rng::new(7);
+        let mut counts = [0u32; 3];
+        for _ in 0..3000 {
+            let v = rng.below(3);
+            assert!(v < 3);
+            counts[v as usize] += 1;
+        }
+        for c in counts {
+            // Loose uniformity bound: each bucket within ±30% of the mean.
+            assert!((700..=1300).contains(&c), "skewed bucket counts {counts:?}");
+        }
+    }
+
+    #[test]
     fn fuzz_jobs_are_reproducible_and_well_formed() {
         let a = fuzz_jobs(11, 6, Some(Duration::from_secs(1)));
         let b = fuzz_jobs(11, 6, Some(Duration::from_secs(1)));
