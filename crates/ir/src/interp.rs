@@ -4,13 +4,20 @@
 //! [`StreamInputs`] type provides the two common cases — inputs held constant over
 //! time and explicit per-cycle traces — and the [`Inputs`] trait lets tests supply
 //! arbitrary streams.
+//!
+//! Evaluation steps forward one cycle at a time over the root's cone, sorted once by
+//! the witness of Property 1 (W6) so every node comes after its same-cycle inputs.
+//! Operators apply [`lr_smt::apply_op`], registers read the previous cycle's values,
+//! and a primitive's output, like each sub-program variable it binds, copies the
+//! value it stands for. Nothing recurses, so depth is not bounded by the stack.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 use lr_bv::BitVec;
+use lr_smt::apply_op;
 
-use crate::{Node, NodeId, Prog};
+use crate::{BvOp, Node, NodeId, Prog, WellFormednessError};
 
 /// An input environment: a map from variable names to streams of bitvectors.
 pub trait Inputs {
@@ -53,11 +60,6 @@ impl StreamInputs {
         self.traces.insert(name.into(), trace);
         self
     }
-
-    /// All variable names bound by this environment.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.constants.keys().chain(self.traces.keys()).map(|s| s.as_str())
-    }
 }
 
 impl Inputs for StreamInputs {
@@ -87,6 +89,9 @@ pub enum InterpError {
         /// Width of the bound value.
         found: u32,
     },
+    /// The program violates a well-formedness condition (W1–W6), so it has no
+    /// witness order to evaluate in — for example, it has a combinational loop.
+    IllFormed(WellFormednessError),
 }
 
 impl fmt::Display for InterpError {
@@ -99,47 +104,128 @@ impl fmt::Display for InterpError {
             InterpError::WidthMismatch { name, expected, found } => {
                 write!(f, "input `{name}` has width {found}, expected {expected}")
             }
+            InterpError::IllFormed(e) => write!(f, "ill-formed program: {e}"),
         }
     }
 }
 
 impl std::error::Error for InterpError {}
 
-/// The environment chain used during interpretation: either the external inputs or a
-/// primitive's binding map layered over the enclosing program (the `e'` construction
-/// in the `Prim` rule of Fig. 4).
-enum EnvCtx<'a> {
-    External(&'a dyn Inputs),
-    Prim { outer_prog: &'a Prog, outer_env: &'a EnvCtx<'a>, bindings: &'a BTreeMap<String, NodeId> },
-}
-
 impl Prog {
-    /// Evaluates the program's root at clock cycle `time` under `inputs`.
+    /// Evaluates the program's root at clock cycle `time` under `inputs`: the last
+    /// value of [`Prog::interp_trace`].
     ///
     /// # Errors
-    /// Returns an error if an input is unbound or mis-sized, or if the program still
-    /// contains holes.
+    /// Every cycle evaluates the root's whole cone, so an unbound or mis-sized input
+    /// or a hole anywhere in it is reported from cycle 0, even behind a register
+    /// whose value would only reach the root later. An ill-formed program is
+    /// [`InterpError::IllFormed`].
     pub fn interp(&self, inputs: &dyn Inputs, time: u32) -> Result<BitVec, InterpError> {
-        self.interp_node(inputs, time, self.root())
-    }
-
-    /// Evaluates an arbitrary node at clock cycle `time` under `inputs`.
-    pub fn interp_node(
-        &self,
-        inputs: &dyn Inputs,
-        time: u32,
-        node: NodeId,
-    ) -> Result<BitVec, InterpError> {
-        let env = EnvCtx::External(inputs);
-        let mut memo = HashMap::new();
-        eval(self, &env, time, node, &mut memo)
+        let mut trace = self.interp_trace(inputs, time)?;
+        Ok(trace.pop().expect("a trace holds one value per cycle"))
     }
 
     /// Evaluates the root at each of the cycles `0..=last`, returning one value per
     /// cycle. Useful for comparing pipelined designs over a window of time.
     pub fn interp_trace(&self, inputs: &dyn Inputs, last: u32) -> Result<Vec<BitVec>, InterpError> {
-        (0..=last).map(|t| self.interp(inputs, t)).collect()
+        let (steps, root) = schedule(self)?;
+        let (mut prev, mut cur): (Vec<BitVec>, Vec<BitVec>) = (Vec::new(), Vec::new());
+        let mut trace = Vec::with_capacity(last as usize + 1);
+        for time in 0..=last {
+            for step in &steps {
+                let value = match *step {
+                    Step::Const(bv) => bv.clone(),
+                    Step::Var { name, width, bound } => {
+                        let value = match bound {
+                            Some(slot) => cur[slot].clone(),
+                            None => inputs
+                                .get(name, time)
+                                .ok_or_else(|| InterpError::UnboundVariable(name.into()))?,
+                        };
+                        if value.width() != width {
+                            return Err(InterpError::WidthMismatch {
+                                name: name.into(),
+                                expected: width,
+                                found: value.width(),
+                            });
+                        }
+                        value
+                    }
+                    Step::Op(op, ref args) => match args[..] {
+                        [a] => apply_op(op, &[&cur[a]]),
+                        [a, b] => apply_op(op, &[&cur[a], &cur[b]]),
+                        [a, b, c] => apply_op(op, &[&cur[a], &cur[b], &cur[c]]),
+                        _ => unreachable!("W-checked operators take one to three arguments"),
+                    },
+                    Step::Reg { init, .. } if time == 0 => init.clone(),
+                    Step::Reg { data, .. } => prev[data].clone(),
+                    Step::Copy(slot) => cur[slot].clone(),
+                };
+                cur.push(value);
+            }
+            trace.push(cur[root].clone());
+            prev = std::mem::replace(&mut cur, Vec::with_capacity(steps.len()));
+        }
+        Ok(trace)
     }
+}
+
+/// One node of the root's cone. A node's slot, its index in the schedule, holds its
+/// value in each cycle's value vector. A `Var` is an input, or (`bound`) a
+/// sub-program variable copying the slot its primitive binds it to; a `Reg` is
+/// `init` at cycle 0 and then the previous cycle's `data` slot; a `Copy` is a
+/// primitive's output, the slot of its semantics root.
+enum Step<'p> {
+    Const(&'p BitVec),
+    Var { name: &'p str, width: u32, bound: Option<usize> },
+    Op(BvOp, Vec<usize>),
+    Reg { data: usize, init: &'p BitVec },
+    Copy(usize),
+}
+
+/// Collects the root's cone: the closure under [`Prog::node_inputs`] (register data
+/// inputs and primitive bindings included) and primitive semantics. Sorted by the W6
+/// witness, every step comes after the same-cycle inputs it reads. Returns the steps
+/// and the root's slot.
+fn schedule(prog: &Prog) -> Result<(Vec<Step<'_>>, usize), InterpError> {
+    let witness = prog.well_formedness_witness().map_err(InterpError::IllFormed)?;
+    // Each cone node with the binding map of the primitive whose semantics holds it.
+    let mut cone = HashMap::new();
+    let mut stack = vec![(prog.root(), prog, None)];
+    while let Some((id, level, bindings)) = stack.pop() {
+        let node = level.node(id).expect("W3: inputs exist at their level");
+        if cone.insert(id, (node, bindings)).is_some() {
+            continue;
+        }
+        match node {
+            Node::Op(_, args) => stack.extend(args.iter().map(|&a| (a, level, bindings))),
+            Node::Reg { data, .. } => stack.push((*data, level, bindings)),
+            Node::Prim(p) => {
+                stack.extend(p.bindings.values().map(|&b| (b, level, bindings)));
+                stack.push((p.semantics.root(), &p.semantics, Some(&p.bindings)));
+            }
+            Node::BV(_) | Node::Var { .. } | Node::Hole { .. } => {}
+        }
+    }
+    let mut order: Vec<(u32, NodeId)> = cone.keys().map(|id| (witness[id], *id)).collect();
+    order.sort_unstable();
+    let slot: HashMap<NodeId, usize> =
+        order.iter().enumerate().map(|(slot, &(_, id))| (id, slot)).collect();
+    let steps = order
+        .iter()
+        .map(|(_, id)| match cone[id] {
+            (Node::BV(bv), _) => Ok(Step::Const(bv)),
+            (Node::Var { name, width }, bindings) => {
+                let bound = bindings.map(|bindings| slot[&bindings[name]]);
+                Ok(Step::Var { name, width: *width, bound })
+            }
+            (Node::Op(op, args), _) => Ok(Step::Op(*op, args.iter().map(|a| slot[a]).collect())),
+            (Node::Reg { data, init }, _) => Ok(Step::Reg { data: slot[data], init }),
+            (Node::Prim(p), _) => Ok(Step::Copy(slot[&p.semantics.root()])),
+            (Node::Hole { name, .. }, _) => Err(InterpError::HoleEncountered(name.clone())),
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((steps, slot[&prog.root()]))
 }
 
 /// The one spec-vs-implementation agreement check: `candidate` must interpret
@@ -148,10 +234,9 @@ impl Prog {
 /// `first_cycle..=last_cycle`.
 ///
 /// Cache replay, the HDL fuzz oracle (round-trip and mapped layers) and the
-/// mapping integration tests all call this, so a faster evaluator changes one
-/// call site. A mapped implementation owes agreement from the spec's pipeline
-/// depth through the BMC window (earlier cycles may differ while pipelines
-/// fill).
+/// mapping integration tests all call this. A mapped implementation owes
+/// agreement from the spec's pipeline depth through the BMC window (earlier
+/// cycles may differ while pipelines fill).
 ///
 /// # Errors
 /// Describes the first disagreement, with its input values, or the first
@@ -172,13 +257,14 @@ pub fn interp_equivalent(
             .map(|(name, width)| (name.clone(), BitVec::from_u64(rng.next_u64(), *width)))
             .collect();
         let env = StreamInputs::from_constants(values.iter().cloned());
+        let want = spec
+            .interp_trace(&env, last_cycle)
+            .map_err(|e| format!("round {round}: spec interp failed: {e}"))?;
+        let got = candidate
+            .interp_trace(&env, last_cycle)
+            .map_err(|e| format!("round {round}: candidate interp failed: {e}"))?;
         for t in first_cycle..=last_cycle {
-            let a = spec
-                .interp(&env, t)
-                .map_err(|e| format!("round {round} cycle {t}: spec interp failed: {e}"))?;
-            let b = candidate
-                .interp(&env, t)
-                .map_err(|e| format!("round {round} cycle {t}: candidate interp failed: {e}"))?;
+            let (a, b) = (&want[t as usize], &got[t as usize]);
             if a != b {
                 let inputs: Vec<String> = values
                     .iter()
@@ -192,113 +278,6 @@ pub fn interp_equivalent(
         }
     }
     Ok(())
-}
-
-fn eval(
-    prog: &Prog,
-    env: &EnvCtx<'_>,
-    time: u32,
-    id: NodeId,
-    memo: &mut HashMap<(NodeId, u32), BitVec>,
-) -> Result<BitVec, InterpError> {
-    if let Some(v) = memo.get(&(id, time)) {
-        return Ok(v.clone());
-    }
-    let node = prog.node(id).expect("node id belongs to the program");
-    let value = match node {
-        Node::BV(bv) => bv.clone(),
-        Node::Hole { name, .. } => return Err(InterpError::HoleEncountered(name.clone())),
-        Node::Var { name, width } => {
-            let value = lookup(env, name, time, memo)?
-                .ok_or_else(|| InterpError::UnboundVariable(name.clone()))?;
-            if value.width() != *width {
-                return Err(InterpError::WidthMismatch {
-                    name: name.clone(),
-                    expected: *width,
-                    found: value.width(),
-                });
-            }
-            value
-        }
-        Node::Reg { data, init } => {
-            if time == 0 {
-                init.clone()
-            } else {
-                eval(prog, env, time - 1, *data, memo)?
-            }
-        }
-        Node::Op(op, args) => {
-            let values: Result<Vec<BitVec>, InterpError> =
-                args.iter().map(|&a| eval(prog, env, time, a, memo)).collect();
-            let values = values?;
-            let refs: Vec<&BitVec> = values.iter().collect();
-            apply_public(*op, &refs)
-        }
-        Node::Prim(p) => {
-            let inner_env =
-                EnvCtx::Prim { outer_prog: prog, outer_env: env, bindings: &p.bindings };
-            // Sub-program node ids are disjoint from ours (W2), so sharing the memo
-            // table across levels is sound.
-            eval(&p.semantics, &inner_env, time, p.semantics.root(), memo)?
-        }
-    };
-    memo.insert((id, time), value.clone());
-    Ok(value)
-}
-
-fn lookup(
-    env: &EnvCtx<'_>,
-    name: &str,
-    time: u32,
-    memo: &mut HashMap<(NodeId, u32), BitVec>,
-) -> Result<Option<BitVec>, InterpError> {
-    match env {
-        EnvCtx::External(inputs) => Ok(inputs.get(name, time)),
-        EnvCtx::Prim { outer_prog, outer_env, bindings } => match bindings.get(name) {
-            None => Ok(None),
-            Some(&outer_id) => eval(outer_prog, outer_env, time, outer_id, memo).map(Some),
-        },
-    }
-}
-
-/// Applies a combinational operator to concrete values. Shares semantics with the
-/// `lr-smt` evaluator via the same `BitVec` operations.
-pub(crate) fn apply_public(op: crate::BvOp, args: &[&BitVec]) -> BitVec {
-    use crate::BvOp;
-    match op {
-        BvOp::Not => args[0].not(),
-        BvOp::Neg => args[0].neg(),
-        BvOp::And => args[0].and(args[1]),
-        BvOp::Or => args[0].or(args[1]),
-        BvOp::Xor => args[0].xor(args[1]),
-        BvOp::Add => args[0].add(args[1]),
-        BvOp::Sub => args[0].sub(args[1]),
-        BvOp::Mul => args[0].mul(args[1]),
-        BvOp::Udiv => args[0].udiv(args[1]),
-        BvOp::Urem => args[0].urem(args[1]),
-        BvOp::Shl => args[0].shl(args[1]),
-        BvOp::Lshr => args[0].lshr(args[1]),
-        BvOp::Ashr => args[0].ashr(args[1]),
-        BvOp::Concat => args[0].concat(args[1]),
-        BvOp::Extract { hi, lo } => args[0].extract(hi, lo),
-        BvOp::ZeroExt { width } => args[0].zext(width),
-        BvOp::SignExt { width } => args[0].sext(width),
-        BvOp::Eq => BitVec::from_bool(args[0] == args[1]),
-        BvOp::Ult => BitVec::from_bool(args[0].ult(args[1])),
-        BvOp::Ule => BitVec::from_bool(args[0].ule(args[1])),
-        BvOp::Slt => BitVec::from_bool(args[0].slt(args[1])),
-        BvOp::Sle => BitVec::from_bool(args[0].sle(args[1])),
-        BvOp::Ite => {
-            if args[0].is_zero() {
-                args[2].clone()
-            } else {
-                args[1].clone()
-            }
-        }
-        BvOp::RedOr => args[0].reduce_or(),
-        BvOp::RedAnd => args[0].reduce_and(),
-        BvOp::RedXor => args[0].reduce_xor(),
-    }
 }
 
 #[cfg(test)]
@@ -420,21 +399,55 @@ mod tests {
 
     #[test]
     fn unbound_and_hole_errors() {
-        let mut b = ProgBuilder::new("p");
-        let a = b.input("a", 8);
-        let prog = b.finish(a);
-        assert_eq!(
-            prog.interp(&StreamInputs::new(), 0),
-            Err(InterpError::UnboundVariable("a".to_string()))
-        );
+        // Behind a register, the value would only reach the root at cycle 1, but
+        // the register's data input is in the cone, so cycle 0 reports it.
+        for registered in [false, true] {
+            let mut b = ProgBuilder::new("p");
+            let a = b.input("a", 8);
+            let root = if registered { b.reg(a, 8) } else { a };
+            let prog = b.finish(root);
+            assert_eq!(
+                prog.interp(&StreamInputs::new(), 0),
+                Err(InterpError::UnboundVariable("a".to_string()))
+            );
 
-        let mut b = ProgBuilder::new("p");
-        let h = b.hole("h", 8, HoleDomain::AnyConstant);
-        let prog = b.finish(h);
-        assert_eq!(
-            prog.interp(&StreamInputs::new(), 0),
-            Err(InterpError::HoleEncountered("h".to_string()))
-        );
+            let mut b = ProgBuilder::new("p");
+            let h = b.hole("h", 8, HoleDomain::AnyConstant);
+            let root = if registered { b.reg(h, 8) } else { h };
+            let prog = b.finish(root);
+            assert_eq!(
+                prog.interp(&StreamInputs::new(), 0),
+                Err(InterpError::HoleEncountered("h".to_string()))
+            );
+        }
+    }
+
+    #[test]
+    fn deep_chains_interpret_on_a_small_stack() {
+        // out = a + 1 + 1 + ... (100 000 additions), on a 256 KiB stack.
+        let worker = std::thread::Builder::new().stack_size(256 << 10).spawn(|| {
+            let mut b = ProgBuilder::new("chain");
+            let one = b.constant_u64(1, 32);
+            let mut x = b.input("a", 32);
+            for _ in 0..100_000 {
+                x = b.op2(BvOp::Add, x, one);
+            }
+            let prog = b.finish(x);
+            prog.interp(&inputs(&[("a", 5, 32)]), 0)
+        });
+        let value = worker.expect("spawn").join().expect("no stack overflow");
+        assert_eq!(value, Ok(BitVec::from_u64(100_005, 32)));
+    }
+
+    #[test]
+    fn combinational_loops_are_ill_formed() {
+        use crate::{Node, NodeId, Prog};
+        // n0 = n1 & n1; n1 = n0 | n0: no cycle can evaluate either node first.
+        let mut nodes = std::collections::BTreeMap::new();
+        nodes.insert(NodeId(0), Node::Op(BvOp::And, vec![NodeId(1), NodeId(1)]));
+        nodes.insert(NodeId(1), Node::Op(BvOp::Or, vec![NodeId(0), NodeId(0)]));
+        let prog = Prog { name: "loop".into(), root: NodeId(0), nodes, inputs: vec![] };
+        assert!(matches!(prog.interp(&StreamInputs::new(), 0), Err(InterpError::IllFormed(_))));
     }
 
     #[test]

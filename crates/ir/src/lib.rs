@@ -7,7 +7,8 @@
 //!
 //! * well-formedness checking (conditions W1–W6, including the combinational-loop
 //!   witness of Property 1) in [`wf`],
-//! * the stream semantics of Fig. 4 as a concrete interpreter in [`interp`],
+//! * the stream semantics of Fig. 4 as a concrete evaluator in [`interp`], which
+//!   steps a program forward cycle by cycle in the witness order of Property 1,
 //! * symbolic interpretation into `lr-smt` terms in [`symbolic`], which is how the
 //!   synthesis queries of §3.3 are constructed,
 //! * the behavioral / structural / sketch sublanguage classification and hole

@@ -48,7 +48,7 @@ impl Prog {
                             .collect();
                         if let Some(values) = const_args {
                             let refs: Vec<&BitVec> = values.iter().collect();
-                            nodes.insert(id, Node::BV(crate::interp::apply_public(op, &refs)));
+                            nodes.insert(id, Node::BV(lr_smt::apply_op(op, &refs)));
                         } else {
                             nodes.insert(id, Node::Op(op, args));
                         }
@@ -167,8 +167,10 @@ mod tests {
         //! well-formedness and stream semantics for any program shape.
 
         use super::super::*;
-        use crate::{BvOp, ProgBuilder, StreamInputs};
+        use crate::symbolic::parse_input_var;
+        use crate::{BvOp, Inputs, ProgBuilder, StreamInputs};
         use lr_bv::BitVec;
+        use lr_smt::TermPool;
         use proptest::prelude::*;
 
         /// One straight-line instruction over earlier nodes: the generator builds
@@ -278,11 +280,30 @@ mod tests {
                         ("b".to_string(), BitVec::from_u64(bv, WIDTH)),
                         ("c".to_string(), BitVec::from_u64(c, WIDTH)),
                     ]);
+                    let trace = prog.interp_trace(&env, 2).unwrap();
+                    let mut pool = TermPool::new();
                     for t in 0..3 {
                         prop_assert_eq!(
                             prog.interp(&env, t).unwrap(),
                             simplified.interp(&env, t).unwrap(),
                             "semantics diverged at cycle {} for inputs ({}, {}, {})", t, a, bv, c
+                        );
+                        // The symbolic encoding of Fig. 4 must agree with the concrete one.
+                        let bindings: lr_smt::Env = prog
+                            .symbolic_input_names(t)
+                            .into_iter()
+                            .map(|(name, _)| {
+                                let (input, time) = parse_input_var(&name).expect("input var");
+                                let value = env.get(input, time).expect("bound input");
+                                (name, value)
+                            })
+                            .collect();
+                        let term = prog.to_term(&mut pool, t);
+                        prop_assert_eq!(
+                            pool.eval(term, &bindings).unwrap(),
+                            trace[t as usize].clone(),
+                            "symbolic and concrete diverged at cycle {} for inputs ({}, {}, {})",
+                            t, a, bv, c
                         );
                     }
                 }

@@ -108,15 +108,13 @@ impl Prog {
         while let Some(id) = queue.pop() {
             processed += 1;
             let l = level[&id];
-            if let Some(ss) = succs.get(&id) {
-                for &s in ss.clone().iter() {
-                    let sl = level.get_mut(&s).expect("node exists");
-                    *sl = (*sl).max(l + 1);
-                    let d = indegree.get_mut(&s).expect("node exists");
-                    *d -= 1;
-                    if *d == 0 {
-                        queue.push(s);
-                    }
+            for &s in succs.get(&id).into_iter().flatten() {
+                let sl = level.get_mut(&s).expect("node exists");
+                *sl = (*sl).max(l + 1);
+                let d = indegree.get_mut(&s).expect("node exists");
+                *d -= 1;
+                if *d == 0 {
+                    queue.push(s);
                 }
             }
         }

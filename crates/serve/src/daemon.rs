@@ -22,8 +22,9 @@
 //! [`Daemon::shutdown_and_wait`]) flips the drain flag *under the queue lock*:
 //! every job admitted before the flip is still executed and answered, and no
 //! job can slip in after it — admission checks the flag under the same lock.
-//! Workers exit once the queue is empty, the persister writes a final
-//! snapshot, and the summary's accounting proves nothing was lost:
+//! Workers exit once the queue is empty. [`Daemon::wait`] joins them and the
+//! persister, then writes the final snapshot, so the verdicts of the last jobs
+//! survive the restart; the summary's accounting proves nothing was lost:
 //! `accepted == completed`.
 
 use std::collections::BinaryHeap;
@@ -330,8 +331,8 @@ impl Daemon {
     }
 
     /// Blocks until the daemon has drained — either because a client sent
-    /// `shutdown` or because [`Daemon::shutdown_and_wait`] was called — and
-    /// returns the final accounting.
+    /// `shutdown` or because [`Daemon::shutdown_and_wait`] was called —, writes
+    /// the final cache snapshot, and returns the final accounting.
     pub fn wait(self) -> DaemonSummary {
         let _ = self.acceptor.join();
         for worker in self.workers {
@@ -340,9 +341,12 @@ impl Daemon {
         if let Some(persister) = self.persister {
             let _ = persister.join();
         }
-        // The final forensics sync rides along with the shutdown cache
-        // snapshot: every worker has exited, so the ring is final and the
-        // drained run's last requests survive the restart as one bundle.
+        // Every worker has exited, so the cache holds the drained run's last
+        // verdicts and the forensics ring is final: both survive the restart,
+        // the ring as one bundle.
+        if let Some(path) = &self.inner.persist_path {
+            let _ = self.inner.cache.save(path);
+        }
         if let Some(recorder) = &self.inner.recorder {
             recorder.final_sync();
         }
@@ -944,40 +948,20 @@ fn forensics_response(inner: &Inner, id: Option<&Json>) -> String {
     doc.render()
 }
 
+/// Takes the periodic snapshots until the drain starts; [`Daemon::wait`] writes
+/// the final one once the workers are joined.
 fn persist_loop(inner: &Inner) {
     let path = inner.persist_path.as_ref().expect("persister only runs with a path");
     let mut stopped = inner.persist_stop.lock().unwrap();
-    loop {
-        if *stopped {
-            break;
-        }
+    while !*stopped {
         let (guard, _timeout) =
             inner.persist_cv.wait_timeout(stopped, inner.persist_interval).unwrap();
         stopped = guard;
         if !*stopped {
-            // Periodic snapshot; the atomic save means a torn write can never
-            // replace the previous good file.
+            // The atomic save means a torn write can never replace the
+            // previous good file.
             let _ = inner.cache.save(path);
         }
-    }
-    drop(stopped);
-    // Final snapshot only after every admitted job has finished, so the
-    // verdicts the last jobs computed survive the restart.
-    wait_for_workers_idle(inner);
-    let _ = inner.cache.save(path);
-}
-
-/// Blocks until the queue is empty and no job is executing, polling the
-/// completion counters (drain-path only, so polling is fine).
-fn wait_for_workers_idle(inner: &Inner) {
-    loop {
-        let queue_empty = inner.queue.lock().unwrap().heap.is_empty();
-        let accepted = inner.counters.accepted.load(Ordering::SeqCst);
-        let done = inner.counters.completed.load(Ordering::SeqCst);
-        if queue_empty && accepted == done {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(20));
     }
 }
 

@@ -1,9 +1,10 @@
-//! Concrete evaluation of terms under an environment of variable bindings.
+//! Concrete operator semantics and evaluation of terms under variable bindings.
 //!
-//! Evaluation serves three purposes: constant folding inside [`TermPool`], executing
-//! the ℒlr interpreter when all inputs are concrete, and validating models returned by
-//! the bit-blasting backend (every SAT model is re-checked by evaluation, which keeps
-//! the solver honest and is also what the property tests lean on).
+//! [`apply_op`] is the one table of operator semantics: constant folding inside
+//! [`TermPool`], the e-graph's constant-folding analysis, and the ℒlr interpreter and
+//! constant folder (`lr_ir`) all call it. [`TermPool::eval`] evaluates a whole term;
+//! it is the reference that the property tests `prop_blast.rs` and
+//! `prop_saturate.rs` check rewriting and bit-blasting against.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -47,8 +48,8 @@ impl std::error::Error for EvalError {}
 
 /// Applies an operator to concrete operand values. This is the single source of truth
 /// for operator semantics; constant folding, evaluation, the e-graph's
-/// constant-folding analysis (`lr_egraph`), and the tests that compare bit-blasting
-/// against evaluation all call it.
+/// constant-folding analysis (`lr_egraph`), the ℒlr interpreter (`lr_ir`), and the
+/// tests that compare bit-blasting against evaluation all call it.
 pub fn apply_op(op: BvOp, args: &[&BitVec]) -> BitVec {
     match op {
         BvOp::Not => args[0].not(),
@@ -94,12 +95,6 @@ impl TermPool {
     pub fn eval(&self, id: TermId, env: &Env) -> Result<BitVec, EvalError> {
         let mut cache: HashMap<TermId, BitVec> = HashMap::new();
         self.eval_cached(id, env, &mut cache)
-    }
-
-    /// Evaluates several root terms sharing one memoization cache.
-    pub fn eval_many(&self, ids: &[TermId], env: &Env) -> Result<Vec<BitVec>, EvalError> {
-        let mut cache: HashMap<TermId, BitVec> = HashMap::new();
-        ids.iter().map(|&id| self.eval_cached(id, env, &mut cache)).collect()
     }
 
     fn eval_cached(
@@ -202,19 +197,6 @@ mod tests {
         let e = env(&[("a", 1, 4)]);
         let err = pool.eval(a, &e).unwrap_err();
         assert!(matches!(err, EvalError::WidthMismatch { expected: 8, found: 4, .. }));
-    }
-
-    #[test]
-    fn eval_many_shares_cache() {
-        let mut pool = TermPool::new();
-        let a = pool.var("a", 8);
-        let b = pool.var("b", 8);
-        let sum = pool.add(a, b);
-        let twice = pool.add(sum, sum);
-        let e = env(&[("a", 10, 8), ("b", 20, 8)]);
-        let vals = pool.eval_many(&[sum, twice], &e).unwrap();
-        assert_eq!(vals[0], BitVec::from_u64(30, 8));
-        assert_eq!(vals[1], BitVec::from_u64(60, 8));
     }
 
     #[test]

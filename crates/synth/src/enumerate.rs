@@ -133,17 +133,13 @@ fn probe_environments(inputs: &[(String, u32)], probes: usize) -> Vec<StreamInpu
 }
 
 fn candidate_matches(task: &SynthesisTask<'_>, candidate: &Prog, envs: &[StreamInputs]) -> bool {
-    for env in envs {
-        for cycle in task.cycles() {
-            let spec = task.spec.interp(env, cycle);
-            let cand = candidate.interp(env, cycle);
-            match (spec, cand) {
-                (Ok(s), Ok(c)) if s == c => {}
-                _ => return false,
-            }
+    let last = task.at_cycle + task.extra_cycles;
+    envs.iter().all(|env| {
+        match (task.spec.interp_trace(env, last), candidate.interp_trace(env, last)) {
+            (Ok(s), Ok(c)) => task.cycles().all(|t| s[t as usize] == c[t as usize]),
+            _ => false,
         }
-    }
-    true
+    })
 }
 
 #[cfg(test)]
