@@ -19,8 +19,10 @@
 //! * containing at most `max_ands` AND gates.
 //!
 //! With `max_leaves` at or below the target architecture's LUT size, every
-//! cone is a one-LUT mapping problem — a shape the CEGIS loop solves quickly
-//! and deterministically.
+//! cone is a one-LUT mapping problem over at most six one-bit inputs. Synthesis
+//! solves such a problem on its exhaustive path (`lr_synth::cegis`): one
+//! synthesis check over every input assignment, accepted only after evaluating
+//! them all, with no SAT verification.
 //!
 //! ## Stitching
 //!
@@ -31,7 +33,8 @@
 //! so a cone's leaves always exist by the time it is inlined.
 //! [`verify_stitched`] then replays seeded random stimulus through both the
 //! original AIG (bit-level simulation) and the stitched program (ℒlr
-//! interpretation) and counts disagreements.
+//! interpretation, through one [`lr_ir::Schedule`] for every environment) and
+//! counts disagreements.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -301,7 +304,8 @@ impl VerifyReport {
 
 /// Replays `environments` seeded random stimulus sequences of `cycles` cycles
 /// through both the original AIG (bit-level simulation) and the stitched
-/// program (ℒlr interpretation), counting every output-bit disagreement.
+/// program (ℒlr interpretation, one schedule traced per environment), counting
+/// every output-bit disagreement.
 ///
 /// Errors only if the stitched program fails to interpret — a malformed
 /// stitching, not a functional mismatch.
@@ -316,6 +320,8 @@ pub fn verify_stitched(
     if cycles == 0 {
         return Ok(report);
     }
+    let schedule =
+        stitched.schedule().map_err(|e| format!("stitched design failed to interpret: {e}"))?;
     let mut rng = seeded(seed);
     for _ in 0..environments {
         let stimulus: Vec<Vec<bool>> =
@@ -326,8 +332,8 @@ pub fn verify_stitched(
             let trace = stimulus.iter().map(|s| BitVec::from_u64(u64::from(s[i]), 1)).collect();
             env.set_trace(name.clone(), trace);
         }
-        let got = stitched
-            .interp_trace(&env, cycles as u32 - 1)
+        let got = schedule
+            .trace(&env, cycles as u32 - 1)
             .map_err(|e| format!("stitched design failed to interpret: {e}"))?;
         for (t, want) in expected.iter().enumerate() {
             for (bit, &want_bit) in want.iter().enumerate() {

@@ -17,15 +17,18 @@
 //! zero-tolerance: any verification mismatch, any warm cone missing the cache,
 //! or any cone wider than the LUT fails the run — and [`crate::gate`]
 //! additionally pins the cone/coverage counters to the committed baseline
-//! exactly, because the partitioner is deterministic.
+//! exactly, because the partitioner is deterministic, and requires that no
+//! cone synthesis reached the SAT verifier: every cone is small enough for
+//! synthesis's exhaustive path.
 
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use lakeroad::MapConfig;
 use lr_aig::Aig;
 use lr_arch::{ArchName, Architecture};
-use lr_serve::{map_netlist, Json, NetlistOptions, NetlistReport, SynthCache};
+use lr_serve::{map_netlist, JobResult, Json, NetlistOptions, NetlistReport, SynthCache};
 
 use crate::{decimal, Record, Scale};
 
@@ -61,6 +64,9 @@ pub struct FixtureRun {
     pub cold_cache_hits: usize,
     /// Cone jobs served from the cache during the warm run (must be all).
     pub warm_cache_hits: usize,
+    /// Cone jobs of the cold run whose synthesis reached the SAT verifier.
+    /// Cache hits never do, so the count is exact however the cold hits fall.
+    pub cold_sat_verifications: usize,
     /// Logic elements of the stitched implementation.
     pub logic_elements: usize,
     /// Register bits of the stitched implementation.
@@ -137,6 +143,7 @@ impl Record for AigReport {
                 ("unique_cones", n(f.unique_cones)),
                 ("cold_cache_hits", n(f.cold_cache_hits)),
                 ("warm_cache_hits", n(f.warm_cache_hits)),
+                ("cold_sat_verifications", n(f.cold_sat_verifications)),
                 ("logic_elements", n(f.logic_elements)),
                 ("registers", n(f.registers)),
                 ("verify_environments", n(f.verify_environments)),
@@ -173,6 +180,12 @@ impl Record for AigReport {
                 failures.push(format!(
                     "{}: only {} of {} warm cones were served from the cache",
                     f.name, f.warm_cache_hits, f.cones
+                ));
+            }
+            if f.cold_sat_verifications > 0 {
+                failures.push(format!(
+                    "{}: {} cold cone syntheses reached the SAT verifier",
+                    f.name, f.cold_sat_verifications
                 ));
             }
             if f.max_leaves > lut {
@@ -262,8 +275,15 @@ fn run_fixture(name: &str, aig: &Aig, scale: Scale, workers: usize) -> Result<Fi
         Scale::Full => 128,
     };
 
-    let cold: NetlistReport =
-        map_netlist(aig, &options, |_| {}).map_err(|e| format!("{name} (cold): {e}"))?;
+    let sat_verified = AtomicUsize::new(0);
+    let cold: NetlistReport = map_netlist(aig, &options, |record| {
+        if let JobResult::Finished(outcome) = &record.result {
+            if outcome.stats().verification_used_sat {
+                sat_verified.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    })
+    .map_err(|e| format!("{name} (cold): {e}"))?;
     let warm: NetlistReport =
         map_netlist(aig, &options, |_| {}).map_err(|e| format!("{name} (warm): {e}"))?;
 
@@ -285,6 +305,7 @@ fn run_fixture(name: &str, aig: &Aig, scale: Scale, workers: usize) -> Result<Fi
         unique_cones: count_unique_cones(&partition),
         cold_cache_hits: cold.cache_hits,
         warm_cache_hits: warm.cache_hits,
+        cold_sat_verifications: sat_verified.into_inner(),
         logic_elements: cold.resources.logic_elements,
         registers: cold.resources.registers,
         verify_environments: cold.verify.environments,
@@ -339,6 +360,7 @@ mod tests {
             unique_cones: 2,
             cold_cache_hits: 0,
             warm_cache_hits: 2,
+            cold_sat_verifications: 0,
             logic_elements: 2,
             registers: 0,
             verify_environments: 32,
@@ -385,6 +407,10 @@ mod tests {
         let mut cold_warm = sample_report();
         cold_warm.fixtures[1].warm_cache_hits = 399;
         assert!(cold_warm.gate_failures().iter().any(|f| f.contains("warm cones")));
+
+        let mut sat = sample_report();
+        sat.fixtures[1].cold_sat_verifications = 1;
+        assert!(sat.gate_failures().iter().any(|f| f.contains("SAT verifier")));
 
         let mut wide = sample_report();
         wide.fixtures[0].max_leaves = 5;

@@ -2,8 +2,9 @@
 //! fixtures through the cone-partitioned netlist pipeline (`lr_serve::netlist`)
 //! cold and warm, verify every stitch against the source AIG, and write
 //! `BENCH_aig.json`. Exits non-zero if a gate fails (any verification
-//! mismatch, a warm cone missing the cache, a cone wider than the LUT, or a
-//! register-count drift) — CI runs this at `--quick`.
+//! mismatch, a warm cone missing the cache, a cold cone synthesis reaching the
+//! SAT verifier, a cone wider than the LUT, or a register-count drift) — CI
+//! runs this at `--quick`.
 
 use std::process::ExitCode;
 

@@ -166,6 +166,7 @@ const GATES: &[(&str, &[Row])] = &[
             Row(Sum("fixtures", "max_leaves", None), Exact),
             Row(Sum("fixtures", "logic_elements", None), Exact),
             Row(Sum("fixtures", "registers", None), Exact),
+            Row(Sum("fixtures", "cold_sat_verifications", None), Zero),
         ],
     ),
 ];
@@ -583,7 +584,7 @@ mod tests {
         assert!(failures.iter().any(|f| f.contains("gates_pass")));
     }
 
-    fn aig_doc(mismatches: u64, cones: u64, warm_all: bool, gates_pass: bool) -> Json {
+    fn aig_doc(mismatches: u64, cones: u64, warm_all: bool, sat: u64, gates_pass: bool) -> Json {
         doc(&format!(
             "{{\"scale\": \"Quick\", \"total_ands\": 1326, \"largest_fixture_ands\": 1100, \
              \"total_cones\": {cones}, \"unique_cones\": 80, \
@@ -591,30 +592,34 @@ mod tests {
              \"gates_pass\": {gates_pass}, \"fixtures\": [{{\"name\": \"c17.bench\", \
              \"ands\": 6, \"cones\": 2, \"covered_ands\": 7, \"max_leaves\": 4, \
              \"logic_elements\": 2, \"registers\": 0, \"cold_wall_ms\": 120.0, \
-             \"warm_wall_ms\": 4.0}}]}}"
+             \"cold_sat_verifications\": {sat}, \"warm_wall_ms\": 4.0}}]}}"
         ))
     }
 
     #[test]
     fn aig_rule_is_zero_tolerance_on_stitch_identity_and_cone_accounting() {
-        let baseline = aig_doc(0, 400, true, true);
+        let baseline = aig_doc(0, 400, true, 0, true);
         // Identical counters pass, no matter how the (ungated) wall time moved.
-        let failures = gate("BENCH_aig.json", &baseline, &aig_doc(0, 400, true, true));
+        let failures = gate("BENCH_aig.json", &baseline, &aig_doc(0, 400, true, 0, true));
         assert!(failures.is_empty(), "{failures:?}");
 
         // A single stitched-verification mismatch is absolute.
-        let failures = gate("BENCH_aig.json", &baseline, &aig_doc(1, 400, true, true));
+        let failures = gate("BENCH_aig.json", &baseline, &aig_doc(1, 400, true, 0, true));
         assert!(failures.iter().any(|f| f.contains("total_mismatches")));
 
         // A warm cone that missed the cache is absolute.
-        let failures = gate("BENCH_aig.json", &baseline, &aig_doc(0, 400, false, true));
+        let failures = gate("BENCH_aig.json", &baseline, &aig_doc(0, 400, false, 0, true));
         assert!(failures.iter().any(|f| f.contains("warm_all_hits")));
 
+        // So is a cone synthesis that reached the SAT verifier.
+        let failures = gate("BENCH_aig.json", &baseline, &aig_doc(0, 400, true, 1, true));
+        assert!(failures.iter().any(|f| f.contains("cold_sat_verifications")));
+
         // The partitioner is deterministic: cone counts must reproduce exactly.
-        let failures = gate("BENCH_aig.json", &baseline, &aig_doc(0, 401, true, true));
+        let failures = gate("BENCH_aig.json", &baseline, &aig_doc(0, 401, true, 0, true));
         assert!(failures.iter().any(|f| f.contains("total_cones")));
 
-        let failures = gate("BENCH_aig.json", &baseline, &aig_doc(0, 400, true, false));
+        let failures = gate("BENCH_aig.json", &baseline, &aig_doc(0, 400, true, 0, false));
         assert!(failures.iter().any(|f| f.contains("gates_pass")));
     }
 

@@ -40,6 +40,7 @@ use lr_arch::Architecture;
 use lr_bv::BitVec;
 use lr_ir::{interp_equivalent, HoleDomain, Node, NodeId, Prog};
 use lr_sketch::Template;
+use lr_synth::cegis::{check_examples, exhaustive_inputs};
 use lr_synth::SynthesisStats;
 
 use crate::{count_resources, generate_sketch, pipeline_depth, MapConfig, MappedDesign};
@@ -354,8 +355,11 @@ const REPLAY_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Replays a cached hole assignment: regenerates the sketch for `(template,
 /// arch, spec)`, fills the holes, simplifies, and checks the result against the
 /// spec by stream interpretation at the cycles synthesis would have checked.
+/// A spec small enough for synthesis's exhaustive path
+/// ([`lr_synth::cegis::exhaustive_inputs`]) is checked on every input
+/// assignment, any other on `REPLAY_ROUNDS` pseudorandom ones.
 /// Returns `None` — caller falls back to synthesis — if the sketch no longer
-/// generates, the assignment no longer fits its domains, or any stimulus round
+/// generates, the assignment no longer fits its domains, or any checked input
 /// disagrees (a stale or colliding entry).
 pub fn replay(
     spec: &Prog,
@@ -369,8 +373,18 @@ pub fn replay(
     let filled = sketch.fill_holes(holes).ok()?;
     let implementation = filled.simplified().with_name(format!("{}_impl", spec.name()));
     let t = pipeline_depth(spec);
-    interp_equivalent(spec, &implementation, REPLAY_SEED, REPLAY_ROUNDS, t, t + config.bmc_window)
-        .ok()?;
+    let last = t + config.bmc_window;
+    let agrees = match exhaustive_inputs(spec, &implementation) {
+        Some(all) => {
+            check_examples(&spec.schedule().ok()?, &implementation, &all, t..=last).is_ok()
+        }
+        None => {
+            interp_equivalent(spec, &implementation, REPLAY_SEED, REPLAY_ROUNDS, t, last).is_ok()
+        }
+    };
+    if !agrees {
+        return None;
+    }
     let resources = count_resources(&implementation);
     let verilog = lr_hdl::emit_verilog(&implementation);
     let elapsed = started.elapsed();

@@ -10,6 +10,12 @@
 //! Operators apply [`lr_smt::apply_op`], registers read the previous cycle's values,
 //! and a primitive's output, like each sub-program variable it binds, copies the
 //! value it stands for. Nothing recurses, so depth is not bounded by the stack.
+//!
+//! The sorted cone is a [`Schedule`]. It depends only on the program, so a caller
+//! that evaluates one program in many environments (random-stimulus checks,
+//! CEGIS examples, exhaustive input sweeps) builds it once with
+//! [`Prog::schedule`] and calls [`Schedule::trace`] per environment;
+//! [`Prog::interp_trace`] is the two in one call.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -127,12 +133,105 @@ impl Prog {
 
     /// Evaluates the root at each of the cycles `0..=last`, returning one value per
     /// cycle. Useful for comparing pipelined designs over a window of time.
+    ///
+    /// This is [`Prog::schedule`] followed by [`Schedule::trace`]. A caller that
+    /// evaluates one program in many environments should build the schedule once
+    /// and trace it per environment instead.
+    ///
+    /// # Errors
+    /// As for [`Prog::interp`].
     pub fn interp_trace(&self, inputs: &dyn Inputs, last: u32) -> Result<Vec<BitVec>, InterpError> {
-        let (steps, root) = schedule(self)?;
+        self.schedule()?.trace(inputs, last)
+    }
+
+    /// Builds the program's evaluation schedule: the W1–W6 witness, the root's cone
+    /// and the slot each cone node's value occupies, none of which depend on the
+    /// inputs.
+    ///
+    /// # Errors
+    /// [`InterpError::IllFormed`] for an ill-formed program and
+    /// [`InterpError::HoleEncountered`] for a hole in the root's cone.
+    pub fn schedule(&self) -> Result<Schedule<'_>, InterpError> {
+        let witness = self.well_formedness_witness().map_err(InterpError::IllFormed)?;
+        // Each cone node with the binding map of the primitive whose semantics holds it.
+        let mut cone = HashMap::new();
+        let mut stack = vec![(self.root(), self, None)];
+        while let Some((id, level, bindings)) = stack.pop() {
+            let node = level.node(id).expect("W3: inputs exist at their level");
+            if cone.insert(id, (node, bindings)).is_some() {
+                continue;
+            }
+            match node {
+                Node::Op(_, args) => stack.extend(args.iter().map(|&a| (a, level, bindings))),
+                Node::Reg { data, .. } => stack.push((*data, level, bindings)),
+                Node::Prim(p) => {
+                    stack.extend(p.bindings.values().map(|&b| (b, level, bindings)));
+                    stack.push((p.semantics.root(), &p.semantics, Some(&p.bindings)));
+                }
+                Node::BV(_) | Node::Var { .. } | Node::Hole { .. } => {}
+            }
+        }
+        let mut order: Vec<(u32, NodeId)> = cone.keys().map(|id| (witness[id], *id)).collect();
+        order.sort_unstable();
+        let slot: HashMap<NodeId, usize> =
+            order.iter().enumerate().map(|(slot, &(_, id))| (id, slot)).collect();
+        let steps = order
+            .iter()
+            .map(|(_, id)| match cone[id] {
+                (Node::BV(bv), _) => Ok(Step::Const(bv)),
+                (Node::Var { name, width }, bindings) => {
+                    let bound = bindings.map(|bindings| slot[&bindings[name]]);
+                    Ok(Step::Var { name, width: *width, bound })
+                }
+                (Node::Op(op, args), _) => {
+                    Ok(Step::Op(*op, args.iter().map(|a| slot[a]).collect()))
+                }
+                (Node::Reg { data, init }, _) => Ok(Step::Reg { data: slot[data], init }),
+                (Node::Prim(p), _) => Ok(Step::Copy(slot[&p.semantics.root()])),
+                (Node::Hole { name, .. }, _) => Err(InterpError::HoleEncountered(name.clone())),
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Schedule { steps, root: slot[&self.root()] })
+    }
+}
+
+/// A program's evaluation schedule, built by [`Prog::schedule`]: the root's cone
+/// (the closure under [`Prog::node_inputs`], register data inputs and primitive
+/// bindings included, plus primitive semantics) sorted once by the W6 witness, so
+/// every step comes after the same-cycle inputs it reads. [`Schedule::trace`]
+/// steps it forward cycle by cycle in any number of environments.
+#[derive(Debug)]
+pub struct Schedule<'p> {
+    steps: Vec<Step<'p>>,
+    /// The root's slot.
+    root: usize,
+}
+
+/// One node of the root's cone. A node's slot, its index in the schedule, holds its
+/// value in each cycle's value vector. A `Var` is an input, or (`bound`) a
+/// sub-program variable copying the slot its primitive binds it to; a `Reg` is
+/// `init` at cycle 0 and then the previous cycle's `data` slot; a `Copy` is a
+/// primitive's output, the slot of its semantics root.
+#[derive(Debug)]
+enum Step<'p> {
+    Const(&'p BitVec),
+    Var { name: &'p str, width: u32, bound: Option<usize> },
+    Op(BvOp, Vec<usize>),
+    Reg { data: usize, init: &'p BitVec },
+    Copy(usize),
+}
+
+impl Schedule<'_> {
+    /// Evaluates the root at each of the cycles `0..=last` under `inputs`,
+    /// returning one value per cycle, exactly as [`Prog::interp_trace`] does.
+    ///
+    /// # Errors
+    /// An unbound or mis-sized input anywhere in the cone, from cycle 0 on.
+    pub fn trace(&self, inputs: &dyn Inputs, last: u32) -> Result<Vec<BitVec>, InterpError> {
         let (mut prev, mut cur): (Vec<BitVec>, Vec<BitVec>) = (Vec::new(), Vec::new());
         let mut trace = Vec::with_capacity(last as usize + 1);
         for time in 0..=last {
-            for step in &steps {
+            for step in &self.steps {
                 let value = match *step {
                     Step::Const(bv) => bv.clone(),
                     Step::Var { name, width, bound } => {
@@ -163,75 +262,18 @@ impl Prog {
                 };
                 cur.push(value);
             }
-            trace.push(cur[root].clone());
-            prev = std::mem::replace(&mut cur, Vec::with_capacity(steps.len()));
+            trace.push(cur[self.root].clone());
+            prev = std::mem::replace(&mut cur, Vec::with_capacity(self.steps.len()));
         }
         Ok(trace)
     }
 }
 
-/// One node of the root's cone. A node's slot, its index in the schedule, holds its
-/// value in each cycle's value vector. A `Var` is an input, or (`bound`) a
-/// sub-program variable copying the slot its primitive binds it to; a `Reg` is
-/// `init` at cycle 0 and then the previous cycle's `data` slot; a `Copy` is a
-/// primitive's output, the slot of its semantics root.
-enum Step<'p> {
-    Const(&'p BitVec),
-    Var { name: &'p str, width: u32, bound: Option<usize> },
-    Op(BvOp, Vec<usize>),
-    Reg { data: usize, init: &'p BitVec },
-    Copy(usize),
-}
-
-/// Collects the root's cone: the closure under [`Prog::node_inputs`] (register data
-/// inputs and primitive bindings included) and primitive semantics. Sorted by the W6
-/// witness, every step comes after the same-cycle inputs it reads. Returns the steps
-/// and the root's slot.
-fn schedule(prog: &Prog) -> Result<(Vec<Step<'_>>, usize), InterpError> {
-    let witness = prog.well_formedness_witness().map_err(InterpError::IllFormed)?;
-    // Each cone node with the binding map of the primitive whose semantics holds it.
-    let mut cone = HashMap::new();
-    let mut stack = vec![(prog.root(), prog, None)];
-    while let Some((id, level, bindings)) = stack.pop() {
-        let node = level.node(id).expect("W3: inputs exist at their level");
-        if cone.insert(id, (node, bindings)).is_some() {
-            continue;
-        }
-        match node {
-            Node::Op(_, args) => stack.extend(args.iter().map(|&a| (a, level, bindings))),
-            Node::Reg { data, .. } => stack.push((*data, level, bindings)),
-            Node::Prim(p) => {
-                stack.extend(p.bindings.values().map(|&b| (b, level, bindings)));
-                stack.push((p.semantics.root(), &p.semantics, Some(&p.bindings)));
-            }
-            Node::BV(_) | Node::Var { .. } | Node::Hole { .. } => {}
-        }
-    }
-    let mut order: Vec<(u32, NodeId)> = cone.keys().map(|id| (witness[id], *id)).collect();
-    order.sort_unstable();
-    let slot: HashMap<NodeId, usize> =
-        order.iter().enumerate().map(|(slot, &(_, id))| (id, slot)).collect();
-    let steps = order
-        .iter()
-        .map(|(_, id)| match cone[id] {
-            (Node::BV(bv), _) => Ok(Step::Const(bv)),
-            (Node::Var { name, width }, bindings) => {
-                let bound = bindings.map(|bindings| slot[&bindings[name]]);
-                Ok(Step::Var { name, width: *width, bound })
-            }
-            (Node::Op(op, args), _) => Ok(Step::Op(*op, args.iter().map(|a| slot[a]).collect())),
-            (Node::Reg { data, init }, _) => Ok(Step::Reg { data: slot[data], init }),
-            (Node::Prim(p), _) => Ok(Step::Copy(slot[&p.semantics.root()])),
-            (Node::Hole { name, .. }, _) => Err(InterpError::HoleEncountered(name.clone())),
-        })
-        .collect::<Result<_, _>>()?;
-    Ok((steps, slot[&prog.root()]))
-}
-
 /// The one spec-vs-implementation agreement check: `candidate` must interpret
 /// like `spec` in `envs` environments of constant inputs over `spec`'s free
 /// variables, drawn deterministically from `seed`, at every cycle in
-/// `first_cycle..=last_cycle`.
+/// `first_cycle..=last_cycle`. Each program's schedule is built once and traced
+/// in every environment.
 ///
 /// Cache replay, the HDL fuzz oracle (round-trip and mapped layers) and the
 /// mapping integration tests all call this. A mapped implementation owes
@@ -250,6 +292,8 @@ pub fn interp_equivalent(
     last_cycle: u32,
 ) -> Result<(), String> {
     let vars = spec.free_vars();
+    let want_schedule = spec.schedule().map_err(|e| format!("spec interp failed: {e}"))?;
+    let got_schedule = candidate.schedule().map_err(|e| format!("candidate interp failed: {e}"))?;
     let mut rng = lr_bv::Rng::new(seed ^ 0xD1FF_F00D_5EED_5EED);
     for round in 0..envs {
         let values: Vec<(String, BitVec)> = vars
@@ -257,11 +301,11 @@ pub fn interp_equivalent(
             .map(|(name, width)| (name.clone(), BitVec::from_u64(rng.next_u64(), *width)))
             .collect();
         let env = StreamInputs::from_constants(values.iter().cloned());
-        let want = spec
-            .interp_trace(&env, last_cycle)
+        let want = want_schedule
+            .trace(&env, last_cycle)
             .map_err(|e| format!("round {round}: spec interp failed: {e}"))?;
-        let got = candidate
-            .interp_trace(&env, last_cycle)
+        let got = got_schedule
+            .trace(&env, last_cycle)
             .map_err(|e| format!("round {round}: candidate interp failed: {e}"))?;
         for t in first_cycle..=last_cycle {
             let (a, b) = (&want[t as usize], &got[t as usize]);

@@ -8,7 +8,9 @@
 //! * well-formedness checking (conditions W1–W6, including the combinational-loop
 //!   witness of Property 1) in [`wf`],
 //! * the stream semantics of Fig. 4 as a concrete evaluator in [`interp`], which
-//!   steps a program forward cycle by cycle in the witness order of Property 1,
+//!   steps a program forward cycle by cycle in the witness order of Property 1
+//!   (a [`Schedule`], built once per program and traced in any number of
+//!   environments),
 //! * symbolic interpretation into `lr-smt` terms in [`symbolic`], which is how the
 //!   synthesis queries of §3.3 are constructed,
 //! * the behavioral / structural / sketch sublanguage classification and hole
@@ -45,7 +47,7 @@ use std::fmt;
 use lr_bv::BitVec;
 
 pub use holes::{HoleDomain, HoleInfo};
-pub use interp::{interp_equivalent, Inputs, InterpError, StreamInputs};
+pub use interp::{interp_equivalent, Inputs, InterpError, Schedule, StreamInputs};
 pub use lr_smt::BvOp;
 pub use saturate::{SaturateOutcome, StructuralEvidence};
 pub use wf::WellFormednessError;

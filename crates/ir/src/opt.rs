@@ -274,6 +274,8 @@ mod tests {
                     simplified.well_formed()
                 );
                 prop_assert!(simplified.len() <= prog.len(), "simplification must not grow programs");
+                // One schedule traces every environment below.
+                let schedule = prog.schedule().unwrap();
                 for (a, bv, c) in inputs {
                     let env = StreamInputs::from_constants([
                         ("a".to_string(), BitVec::from_u64(a, WIDTH)),
@@ -281,6 +283,11 @@ mod tests {
                         ("c".to_string(), BitVec::from_u64(c, WIDTH)),
                     ]);
                     let trace = prog.interp_trace(&env, 2).unwrap();
+                    prop_assert_eq!(
+                        &schedule.trace(&env, 2).unwrap(),
+                        &trace,
+                        "a reused schedule diverged for inputs ({}, {}, {})", a, bv, c
+                    );
                     let mut pool = TermPool::new();
                     for t in 0..3 {
                         prop_assert_eq!(

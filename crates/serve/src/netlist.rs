@@ -7,8 +7,11 @@
 //! instead:
 //!
 //! 1. cuts the AIG into single-output cones of at most `lut_size` leaves
-//!    ([`lr_aig::partition`]), so every cone is a one-LUT problem the Bitwise
-//!    sketch solves deterministically;
+//!    ([`lr_aig::partition`]), so every cone is a one-LUT problem of at most
+//!    six input bits. The Bitwise sketch solves it on synthesis's exhaustive
+//!    path (`lr_synth::cegis`), not the CEGIS loop: one synthesis check over
+//!    every input assignment, one portfolio member, and evaluation of every
+//!    assignment instead of the prefold and the SAT verifier;
 //! 2. fans the cones out as jobs on the work-stealing scheduler
 //!    ([`run_batch_streaming`]), prioritized by cone size so the fattest
 //!    cones start first, sharing one content-addressed [`SynthCache`] so

@@ -311,3 +311,52 @@ fn stale_entries_fail_verification_and_fall_back_to_synthesis() {
     let replayed = map_design(&spec, Template::Dsp, &arch, &config).unwrap();
     assert!(replayed.served_from_cache());
 }
+
+/// Replay checks a cone-sized entry on every input assignment: an INIT wrong
+/// on exactly one of a 4-leaf cone's 16 inputs is rejected, invalidated and
+/// resynthesized whichever input it is, including the ones that a fixed set
+/// of pseudorandom replay rounds never draws.
+#[test]
+fn small_entries_wrong_on_one_input_are_rejected() {
+    // (x0 & x1) & !(x2 & x3): one bit over four one-bit leaves.
+    let mut b = ProgBuilder::new("cone");
+    let x: Vec<_> = (0..4).map(|i| b.input(&format!("x{i}"), 1)).collect();
+    let lo = b.op2(BvOp::And, x[0], x[1]);
+    let hi = b.op2(BvOp::And, x[2], x[3]);
+    let not_hi = b.op1(BvOp::Not, hi);
+    let out = b.op2(BvOp::And, lo, not_hi);
+    let spec = b.finish(out);
+
+    let arch = Architecture::intel_cyclone10lp();
+    let cache = Arc::new(SynthCache::new());
+    let shared: Arc<dyn MapCache> = Arc::<SynthCache>::clone(&cache);
+    let config =
+        MapConfig::single_solver().with_timeout(Duration::from_secs(30)).with_cache(shared);
+    assert!(map_design(&spec, Template::Bitwise, &arch, &config).unwrap().is_success());
+    let (key, stored) = cache.entries().into_iter().next().unwrap();
+    let CachedOutcome::Success { holes } = stored else {
+        panic!("successful mapping must store a success entry")
+    };
+    let init = &holes["lut0.INIT"];
+    assert_eq!(init.width(), 16, "one LUT4 address per cone input");
+
+    for address in 0..16 {
+        // Each INIT bit is the LUT's output on one input assignment.
+        let mut poisoned = holes.clone();
+        poisoned.insert("lut0.INIT".into(), init.with_bit(address, !init.bit(address)));
+        cache.store(key, CachedOutcome::Success { holes: poisoned });
+        let before = cache.snapshot();
+        let mapped = map_design(&spec, Template::Bitwise, &arch, &config)
+            .unwrap()
+            .success()
+            .expect("fallback synthesis must succeed");
+        assert!(!mapped.from_cache, "an INIT wrong at address {address} was served");
+        assert_eq!(before.delta(&cache.snapshot()).invalidations, 1);
+        for value in 0..16u64 {
+            let env = lr_ir::StreamInputs::from_constants(
+                (0..4).map(|i| (format!("x{i}"), BitVec::from_u64(value >> i, 1))),
+            );
+            assert_eq!(spec.interp(&env, 0), mapped.implementation.interp(&env, 0));
+        }
+    }
+}

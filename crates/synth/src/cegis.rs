@@ -37,15 +37,38 @@
 //! products — fold to `false` there, and only queries that survive both rewriting
 //! engines reach the SAT solver (carrying the smaller, extracted form of the
 //! disequality).
+//!
+//! # Exhaustive input spaces
+//!
+//! A task whose spec has at most six free input bits (64 assignments, every input
+//! of a one-bit cone for the widest supported LUT) and whose spec and sketch hold
+//! no register, primitive semantics included, skips the loop above
+//! ([`exhaustive_inputs`]). Its examples are every constant input assignment, so
+//! the synthesis step runs once and its UNSAT is a proof that no completion
+//! exists. A model's completion is accepted only if it evaluates like the spec on
+//! every assignment at every cycle of [`SynthesisTask::cycles`]
+//! ([`check_examples`]).
+//!
+//! That check is complete. Without registers, each program's value at cycle `t`
+//! is a function of its inputs at cycle `t` alone, so two such programs agree on
+//! every input stream exactly when they agree on every constant assignment: the
+//! question the SAT verifier would answer, decided by evaluation. Neither the
+//! e-graph prefold nor the SAT verifier runs, and there is no counterexample to
+//! learn: the model already satisfied every assignment, so a disagreement means
+//! the symbolic encoding and the evaluator disagree, and it is reported as
+//! [`SynthesisError::Disagreement`] rather than retried or accepted. The synthesis
+//! step still fills the holes through the sketch's primitive semantics, so no
+//! primitive needs its own truth-table layout.
 
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use lr_bv::BitVec;
 use lr_ir::symbolic::{hole_var_name, input_var_name, SymbolicOptions};
-use lr_ir::{HoleInfo, Prog, StreamInputs};
+use lr_ir::{HoleInfo, InterpError, Node, Prog, Schedule, StreamInputs};
 use lr_smt::{BvSession, BvSolver, SatResult, TermId, TermPool};
 
 use crate::{
@@ -119,22 +142,11 @@ fn synthesize_run(
         ..SynthesisStats::default()
     };
 
-    // Seed examples: all-zeros, all-ones, and a few pseudo-random patterns.
-    let mut examples: Vec<StreamInputs> = Vec::new();
-    examples.push(constant_example(&inputs, |_, _| 0));
-    if config.seed_examples >= 1 {
-        examples
-            .push(constant_example(&inputs, |_, w| if w >= 64 { u64::MAX } else { (1 << w) - 1 }));
-    }
-    let mut rng_state = config.seed | 1;
-    for _ in 1..config.seed_examples {
-        examples.push(constant_example(&inputs, |_, _| {
-            rng_state ^= rng_state << 13;
-            rng_state ^= rng_state >> 7;
-            rng_state ^= rng_state << 17;
-            rng_state
-        }));
-    }
+    // A small register-free task starts from every input assignment; any other
+    // from all-zeros, all-ones and a few pseudo-random patterns.
+    let exhaustive = exhaustive_inputs(task.spec, task.sketch);
+    let is_exhaustive = exhaustive.is_some();
+    let mut examples = exhaustive.unwrap_or_else(|| seed_examples(&inputs, config));
     stats.examples = examples.len();
 
     // Both the portfolio's first-winner flag and the config's external cancel
@@ -146,7 +158,8 @@ fn synthesize_run(
     let out_of_time =
         |start: &Instant| config.timeout.map(|t| start.elapsed() >= t).unwrap_or(false);
 
-    let mut synth = SynthStep::new();
+    let spec = task.spec.schedule().map_err(|e| SynthesisError::IllFormed(format!("spec: {e}")))?;
+    let mut synth = SynthStep::new(spec);
     synth.interrupts.clone_from(&interrupts);
     let mut verifier = VerifyStep::new();
     verifier.interrupts.clone_from(&interrupts);
@@ -181,7 +194,17 @@ fn synthesize_run(
 
         // ----- verification step: does the candidate work for *all* inputs? -----
         let completed = task.sketch.fill_holes(&candidate).map_err(SynthesisError::IllFormed)?;
-        match verifier.verify(task, config, &completed, &mut stats) {
+        let verdict = if is_exhaustive {
+            // The examples are every input, so evaluating them is the whole proof
+            // and this first iteration is the last; a disagreement is an error,
+            // never a counterexample.
+            let _sp = lr_trace::span("exhaustive-check");
+            check_examples(&synth.spec, &completed, &examples, task.cycles())?;
+            Verification::Equivalent
+        } else {
+            verifier.verify(task, config, &completed, &mut stats)
+        };
+        match verdict {
             Verification::Equivalent => {
                 stats.elapsed = start.elapsed();
                 return Ok(SynthesisOutcome::Success(Box::new(Synthesized {
@@ -226,6 +249,111 @@ fn validate(task: &SynthesisTask<'_>) -> Result<(), SynthesisError> {
         )));
     }
     Ok(())
+}
+
+/// The CEGIS loop's seed examples: all-zeros, all-ones (with at least one seed
+/// example) and `seed_examples - 1` pseudo-random patterns.
+fn seed_examples(inputs: &[(String, u32)], config: &SynthesisConfig) -> Vec<StreamInputs> {
+    let mut examples = vec![constant_example(inputs, |_, _| 0)];
+    if config.seed_examples >= 1 {
+        examples
+            .push(constant_example(inputs, |_, w| if w >= 64 { u64::MAX } else { (1 << w) - 1 }));
+    }
+    let mut rng_state = config.seed | 1;
+    for _ in 1..config.seed_examples {
+        examples.push(constant_example(inputs, |_, _| {
+            rng_state ^= rng_state << 13;
+            rng_state ^= rng_state >> 7;
+            rng_state ^= rng_state << 17;
+            rng_state
+        }));
+    }
+    examples
+}
+
+/// The most free input bits a task may have and still take the exhaustive path:
+/// 64 assignments, enough for a one-bit cone of the widest supported LUT.
+const EXHAUSTIVE_MAX_BITS: u64 = 6;
+
+/// Every constant assignment to `spec`'s free inputs, when evaluating them all
+/// proves `spec` equal to a completion of `other` (see "Exhaustive input spaces"
+/// in the module docs): `spec` has at most six input bits, and neither program
+/// holds a register, primitive semantics included. `None` otherwise.
+///
+/// Cache replay checks small entries against these same assignments.
+pub fn exhaustive_inputs(spec: &Prog, other: &Prog) -> Option<Vec<StreamInputs>> {
+    let inputs = spec.free_vars();
+    let bits: u64 = inputs.iter().map(|(_, width)| u64::from(*width)).sum();
+    if bits > EXHAUSTIVE_MAX_BITS || has_register(spec) || has_register(other) {
+        return None;
+    }
+    let all = (0..1u64 << bits).map(|assignment| {
+        let mut shift = 0;
+        constant_example(&inputs, |_, width| {
+            let value = assignment >> shift;
+            shift += width;
+            value
+        })
+    });
+    Some(all.collect())
+}
+
+fn has_register(prog: &Prog) -> bool {
+    prog.nodes().any(|(_, node)| match node {
+        Node::Reg { .. } => true,
+        Node::Prim(p) => has_register(&p.semantics),
+        _ => false,
+    })
+}
+
+/// Requires `candidate` to evaluate like the spec, whose schedule is `spec`, on
+/// every example at every cycle of `cycles`. Each program is traced through one
+/// schedule.
+///
+/// # Errors
+/// [`SynthesisError::MalformedExample`] if the spec cannot be evaluated on an
+/// example, [`SynthesisError::IllFormed`] if the candidate cannot be evaluated,
+/// and [`SynthesisError::Disagreement`] at the first example and cycle where the
+/// two differ.
+pub fn check_examples(
+    spec: &Schedule<'_>,
+    candidate: &Prog,
+    examples: &[StreamInputs],
+    cycles: RangeInclusive<u32>,
+) -> Result<(), SynthesisError> {
+    let ill_formed = |e: InterpError| SynthesisError::IllFormed(format!("candidate: {e}"));
+    let candidate = candidate.schedule().map_err(ill_formed)?;
+    let last = *cycles.end();
+    for (idx, example) in examples.iter().enumerate() {
+        let want = trace_example(spec, example, idx, last)?;
+        let got = candidate.trace(example, last).map_err(ill_formed)?;
+        for cycle in cycles.clone() {
+            let (expected, found) = (&want[cycle as usize], &got[cycle as usize]);
+            if expected != found {
+                return Err(SynthesisError::Disagreement {
+                    example: idx,
+                    cycle,
+                    expected: expected.clone(),
+                    found: found.clone(),
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Traces the spec through cycle `last` on example `idx`. On failure, names the
+/// first cycle that fails to evaluate.
+fn trace_example(
+    spec: &Schedule<'_>,
+    example: &StreamInputs,
+    idx: usize,
+    last: u32,
+) -> Result<Vec<BitVec>, SynthesisError> {
+    spec.trace(example, last).map_err(|e| {
+        let cycle = (0..last).find(|&c| spec.trace(example, c).is_err()).unwrap_or(last);
+        SynthesisError::MalformedExample { example: idx, cycle, reason: e.to_string() }
+    })
 }
 
 /// Folds the counter delta of one solver check (and a snapshot of the tier
@@ -296,7 +424,9 @@ impl SynthState {
 
 /// The CEGIS synthesis step: find hole values making the sketch match the spec on
 /// every accumulated example at every required cycle.
-struct SynthStep {
+struct SynthStep<'p> {
+    /// The spec's schedule, traced once per example for its expected values.
+    spec: Schedule<'p>,
     state: Option<SynthState>,
     /// High-water mark of examples encoded into *any* solver instance so far; used
     /// to count from-scratch re-encoding work.
@@ -305,9 +435,9 @@ struct SynthStep {
     interrupts: Vec<Arc<AtomicBool>>,
 }
 
-impl SynthStep {
-    fn new() -> SynthStep {
-        SynthStep { state: None, ever_encoded: 0, interrupts: Vec::new() }
+impl<'p> SynthStep<'p> {
+    fn new(spec: Schedule<'p>) -> SynthStep<'p> {
+        SynthStep { spec, state: None, ever_encoded: 0, interrupts: Vec::new() }
     }
 
     fn solve(
@@ -331,11 +461,11 @@ impl SynthStep {
 
         // Permanent: one equality constraint per (new example, cycle). Examples only
         // accumulate, so in incremental mode this encodes exactly the delta.
+        let last = task.at_cycle + task.extra_cycles;
         for (idx, example) in examples.iter().enumerate().skip(state.encoded_examples) {
+            let trace = trace_example(&self.spec, example, idx, last)?;
             for cycle in task.cycles() {
-                let expected = task.spec.interp(example, cycle).map_err(|e| {
-                    SynthesisError::MalformedExample { example: idx, cycle, reason: e.to_string() }
-                })?;
+                let expected = trace[cycle as usize].clone();
                 let options = SymbolicOptions { concrete_inputs: Some(example) };
                 let sketch_term = task.sketch.to_term_with(state.session.pool(), cycle, &options);
                 let expected_term = state.session.pool().constant(expected);
@@ -951,7 +1081,7 @@ mod tests {
             SynthesisConfig { incremental: false, ..Default::default() },
         ] {
             let mut stats = SynthesisStats::default();
-            let mut synth = SynthStep::new();
+            let mut synth = SynthStep::new(spec.schedule().unwrap());
             let err = synth
                 .solve(&task, &config, &holes, std::slice::from_ref(&unbound), &mut stats)
                 .unwrap_err();
@@ -960,5 +1090,117 @@ mod tests {
                 "got {err:?}"
             );
         }
+    }
+
+    /// A one-input task over `width` bits: spec `a & mask`, written as
+    /// `!(!a | !mask)` so that it is not the sketch's shape, and sketch `a & k`.
+    fn mask_task(width: u32, mask: u64) -> (Prog, Prog) {
+        let mut b = ProgBuilder::new("spec");
+        let a = b.input("a", width);
+        let na = b.op1(BvOp::Not, a);
+        let inverse = b.constant_u64(!mask, width);
+        let either = b.op2(BvOp::Or, na, inverse);
+        let out = b.op1(BvOp::Not, either);
+        let spec = b.finish(out);
+        let mut b = ProgBuilder::new("sketch");
+        let a = b.input("a", width);
+        let k = b.hole("k", width, HoleDomain::AnyConstant);
+        let out = b.op2(BvOp::And, a, k);
+        (spec, b.finish(out))
+    }
+
+    /// A 4-bit combinational task takes the exhaustive path: one synthesis check
+    /// over all 16 inputs, checked by evaluation, so neither the e-graph prefold
+    /// nor the SAT verifier runs.
+    #[test]
+    fn small_combinational_tasks_are_solved_over_every_input() {
+        let (spec, sketch) = mask_task(4, 0b0110);
+        let task = SynthesisTask::at(&spec, &sketch, 0);
+        for incremental in [true, false] {
+            let config = SynthesisConfig { incremental, ..SynthesisConfig::default() };
+            let result = synthesize(&task, &config, None).unwrap().success().expect("success");
+            assert_eq!(result.stats.iterations, 1);
+            assert_eq!(result.stats.examples, 16);
+            assert!(!result.stats.verification_used_sat);
+            assert_eq!(result.stats.egraph_attempts, 0);
+            for a in 0..16 {
+                let env = StreamInputs::from_constants([("a".into(), BitVec::from_u64(a, 4))]);
+                assert_eq!(spec.interp(&env, 0), result.implementation.interp(&env, 0), "a = {a}");
+            }
+        }
+    }
+
+    /// On the exhaustive path the one synthesis check covers every input, so its
+    /// UNSAT is the verdict.
+    #[test]
+    fn small_impossible_tasks_are_unsat_after_one_check() {
+        // out = a | ?? cannot clear bits that out = a & 0b0011 clears.
+        let (spec, _) = mask_task(4, 0b0011);
+        let mut b = ProgBuilder::new("sketch");
+        let a = b.input("a", 4);
+        let k = b.hole("k", 4, HoleDomain::AnyConstant);
+        let out = b.op2(BvOp::Or, a, k);
+        let sketch = b.finish(out);
+        let task = SynthesisTask::at(&spec, &sketch, 0);
+        let outcome = synthesize(&task, &SynthesisConfig::default(), None).unwrap();
+        assert!(outcome.is_unsat(), "expected UNSAT, got {outcome:?}");
+        assert_eq!(outcome.stats().iterations, 1);
+        assert_eq!(outcome.stats().examples, 16);
+        assert!(!outcome.stats().verification_used_sat);
+    }
+
+    /// Seven input bits, or a register, keep the seeded CEGIS loop. With no
+    /// random seed examples the loop starts from all-zeros alone, so its example
+    /// count cannot be mistaken for every input.
+    #[test]
+    fn wider_or_registered_tasks_keep_the_cegis_loop() {
+        let config = SynthesisConfig { seed_examples: 0, ..SynthesisConfig::default() };
+        let (spec, sketch) = mask_task(7, 0x5A);
+        let task = SynthesisTask::at(&spec, &sketch, 0);
+        let result = synthesize(&task, &config, None).unwrap().success().expect("7-bit success");
+        assert_eq!(result.hole_assignment["k"], BitVec::from_u64(0x5A, 7));
+        assert_ne!(result.stats.examples, 1 << 7);
+
+        // spec: reg(a ^ 0b01); sketch: reg(a ^ ??), over two input bits.
+        let mut b = ProgBuilder::new("spec");
+        let a = b.input("a", 2);
+        let one = b.constant_u64(1, 2);
+        let x = b.op2(BvOp::Xor, a, one);
+        let r = b.reg(x, 2);
+        let spec = b.finish(r);
+        let mut b = ProgBuilder::new("sketch");
+        let a = b.input("a", 2);
+        let k = b.hole("k", 2, HoleDomain::AnyConstant);
+        let x = b.op2(BvOp::Xor, a, k);
+        let r = b.reg(x, 2);
+        let sketch = b.finish(r);
+        assert!(exhaustive_inputs(&spec, &sketch).is_none());
+        let task = SynthesisTask::over_window(&spec, &sketch, 1, 1);
+        let result = synthesize(&task, &config, None).unwrap().success().expect("2-bit success");
+        assert_eq!(result.hole_assignment["k"], BitVec::from_u64(1, 2));
+        assert_ne!(result.stats.examples, 1 << 2);
+    }
+
+    /// The exhaustive check names the first example and cycle where a candidate
+    /// differs, as a typed error.
+    #[test]
+    fn check_examples_reports_the_first_disagreement() {
+        let (spec, sketch) = mask_task(2, 0b10);
+        let all = exhaustive_inputs(&spec, &sketch).expect("two input bits");
+        assert_eq!(all.len(), 4);
+        let schedule = spec.schedule().unwrap();
+        let right = sketch.fill_holes(&[("k".into(), BitVec::from_u64(0b10, 2))].into()).unwrap();
+        assert_eq!(check_examples(&schedule, &right, &all, 0..=2), Ok(()));
+        // k = 0b11 differs from the mask only where a's low bit is set: a = 1 first.
+        let wrong = sketch.fill_holes(&[("k".into(), BitVec::from_u64(0b11, 2))].into()).unwrap();
+        assert_eq!(
+            check_examples(&schedule, &wrong, &all, 1..=2),
+            Err(SynthesisError::Disagreement {
+                example: 1,
+                cycle: 1,
+                expected: BitVec::from_u64(0, 2),
+                found: BitVec::from_u64(1, 2),
+            })
+        );
     }
 }

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use lr_bv::{BitVec, Rng};
-use lr_ir::{HoleDomain, HoleInfo, Prog, StreamInputs};
+use lr_ir::{HoleDomain, HoleInfo, Prog, Schedule, StreamInputs};
 
 use crate::{SynthesisError, SynthesisOutcome, SynthesisStats, SynthesisTask, Synthesized};
 
@@ -39,6 +39,7 @@ pub fn synthesize_by_enumeration(
     let total: u64 = domains.iter().map(|d| d.len() as u64).product();
     let inputs = task.spec.free_vars();
     let probe_envs = probe_environments(&inputs, probes);
+    let spec = task.spec.schedule().map_err(|e| SynthesisError::IllFormed(format!("spec: {e}")))?;
 
     let mut indices = vec![0usize; domains.len()];
     let mut tried = 0u64;
@@ -60,7 +61,7 @@ pub fn synthesize_by_enumeration(
             .collect();
         tried += 1;
         let candidate = task.sketch.fill_holes(&assignment).map_err(SynthesisError::IllFormed)?;
-        if candidate_matches(task, &candidate, &probe_envs) {
+        if candidate_matches(task, &spec, &candidate, &probe_envs) {
             stats.elapsed = start.elapsed();
             stats.iterations = tried as usize;
             stats.examples = probe_envs.len();
@@ -132,13 +133,17 @@ fn probe_environments(inputs: &[(String, u32)], probes: usize) -> Vec<StreamInpu
     envs
 }
 
-fn candidate_matches(task: &SynthesisTask<'_>, candidate: &Prog, envs: &[StreamInputs]) -> bool {
+fn candidate_matches(
+    task: &SynthesisTask<'_>,
+    spec: &Schedule<'_>,
+    candidate: &Prog,
+    envs: &[StreamInputs],
+) -> bool {
     let last = task.at_cycle + task.extra_cycles;
-    envs.iter().all(|env| {
-        match (task.spec.interp_trace(env, last), candidate.interp_trace(env, last)) {
-            (Ok(s), Ok(c)) => task.cycles().all(|t| s[t as usize] == c[t as usize]),
-            _ => false,
-        }
+    let Ok(candidate) = candidate.schedule() else { return false };
+    envs.iter().all(|env| match (spec.trace(env, last), candidate.trace(env, last)) {
+        (Ok(s), Ok(c)) => task.cycles().all(|t| s[t as usize] == c[t as usize]),
+        _ => false,
     })
 }
 

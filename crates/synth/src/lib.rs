@@ -21,6 +21,10 @@
 //! query collapse to `false` before it ever reaches the SAT solver — this mirrors the
 //! role of symbolic evaluation in Rosette.
 //!
+//! A task with at most six input bits and no register skips the loop: the
+//! synthesis step runs once over every input assignment, and evaluating them all
+//! replaces the verification query (see "Exhaustive input spaces" in [`cegis`]).
+//!
 //! By default both queries are solved **incrementally**: solver state (term pool,
 //! bit-blast cache, learnt clauses) persists across CEGIS iterations, with
 //! per-candidate constraints guarded by SAT assumptions so they retract for free.
@@ -69,7 +73,7 @@ impl<'a> SynthesisTask<'a> {
     }
 
     /// The cycles at which equivalence is asserted.
-    pub fn cycles(&self) -> impl Iterator<Item = u32> {
+    pub fn cycles(&self) -> std::ops::RangeInclusive<u32> {
         self.at_cycle..=self.at_cycle + self.extra_cycles
     }
 }
@@ -309,6 +313,21 @@ pub enum SynthesisError {
         /// The interpreter error.
         reason: String,
     },
+    /// A candidate evaluates differently from the spec on an example it was
+    /// required to match. On the exhaustive path (see [`cegis`]) the synthesis
+    /// step's model satisfied every input, so this means the symbolic encoding and
+    /// the evaluator disagree: an internal invariant violation, reported instead
+    /// of retried or accepted.
+    Disagreement {
+        /// Index of the example.
+        example: usize,
+        /// The clock cycle at which the values differ.
+        cycle: u32,
+        /// The spec's value.
+        expected: BitVec,
+        /// The candidate's value.
+        found: BitVec,
+    },
 }
 
 impl fmt::Display for SynthesisError {
@@ -324,6 +343,11 @@ impl fmt::Display for SynthesisError {
             SynthesisError::MalformedExample { example, cycle, reason } => write!(
                 f,
                 "example {example} cannot be evaluated against the spec at cycle {cycle}: {reason}"
+            ),
+            SynthesisError::Disagreement { example, cycle, expected, found } => write!(
+                f,
+                "candidate gives {found} where the spec gives {expected} on example {example} \
+                 at cycle {cycle}"
             ),
         }
     }

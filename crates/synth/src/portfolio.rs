@@ -8,7 +8,8 @@
 //!
 //! Each member inherits [`SynthesisConfig::incremental`] unchanged, so a portfolio
 //! run races four *incremental* CEGIS loops by default — every member keeps its own
-//! persistent solver state across its iterations.
+//! persistent solver state across its iterations. A task on the exhaustive path
+//! (see [`cegis`]) has nothing to race and runs only the first member.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -24,7 +25,8 @@ pub struct PortfolioOutcome {
     /// Name of the winning solver configuration, if any member produced a definite
     /// verdict.
     pub winner: Option<String>,
-    /// Names of all members that were raced.
+    /// Names of the members that ran: all of them, or only the first for a task
+    /// on the exhaustive path.
     pub members: Vec<String>,
 }
 
@@ -42,6 +44,10 @@ pub fn synthesize_portfolio(
 /// Races one CEGIS run per solver configuration and returns the first definite
 /// verdict (success or UNSAT). If every member times out, the result is a timeout.
 ///
+/// A task on the exhaustive path (see [`cegis::exhaustive_inputs`]) runs only the
+/// first member: every member reaches the same verdict, and a race would only let
+/// thread timing pick the hole bits no input observes.
+///
 /// # Errors
 /// Returns [`SynthesisError`] if the task is malformed (the validation error from the
 /// first member is reported).
@@ -51,6 +57,11 @@ pub fn synthesize_portfolio_with(
     solvers: &[SolverConfig],
 ) -> Result<PortfolioOutcome, SynthesisError> {
     assert!(!solvers.is_empty(), "portfolio must contain at least one solver");
+    let solvers = if cegis::exhaustive_inputs(task.spec, task.sketch).is_some() {
+        &solvers[..1]
+    } else {
+        solvers
+    };
     let members: Vec<String> = solvers.iter().map(|s| s.name.clone()).collect();
     // `cancel` is an Arc because cegis::synthesize takes ownership of its handle;
     // the result cells are plain locals borrowed by the scoped threads.
@@ -203,5 +214,28 @@ mod tests {
             synthesize_portfolio_with(&task, &SynthesisConfig::default(), &solvers).unwrap();
         assert_eq!(result.members, vec!["default".to_string()]);
         assert!(result.outcome.is_success());
+    }
+
+    /// A task on the exhaustive path runs, and reports, only the first member.
+    #[test]
+    fn exhaustive_tasks_run_only_the_first_member() {
+        // spec: out = a ^ 0b101 over three bits; sketch: out = a ^ ??.
+        let mut b = ProgBuilder::new("spec");
+        let a = b.input("a", 3);
+        let mask = b.constant_u64(0b101, 3);
+        let out = b.op2(BvOp::Xor, a, mask);
+        let spec = b.finish(out);
+        let mut b = ProgBuilder::new("sketch");
+        let a = b.input("a", 3);
+        let k = b.hole("k", 3, HoleDomain::AnyConstant);
+        let out = b.op2(BvOp::Xor, a, k);
+        let sketch = b.finish(out);
+        let task = SynthesisTask::at(&spec, &sketch, 0);
+        let result = synthesize_portfolio(&task, &SynthesisConfig::default()).unwrap();
+        let first = SolverConfig::portfolio()[0].name.clone();
+        assert_eq!(result.members, vec![first.clone()]);
+        assert_eq!(result.winner, Some(first));
+        let synthesized = result.outcome.success().expect("success");
+        assert_eq!(synthesized.hole_assignment["k"], BitVec::from_u64(0b101, 3));
     }
 }
