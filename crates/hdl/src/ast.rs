@@ -140,11 +140,6 @@ pub struct ModuleAst {
 }
 
 impl ModuleAst {
-    /// Looks up a signal declaration by name.
-    pub fn signal(&self, name: &str) -> Option<&SignalDecl> {
-        self.signals.iter().find(|s| s.name == name)
-    }
-
     /// Names of input ports (excluding `clk`) in declaration order.
     pub fn data_inputs(&self) -> Vec<&SignalDecl> {
         self.signals.iter().filter(|s| s.dir == Some(PortDir::Input) && s.name != "clk").collect()

@@ -7,7 +7,7 @@ use std::fmt;
 use lr_bv::BitVec;
 use lr_ir::{BvOp, NodeId, Prog, ProgBuilder};
 
-use crate::ast::{BinaryOp, Expr, ModuleAst, PortDir, Statement, UnaryOp};
+use crate::ast::{BinaryOp, Expr, ModuleAst, PortDir, SignalDecl, Statement, UnaryOp};
 use crate::parser::{parse_module, ParseError};
 
 /// An error produced during elaboration.
@@ -21,6 +21,9 @@ pub enum ElaborateError {
     UseBeforeDefinition(String),
     /// A signal is referenced but never declared.
     UndeclaredSignal(String),
+    /// A name is declared more than once (as ports, wires, registers or
+    /// parameters, in any combination), which Verilog forbids.
+    Redeclared(String),
     /// A syntax error from the parser (for [`parse_and_elaborate`]).
     Parse(String),
 }
@@ -34,6 +37,7 @@ impl fmt::Display for ElaborateError {
                 write!(f, "signal `{s}` is used before it is driven")
             }
             ElaborateError::UndeclaredSignal(s) => write!(f, "signal `{s}` is not declared"),
+            ElaborateError::Redeclared(s) => write!(f, "signal `{s}` is declared more than once"),
             ElaborateError::Parse(s) => write!(f, "{s}"),
         }
     }
@@ -80,10 +84,17 @@ pub fn extract_semantics(src: &str) -> Result<Prog, ElaborateError> {
 /// constants.
 ///
 /// # Errors
-/// Returns an error if the module has no output, a signal is undeclared, or a
-/// combinational signal is used before it is driven.
+/// Returns an error if the module has no output, a name is declared twice, a
+/// signal is undeclared, or a combinational signal is used before it is driven.
 pub fn elaborate(ast: &ModuleAst, params_as_inputs: bool) -> Result<Prog, ElaborateError> {
     let output_name = ast.outputs.first().cloned().ok_or(ElaborateError::NoOutput)?;
+    let decls = declarations(ast)?;
+    let declared_width = |name: &String| {
+        decls
+            .get(name.as_str())
+            .map(|s| s.width)
+            .ok_or_else(|| ElaborateError::UndeclaredSignal(name.clone()))
+    };
     let mut b = ProgBuilder::new(&ast.name);
     let mut env: HashMap<String, NodeId> = HashMap::new();
 
@@ -109,10 +120,7 @@ pub fn elaborate(ast: &ModuleAst, params_as_inputs: bool) -> Result<Prog, Elabor
     // can be referenced before (or within) the statements that drive them.
     for stmt in &ast.statements {
         if let Statement::NonBlocking { lhs, .. } = stmt {
-            let width = ast
-                .signal(lhs)
-                .map(|s| s.width)
-                .ok_or_else(|| ElaborateError::UndeclaredSignal(lhs.clone()))?;
+            let width = declared_width(lhs)?;
             env.entry(lhs.clone()).or_insert_with(|| b.reg_placeholder(width));
         }
     }
@@ -120,21 +128,15 @@ pub fn elaborate(ast: &ModuleAst, params_as_inputs: bool) -> Result<Prog, Elabor
     for stmt in &ast.statements {
         match stmt {
             Statement::Assign { lhs, rhs } => {
-                let width = ast
-                    .signal(lhs)
-                    .map(|s| s.width)
-                    .ok_or_else(|| ElaborateError::UndeclaredSignal(lhs.clone()))?;
-                let value = lower_expr(&mut b, &env, ast, rhs)?;
+                let width = declared_width(lhs)?;
+                let value = lower_expr(&mut b, &env, &decls, rhs)?;
                 let value = resize(&mut b, value, width);
                 env.insert(lhs.clone(), value);
             }
             Statement::NonBlocking { lhs, rhs } => {
                 // The placeholder loop above already rejected undeclared lhs names.
-                let width = ast
-                    .signal(lhs)
-                    .map(|s| s.width)
-                    .ok_or_else(|| ElaborateError::UndeclaredSignal(lhs.clone()))?;
-                let value = lower_expr(&mut b, &env, ast, rhs)?;
+                let width = declared_width(lhs)?;
+                let value = lower_expr(&mut b, &env, &decls, rhs)?;
                 let value = resize(&mut b, value, width);
                 let reg = env[lhs];
                 b.set_reg_data(reg, value);
@@ -144,6 +146,21 @@ pub fn elaborate(ast: &ModuleAst, params_as_inputs: bool) -> Result<Prog, Elabor
     let root =
         *env.get(&output_name).ok_or(ElaborateError::OutputNeverAssigned(output_name.clone()))?;
     Ok(b.finish(root))
+}
+
+/// The module's declarations by name, built once so that every lookup during
+/// elaboration is constant time.
+///
+/// # Errors
+/// Returns [`ElaborateError::Redeclared`] for the first name declared twice.
+fn declarations(ast: &ModuleAst) -> Result<HashMap<&str, &SignalDecl>, ElaborateError> {
+    let mut decls = HashMap::with_capacity(ast.signals.len());
+    for sig in &ast.signals {
+        if decls.insert(sig.name.as_str(), sig).is_some() {
+            return Err(ElaborateError::Redeclared(sig.name.clone()));
+        }
+    }
+    Ok(decls)
 }
 
 fn resize(b: &mut ProgBuilder, id: NodeId, width: u32) -> NodeId {
@@ -160,7 +177,7 @@ fn resize(b: &mut ProgBuilder, id: NodeId, width: u32) -> NodeId {
 fn lower_expr(
     b: &mut ProgBuilder,
     env: &HashMap<String, NodeId>,
-    ast: &ModuleAst,
+    decls: &HashMap<&str, &SignalDecl>,
     expr: &Expr,
 ) -> Result<NodeId, ElaborateError> {
     match expr {
@@ -168,14 +185,14 @@ fn lower_expr(
         Expr::Ident(name) => {
             if let Some(&id) = env.get(name) {
                 Ok(id)
-            } else if ast.signal(name).is_some() {
+            } else if decls.contains_key(name.as_str()) {
                 Err(ElaborateError::UseBeforeDefinition(name.clone()))
             } else {
                 Err(ElaborateError::UndeclaredSignal(name.clone()))
             }
         }
         Expr::Unary(op, inner) => {
-            let x = lower_expr(b, env, ast, inner)?;
+            let x = lower_expr(b, env, decls, inner)?;
             Ok(match op {
                 UnaryOp::Not => b.op1(BvOp::Not, x),
                 UnaryOp::Neg => b.op1(BvOp::Neg, x),
@@ -189,8 +206,8 @@ fn lower_expr(
             })
         }
         Expr::Binary(op, lhs, rhs) => {
-            let mut x = lower_expr(b, env, ast, lhs)?;
-            let mut y = lower_expr(b, env, ast, rhs)?;
+            let mut x = lower_expr(b, env, decls, lhs)?;
+            let mut y = lower_expr(b, env, decls, rhs)?;
             // Widen both operands to the larger width (Verilog's context rule,
             // restricted to our subset: widths are computed bottom-up, without
             // threading the assignment target's width into subexpressions).
@@ -249,10 +266,10 @@ fn lower_expr(
             })
         }
         Expr::Ternary(cond, then_, else_) => {
-            let c = lower_expr(b, env, ast, cond)?;
+            let c = lower_expr(b, env, decls, cond)?;
             let c1 = if b.width_of(c) == 1 { c } else { b.op1(BvOp::RedOr, c) };
-            let mut t = lower_expr(b, env, ast, then_)?;
-            let mut e = lower_expr(b, env, ast, else_)?;
+            let mut t = lower_expr(b, env, decls, then_)?;
+            let mut e = lower_expr(b, env, decls, else_)?;
             let w = b.width_of(t).max(b.width_of(e));
             t = resize(b, t, w);
             e = resize(b, e, w);
@@ -261,7 +278,7 @@ fn lower_expr(
         Expr::Concat(parts) => {
             let mut ids: Vec<NodeId> = Vec::new();
             for p in parts {
-                ids.push(lower_expr(b, env, ast, p)?);
+                ids.push(lower_expr(b, env, decls, p)?);
             }
             // {a, b, c}: a is most significant. Fold left with Concat(high, low).
             let mut acc = *ids.last().expect("concat is non-empty");
@@ -271,17 +288,17 @@ fn lower_expr(
             Ok(acc)
         }
         Expr::PartSelect(inner, hi, lo) => {
-            let x = lower_expr(b, env, ast, inner)?;
+            let x = lower_expr(b, env, decls, inner)?;
             Ok(b.extract(x, *hi, *lo))
         }
         Expr::BitSelect(inner, idx) => {
-            let x = lower_expr(b, env, ast, inner)?;
+            let x = lower_expr(b, env, decls, inner)?;
             Ok(b.extract(x, *idx, *idx))
         }
         Expr::DynBitSelect(inner, index) => {
             // x[i] with a non-constant index lowers to (x >> i)[0].
-            let x = lower_expr(b, env, ast, inner)?;
-            let i = lower_expr(b, env, ast, index)?;
+            let x = lower_expr(b, env, decls, inner)?;
+            let i = lower_expr(b, env, decls, index)?;
             let w = b.width_of(x);
             let i = resize(b, i, w);
             let shifted = b.op2(BvOp::Lshr, x, i);
@@ -404,6 +421,23 @@ endmodule
             parse_and_elaborate("module m(input a output y);"),
             Err(ElaborateError::Parse(_))
         ));
+    }
+
+    #[test]
+    fn a_name_declared_twice_is_rejected() {
+        // Two ports of different widths under one name, and an input declared
+        // again in the body: Verilog forbids both.
+        for src in [
+            "module m(input clk, input [7:0] a, input [3:0] a, output [7:0] out); \
+             assign out = a * a; endmodule",
+            "module m(input [7:0] a, output [7:0] out); wire [3:0] a; assign out = a; endmodule",
+        ] {
+            assert_eq!(
+                parse_and_elaborate(src),
+                Err(ElaborateError::Redeclared("a".to_string())),
+                "{src}"
+            );
+        }
     }
 
     #[test]

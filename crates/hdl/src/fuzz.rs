@@ -20,10 +20,16 @@
 //! implementation — needs the mapping engine and therefore lives upstream in
 //! `lr_bench` (`exp_fuzz`), calling the same agreement check.
 //!
+//! [`assign_chain`] generates one long chain of `assign`s instead: the shape
+//! that shows whether the frontend's cost grows linearly with design size and
+//! whether any stage recurses once per statement.
+//!
 //! The generator draws from the shared seeded [`lr_bv::Rng`] and is
 //! deterministic: the same seed always yields byte-identical source, so any
 //! failing seed is a one-line reproducer. Counterexamples this firehose shakes
 //! out are frozen as named fixtures under `tests/fixtures/`.
+
+use std::fmt::Write as _;
 
 use lr_bv::Rng;
 use lr_ir::{interp_equivalent, Prog};
@@ -264,6 +270,41 @@ pub fn generate_module(seed: u64) -> String {
     }
 
     format!("module fuzz_{seed:016x}({});\n{}\nendmodule\n", ports.join(", "), body.join("\n"))
+}
+
+/// One step of [`assign_chain`] on values: `(previous wire, [a, b, c])`.
+type ChainStep = fn(u8, [u8; 3]) -> u8;
+
+/// The steps of [`assign_chain`], taken in turn: the Verilog text that follows
+/// the previous wire's name, and the same step on values.
+const CHAIN_STEPS: [(&str, ChainStep); 4] = [
+    (" + a", |w, [a, _, _]| w.wrapping_add(a)),
+    (" ^ b", |w, [_, b, _]| w ^ b),
+    (" - c", |w, [_, _, c]| w.wrapping_sub(c)),
+    (" | (a & b)", |w, [a, b, _]| w | (a & b)),
+];
+
+/// A module of `len` chained 8-bit `assign`s, the frontend's design-size
+/// probe: wire `w{k + 1}` combines wire `w{k}` with input `a`, `b` or `c`,
+/// starting from `w0 = a`, and the output `out` reads the last wire.
+/// [`assign_chain_value`] evaluates the same chain directly.
+#[must_use]
+pub fn assign_chain(len: usize) -> String {
+    let mut text = String::from(
+        "module chain(input [7:0] a, b, c, output [7:0] out);\n  wire [7:0] w0;\n  assign w0 = a;\n",
+    );
+    for k in 0..len {
+        let (step, _) = CHAIN_STEPS[k % CHAIN_STEPS.len()];
+        let _ = writeln!(text, "  wire [7:0] w{};\n  assign w{} = w{k}{step};", k + 1, k + 1);
+    }
+    let _ = write!(text, "  assign out = w{len};\nendmodule\n");
+    text
+}
+
+/// The output of [`assign_chain`]`(len)` on inputs `a`, `b`, `c`.
+#[must_use]
+pub fn assign_chain_value(len: usize, inputs: [u8; 3]) -> u8 {
+    (0..len).fold(inputs[0], |w, k| (CHAIN_STEPS[k % CHAIN_STEPS.len()].1)(w, inputs))
 }
 
 /// The outcome of running the differential oracle on one seed.

@@ -572,9 +572,10 @@ endmodule
         assert_eq!(m.name, "add_mul_and");
         assert_eq!(m.outputs, vec!["out"]);
         assert_eq!(m.data_inputs().len(), 4);
-        assert_eq!(m.signal("a").unwrap().width, 16);
-        assert_eq!(m.signal("r").unwrap().width, 16);
-        assert!(m.signal("out").unwrap().is_reg);
+        let signal = |name: &str| m.signals.iter().find(|s| s.name == name).unwrap();
+        assert_eq!(signal("a").width, 16);
+        assert_eq!(signal("r").width, 16);
+        assert!(signal("out").is_reg);
         assert_eq!(m.statements.len(), 2);
         assert!(matches!(m.statements[0], Statement::NonBlocking { .. }));
     }
@@ -604,7 +605,7 @@ module lut2(input [1:0] in, output out);
 endmodule
 "#;
         let m = parse_module(src).unwrap();
-        let init = m.signal("INIT").unwrap();
+        let init = m.signals.iter().find(|s| s.name == "INIT").unwrap();
         assert!(init.is_parameter);
         assert_eq!(init.width, 4);
         assert_eq!(init.default.as_ref().unwrap().to_u64(), Some(8));

@@ -7,8 +7,10 @@
 //! microbenchmark design (emitted from IR rather than parsed, so this is the
 //! emit-side half of the loop over realistic DSP-shaped programs).
 
+use lr_bv::{BitVec, Rng};
+use lr_hdl::fuzz::{assign_chain, assign_chain_value};
 use lr_hdl::{check_seed, emit_verilog, parse_and_elaborate};
-use lr_ir::interp_equivalent;
+use lr_ir::{interp_equivalent, StreamInputs};
 
 const FIXTURES: &[(&str, &str)] = &[
     ("reg_data_forward_ref", include_str!("fixtures/reg_data_forward_ref.v")),
@@ -64,4 +66,30 @@ fn suite_designs_round_trip() {
         }
     }
     assert!(checked >= 1000, "suite unexpectedly small: {checked} designs");
+}
+
+#[test]
+fn long_assign_chains_round_trip_on_a_small_stack() {
+    // Neither elaboration, its width queries, emission nor evaluation may
+    // recurse once per assign.
+    const LEN: usize = 50_000;
+    let worker = std::thread::Builder::new().stack_size(256 << 10).spawn(|| {
+        let spec = parse_and_elaborate(&assign_chain(LEN)).expect("chain elaborates");
+        let reparsed =
+            parse_and_elaborate(&emit_verilog(&spec)).expect("emitted chain re-elaborates");
+        let mut rng = Rng::new(LEN as u64);
+        for _ in 0..4 {
+            let inputs = [0u8; 3].map(|_| rng.below(256) as u8);
+            let env = StreamInputs::from_constants(
+                ["a", "b", "c"]
+                    .into_iter()
+                    .zip(inputs)
+                    .map(|(name, v)| (name.to_string(), BitVec::from_u64(u64::from(v), 8))),
+            );
+            let want = BitVec::from_u64(u64::from(assign_chain_value(LEN, inputs)), 8);
+            assert_eq!(spec.interp(&env, 0), Ok(want.clone()), "elaborated, inputs {inputs:?}");
+            assert_eq!(reparsed.interp(&env, 0), Ok(want), "re-elaborated, inputs {inputs:?}");
+        }
+    });
+    worker.expect("spawn").join().expect("no stack overflow");
 }

@@ -43,7 +43,7 @@ impl Prog {
     /// this level. Holes never occur inside primitive semantics (those are ℒbeh).
     pub fn holes(&self) -> Vec<HoleInfo> {
         let mut out = Vec::new();
-        for node in self.nodes.values() {
+        for (_, node) in self.nodes() {
             if let Node::Hole { name, width, domain } = node {
                 out.push(HoleInfo { name: name.clone(), width: *width, domain: domain.clone() });
             }
@@ -54,13 +54,13 @@ impl Prog {
 
     /// Whether the program contains any holes (making it a sketch).
     pub fn has_holes(&self) -> bool {
-        self.nodes.values().any(|n| matches!(n, Node::Hole { .. }))
+        self.nodes().any(|(_, n)| matches!(n, Node::Hole { .. }))
     }
 
     /// Whether the program is in the behavioral fragment ℒbeh (no primitives, no
     /// holes).
     pub fn is_behavioral(&self) -> bool {
-        self.nodes.values().all(|n| !matches!(n, Node::Prim(_) | Node::Hole { .. }))
+        self.nodes().all(|(_, n)| !matches!(n, Node::Prim(_) | Node::Hole { .. }))
     }
 
     /// Whether the program is in the structural fragment ℒstruct: no operator nodes
@@ -68,7 +68,7 @@ impl Prog {
     /// construction). Registers are permitted at the top level as an extension; the
     /// structural Verilog emitter lowers them to flip-flop always-blocks.
     pub fn is_structural(&self) -> bool {
-        self.nodes.values().all(|n| match n {
+        self.nodes().all(|(_, n)| match n {
             Node::Op(op, _) => matches!(
                 op,
                 // Pure wiring operators are allowed in structural programs: they
@@ -86,7 +86,7 @@ impl Prog {
     /// Whether the program is in the sketch fragment ℒsketch: like ℒstruct but holes
     /// are allowed.
     pub fn is_sketch(&self) -> bool {
-        self.nodes.values().all(|n| match n {
+        self.nodes().all(|(_, n)| match n {
             Node::Op(op, _) => matches!(
                 op,
                 lr_smt::BvOp::Concat
@@ -106,8 +106,8 @@ impl Prog {
     /// the wrong width, or an assignment outside its domain.
     pub fn fill_holes(&self, assignment: &BTreeMap<String, BitVec>) -> Result<Prog, String> {
         let mut out = self.clone();
-        for node in out.nodes.values_mut() {
-            if let Node::Hole { name, width, domain } = node {
+        for slot in out.nodes.values_mut() {
+            if let Node::Hole { name, width, domain } = &slot.node {
                 let value = assignment
                     .get(name)
                     .ok_or_else(|| format!("no assignment for hole `{name}`"))?;
@@ -120,7 +120,7 @@ impl Prog {
                 if !domain.contains(value) {
                     return Err(format!("value {value} is outside the domain of hole `{name}`"));
                 }
-                *node = Node::BV(value.clone());
+                slot.node = Node::BV(value.clone());
             }
         }
         Ok(out)

@@ -408,7 +408,7 @@ mod tests {
         nodes.insert(NodeId(0), Node::BV(BitVec::from_u64(1, 8)));
         nodes.insert(NodeId(1), Node::Op(BvOp::Add, vec![NodeId(0), NodeId(2)]));
         nodes.insert(NodeId(2), Node::Reg { data: NodeId(1), init: BitVec::zeros(8) });
-        let prog = Prog { name: "counter".into(), root: NodeId(2), nodes, inputs: vec![] };
+        let prog = Prog::from_nodes("counter", NodeId(2), nodes);
         let env = StreamInputs::new();
         for t in 0..10 {
             assert_eq!(prog.interp(&env, t).unwrap(), BitVec::from_u64(t as u64, 8));
@@ -468,7 +468,8 @@ mod tests {
 
     #[test]
     fn deep_chains_interpret_on_a_small_stack() {
-        // out = a + 1 + 1 + ... (100 000 additions), on a 256 KiB stack.
+        // out = a + 1 + 1 + ... (100 000 additions), on a 256 KiB stack; width
+        // queries on the chain's end must not walk it either.
         let worker = std::thread::Builder::new().stack_size(256 << 10).spawn(|| {
             let mut b = ProgBuilder::new("chain");
             let one = b.constant_u64(1, 32);
@@ -476,10 +477,12 @@ mod tests {
             for _ in 0..100_000 {
                 x = b.op2(BvOp::Add, x, one);
             }
+            let built_width = b.width_of(x);
             let prog = b.finish(x);
-            prog.interp(&inputs(&[("a", 5, 32)]), 0)
+            (built_width, prog.width(prog.root()), prog.interp(&inputs(&[("a", 5, 32)]), 0))
         });
-        let value = worker.expect("spawn").join().expect("no stack overflow");
+        let (built_width, width, value) = worker.expect("spawn").join().expect("no stack overflow");
+        assert_eq!((built_width, width), (32, 32));
         assert_eq!(value, Ok(BitVec::from_u64(100_005, 32)));
     }
 
@@ -490,7 +493,7 @@ mod tests {
         let mut nodes = std::collections::BTreeMap::new();
         nodes.insert(NodeId(0), Node::Op(BvOp::And, vec![NodeId(1), NodeId(1)]));
         nodes.insert(NodeId(1), Node::Op(BvOp::Or, vec![NodeId(0), NodeId(0)]));
-        let prog = Prog { name: "loop".into(), root: NodeId(0), nodes, inputs: vec![] };
+        let prog = Prog::from_nodes("loop", NodeId(0), nodes);
         assert!(matches!(prog.interp(&StreamInputs::new(), 0), Err(InterpError::IllFormed(_))));
     }
 

@@ -127,9 +127,21 @@ pub enum Node {
 pub struct Prog {
     name: String,
     root: NodeId,
-    nodes: BTreeMap<NodeId, Node>,
+    nodes: BTreeMap<NodeId, Slot>,
     /// Declared input order (for HDL round-tripping and report stability).
     inputs: Vec<(String, u32)>,
+}
+
+/// A node beside its width, which [`Node::width_from`] fixed when the node was
+/// added to its program. The width is `None` only in an ill-formed program,
+/// for a node that reads a missing node or one without a width.
+///
+/// The width lives in the node map's entry rather than in a table of its own
+/// so that `Prog`, which every primitive node embeds, keeps its size.
+#[derive(Debug, Clone, PartialEq)]
+struct Slot {
+    node: Node,
+    width: Option<u32>,
 }
 
 impl Prog {
@@ -145,12 +157,12 @@ impl Prog {
 
     /// The node behind an id, if it exists in this program (not in sub-programs).
     pub fn node(&self, id: NodeId) -> Option<&Node> {
-        self.nodes.get(&id)
+        self.nodes.get(&id).map(|slot| &slot.node)
     }
 
     /// Iterates over `(id, node)` pairs in ascending id order.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &Node)> {
-        self.nodes.iter().map(|(&id, n)| (id, n))
+        self.nodes.iter().map(|(&id, slot)| (id, &slot.node))
     }
 
     /// Number of nodes in this program (excluding sub-programs).
@@ -172,7 +184,7 @@ impl Prog {
     /// (sub-program variables are bound by their primitive's binding map).
     pub fn free_vars(&self) -> Vec<(String, u32)> {
         let mut seen = std::collections::BTreeMap::new();
-        for node in self.nodes.values() {
+        for (_, node) in self.nodes() {
             if let Node::Var { name, width } = node {
                 seen.entry(name.clone()).or_insert(*width);
             }
@@ -180,19 +192,23 @@ impl Prog {
         seen.into_iter().collect()
     }
 
-    /// The width in bits of a node.
+    /// The width in bits of a node. Each node's width was fixed when the node
+    /// was added, so this is a lookup that costs the same at any depth of the
+    /// graph.
     ///
     /// # Panics
-    /// Panics if the id does not belong to this program.
+    /// Panics if the id does not belong to this program, or names an operator
+    /// node that reads a node missing from it (an ill-formed program).
     pub fn width(&self, id: NodeId) -> u32 {
-        width_in(&self.nodes, id)
+        stored_width(&self.nodes, id)
+            .unwrap_or_else(|| panic!("{id} has no width in `{}`", self.name))
     }
 
     /// Ids of all nodes in this program and, recursively, in primitive sub-programs
     /// (the paper's `p.all_ids`).
     pub fn all_ids(&self) -> Vec<NodeId> {
         let mut out: Vec<NodeId> = Vec::new();
-        for (&id, node) in &self.nodes {
+        for (id, node) in self.nodes() {
             out.push(id);
             if let Node::Prim(p) = node {
                 out.extend(p.semantics.all_ids());
@@ -203,7 +219,7 @@ impl Prog {
 
     /// The inputs of a node (the `inputs` function of §3.2.1).
     pub fn node_inputs(&self, id: NodeId) -> Vec<NodeId> {
-        match &self.nodes[&id] {
+        match &self.nodes[&id].node {
             Node::BV(_) | Node::Var { .. } | Node::Hole { .. } => Vec::new(),
             Node::Op(_, args) => args.clone(),
             Node::Reg { data, .. } => vec![*data],
@@ -226,8 +242,8 @@ impl Prog {
         let nodes = self
             .nodes
             .iter()
-            .map(|(&id, node)| {
-                let node = match node {
+            .map(|(&id, slot)| {
+                let node = match &slot.node {
                     Node::BV(bv) => Node::BV(bv.clone()),
                     Node::Var { name, width } => Node::Var { name: name.clone(), width: *width },
                     Node::Hole { name, width, domain } => {
@@ -246,7 +262,7 @@ impl Prog {
                         output_port: p.output_port.clone(),
                     }),
                 };
-                (remap(id), node)
+                (remap(id), Slot { node, width: slot.width })
             })
             .collect();
         Prog { name: self.name.clone(), root: remap(self.root), nodes, inputs: self.inputs.clone() }
@@ -261,7 +277,7 @@ impl Prog {
     /// Counts nodes by kind; used by resource accounting and reports.
     pub fn count_kinds(&self) -> ProgStats {
         let mut stats = ProgStats::default();
-        for node in self.nodes.values() {
+        for (_, node) in self.nodes() {
             match node {
                 Node::BV(_) => stats.constants += 1,
                 Node::Var { .. } => stats.vars += 1,
@@ -275,40 +291,45 @@ impl Prog {
     }
 }
 
-/// Computes the width of a node from a node map (shared between [`Prog::width`]
-/// and [`ProgBuilder::width_of`], so widths can be queried while a program is
-/// still being built — without cloning and finishing the builder).
-///
-/// Register nodes never recurse (their width is fixed by their init value), so
-/// the self-referential placeholders of [`ProgBuilder::reg_placeholder`] are
-/// safe to query.
-fn width_in(nodes: &BTreeMap<NodeId, Node>, id: NodeId) -> u32 {
-    match &nodes[&id] {
-        Node::BV(bv) => bv.width(),
-        Node::Var { width, .. } => *width,
-        Node::Hole { width, .. } => *width,
-        Node::Reg { init, .. } => init.width(),
-        Node::Prim(p) => p.semantics.width(p.semantics.root()),
-        Node::Op(op, args) => {
-            let w = |i: usize| width_in(nodes, args[i]);
-            match op {
-                BvOp::Not | BvOp::Neg => w(0),
-                BvOp::Concat => w(0) + w(1),
-                BvOp::Extract { hi, lo } => hi - lo + 1,
-                BvOp::ZeroExt { width } | BvOp::SignExt { width } => *width,
-                BvOp::Eq
-                | BvOp::Ult
-                | BvOp::Ule
-                | BvOp::Slt
-                | BvOp::Sle
-                | BvOp::RedOr
-                | BvOp::RedAnd
-                | BvOp::RedXor => 1,
-                BvOp::Ite => w(1),
-                _ => w(0),
+impl Node {
+    /// The width of this node, from the stored widths of the nodes it reads
+    /// in `nodes`. This is the one width rule: a program applies it once per
+    /// node, as the node is added, so no width query walks the graph. Returns
+    /// `None` when an operand the rule reads has no width (it is missing, or
+    /// is itself such a node).
+    fn width_from(&self, nodes: &BTreeMap<NodeId, Slot>) -> Option<u32> {
+        match self {
+            Node::BV(bv) => Some(bv.width()),
+            Node::Var { width, .. } | Node::Hole { width, .. } => Some(*width),
+            // Never reads `data`, so a register placeholder pointing at
+            // itself has a width.
+            Node::Reg { init, .. } => Some(init.width()),
+            Node::Prim(p) => stored_width(&p.semantics.nodes, p.semantics.root),
+            Node::Op(op, args) => {
+                let w = |i: usize| args.get(i).and_then(|&a| stored_width(nodes, a));
+                match op {
+                    BvOp::Concat => Some(w(0)? + w(1)?),
+                    BvOp::Extract { hi, lo } => Some(hi - lo + 1),
+                    BvOp::ZeroExt { width } | BvOp::SignExt { width } => Some(*width),
+                    BvOp::Eq
+                    | BvOp::Ult
+                    | BvOp::Ule
+                    | BvOp::Slt
+                    | BvOp::Sle
+                    | BvOp::RedOr
+                    | BvOp::RedAnd
+                    | BvOp::RedXor => Some(1),
+                    BvOp::Ite => w(1),
+                    _ => w(0),
+                }
             }
         }
     }
+}
+
+/// The stored width of a node of a program or builder, if it has one.
+fn stored_width(nodes: &BTreeMap<NodeId, Slot>, id: NodeId) -> Option<u32> {
+    nodes.get(&id).and_then(|slot| slot.width)
 }
 
 /// Node counts per kind for a program (top level only).
@@ -333,7 +354,7 @@ pub struct ProgStats {
 #[derive(Debug, Clone)]
 pub struct ProgBuilder {
     name: String,
-    nodes: BTreeMap<NodeId, Node>,
+    nodes: BTreeMap<NodeId, Slot>,
     inputs: Vec<(String, u32)>,
     next_id: u32,
 }
@@ -353,7 +374,8 @@ impl ProgBuilder {
     fn insert(&mut self, node: Node) -> NodeId {
         let id = NodeId(self.next_id);
         self.next_id += 1;
-        self.nodes.insert(id, node);
+        let width = node.width_from(&self.nodes);
+        self.nodes.insert(id, Slot { node, width });
         id
     }
 
@@ -365,14 +387,16 @@ impl ProgBuilder {
     /// The width in bits of a node already added to this builder.
     ///
     /// This is the query HDL elaboration uses to apply Verilog width-context
-    /// rules while the program is still under construction; it reads the
-    /// builder's node map directly instead of cloning and finishing a
-    /// throwaway program per lookup (which was quadratic in module size).
+    /// rules while the program is still under construction. Each node's width
+    /// was recorded when the node was added, so the query is a lookup that
+    /// costs the same however long the node's operand chain is.
     ///
     /// # Panics
-    /// Panics if the id was not allocated by this builder.
+    /// Panics if the id was not allocated by this builder, or names an
+    /// operator node that reads a missing node.
     pub fn width_of(&self, id: NodeId) -> u32 {
-        width_in(&self.nodes, id)
+        stored_width(&self.nodes, id)
+            .unwrap_or_else(|| panic!("{id} has no width in builder `{}`", self.name))
     }
 
     /// Adds a constant node.
@@ -456,10 +480,7 @@ impl ProgBuilder {
     /// (AIGER latches may reset to 1, which a zero-initialized placeholder
     /// cannot express).
     pub fn reg_placeholder_init(&mut self, init: BitVec) -> NodeId {
-        let id = NodeId(self.next_id);
-        self.next_id += 1;
-        self.nodes.insert(id, Node::Reg { data: id, init });
-        id
+        self.insert(Node::Reg { data: NodeId(self.next_id), init })
     }
 
     /// Patches the data input of a register created by [`ProgBuilder::reg_placeholder`].
@@ -467,7 +488,7 @@ impl ProgBuilder {
     /// # Panics
     /// Panics if `reg` is not a register node of this builder.
     pub fn set_reg_data(&mut self, reg: NodeId, data: NodeId) {
-        match self.nodes.get_mut(&reg) {
+        match self.nodes.get_mut(&reg).map(|slot| &mut slot.node) {
             Some(Node::Reg { data: slot, .. }) => *slot = data,
             _ => panic!("set_reg_data: {reg} is not a register node"),
         }
@@ -492,7 +513,8 @@ impl ProgBuilder {
     /// Ids are shifted uniformly (as in [`Prog::with_id_offset`]) so primitive
     /// sub-programs stay disjoint from this builder's ids (condition W2).
     /// Variables *not* named in `subst` are copied as-is and stay free; they are
-    /// not recorded as declared inputs.
+    /// not recorded as declared inputs. Each copied node keeps its width in
+    /// `prog`: a substitution has the width of the variable it replaces.
     ///
     /// # Panics
     /// Panics if a substituted node's width differs from the variable it
@@ -515,11 +537,11 @@ impl ProgBuilder {
             }
         }
         let rd = |id: NodeId| redirect.get(&id).copied().unwrap_or(id);
-        for (id, node) in shifted.nodes() {
+        for (&id, slot) in &shifted.nodes {
             if redirect.contains_key(&id) {
                 continue; // The variable dissolves into its driver.
             }
-            let node = match node {
+            let node = match &slot.node {
                 Node::Op(op, args) => Node::Op(*op, args.iter().map(|&a| rd(a)).collect()),
                 Node::Reg { data, init } => Node::Reg { data: rd(*data), init: init.clone() },
                 Node::Prim(p) => Node::Prim(PrimInstance {
@@ -528,7 +550,7 @@ impl ProgBuilder {
                 }),
                 other => other.clone(),
             };
-            self.nodes.insert(id, node);
+            self.nodes.insert(id, Slot { node, width: slot.width });
         }
         rd(shifted.root())
     }
@@ -540,6 +562,22 @@ impl ProgBuilder {
     pub fn finish(self, root: NodeId) -> Prog {
         assert!(self.nodes.contains_key(&root), "root node was not created by this builder");
         Prog { name: self.name, root, nodes: self.nodes, inputs: self.inputs }
+    }
+}
+
+#[cfg(test)]
+impl Prog {
+    /// A program from a hand-written node map, for test fixtures the builder
+    /// cannot express (combinational loops, dangling inputs, a missing root).
+    /// Widths follow [`Node::width_from`] in ascending id order, so a node whose
+    /// width depends on a later or missing node gets none.
+    pub(crate) fn from_nodes(name: &str, root: NodeId, nodes: BTreeMap<NodeId, Node>) -> Prog {
+        let mut slots = BTreeMap::new();
+        for (id, node) in nodes {
+            let width = node.width_from(&slots);
+            slots.insert(id, Slot { node, width });
+        }
+        Prog { name: name.to_string(), root, nodes: slots, inputs: Vec::new() }
     }
 }
 

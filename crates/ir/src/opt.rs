@@ -11,14 +11,15 @@ use std::collections::BTreeMap;
 
 use lr_bv::BitVec;
 
-use crate::{Node, NodeId, Prog};
+use crate::{Node, NodeId, Prog, Slot};
 
 impl Prog {
     /// Returns an equivalent program with constant sub-expressions folded,
     /// constant-condition multiplexers resolved, and unreachable nodes removed.
     /// Primitive semantics sub-programs are left untouched.
     pub fn simplified(&self) -> Prog {
-        let mut nodes: BTreeMap<NodeId, Node> = self.nodes.clone();
+        let mut nodes: BTreeMap<NodeId, Node> =
+            self.nodes().map(|(id, node)| (id, node.clone())).collect();
         let mut alias: BTreeMap<NodeId, NodeId> = BTreeMap::new();
 
         // A few ascending passes reach a fixpoint for builder-shaped programs
@@ -82,8 +83,12 @@ impl Prog {
                 _ => {}
             }
         }
-        let nodes: BTreeMap<NodeId, Node> =
-            nodes.into_iter().filter(|(id, _)| reachable.contains(id)).collect();
+        // Folding and aliasing keep every node's width, so each carries over.
+        let nodes = nodes
+            .into_iter()
+            .filter(|(id, _)| reachable.contains(id))
+            .map(|(id, node)| (id, Slot { node, width: self.nodes[&id].width }))
+            .collect();
         Prog { name: self.name.clone(), root, nodes, inputs: self.inputs.clone() }
     }
 }
@@ -257,6 +262,43 @@ mod tests {
             b.finish(root)
         }
 
+        /// The width rule applied recursively through a node's operands: the
+        /// reference every program's stored widths must agree with.
+        fn reference_width(prog: &Prog, id: NodeId) -> u32 {
+            match prog.node(id).expect("id belongs to the program") {
+                Node::BV(bv) => bv.width(),
+                Node::Var { width, .. } | Node::Hole { width, .. } => *width,
+                Node::Reg { init, .. } => init.width(),
+                Node::Prim(p) => reference_width(&p.semantics, p.semantics.root()),
+                Node::Op(op, args) => {
+                    let w = |i: usize| reference_width(prog, args[i]);
+                    match op {
+                        BvOp::Not | BvOp::Neg => w(0),
+                        BvOp::Concat => w(0) + w(1),
+                        BvOp::Extract { hi, lo } => hi - lo + 1,
+                        BvOp::ZeroExt { width } | BvOp::SignExt { width } => *width,
+                        BvOp::Eq
+                        | BvOp::Ult
+                        | BvOp::Ule
+                        | BvOp::Slt
+                        | BvOp::Sle
+                        | BvOp::RedOr
+                        | BvOp::RedAnd
+                        | BvOp::RedXor => 1,
+                        BvOp::Ite => w(1),
+                        _ => w(0),
+                    }
+                }
+            }
+        }
+
+        fn widths_match_reference(prog: &Prog, what: &str) -> TestCaseResult {
+            for (id, _) in prog.nodes() {
+                prop_assert_eq!(prog.width(id), reference_width(prog, id), "{} node {}", what, id);
+            }
+            Ok(())
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -274,6 +316,12 @@ mod tests {
                     simplified.well_formed()
                 );
                 prop_assert!(simplified.len() <= prog.len(), "simplification must not grow programs");
+                // Every assembler of a `Prog` carries widths that agree with the
+                // rule applied from scratch.
+                widths_match_reference(&prog, "built")?;
+                widths_match_reference(&simplified, "simplified")?;
+                widths_match_reference(&prog.with_id_offset(1000), "offset")?;
+                widths_match_reference(&prog.saturated(), "saturated")?;
                 // One schedule traces every environment below.
                 let schedule = prog.schedule().unwrap();
                 for (a, bv, c) in inputs {

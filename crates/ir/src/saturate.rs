@@ -21,7 +21,7 @@ use lr_egraph::{
 };
 use lr_smt::BvOp;
 
-use crate::{Node, NodeId, Prog};
+use crate::{Node, NodeId, Prog, Slot};
 
 /// The result of a saturation pass, with the counters the benchmarks record.
 #[derive(Debug, Clone)]
@@ -186,14 +186,22 @@ impl Prog {
 
         // Rebuild: original nodes keep their ids; extracted expressions get fresh
         // ids above the current maximum (preserving W2 global uniqueness).
-        let mut nodes: BTreeMap<NodeId, Node> = self.nodes.clone();
+        let mut nodes: BTreeMap<NodeId, Slot> = self.nodes.clone();
         let mut next_id = self.max_id().map(|m| m + 1).unwrap_or(0);
         let mut var_ids: HashMap<&str, NodeId> = HashMap::new();
-        for (&id, node) in &self.nodes {
+        for (id, node) in self.nodes() {
             if let Node::Var { name, .. } = node {
                 var_ids.entry(name.as_str()).or_insert(id);
             }
         }
+        let mut add = |node: Node| {
+            let id = NodeId(next_id);
+            next_id += 1;
+            // Operands are extracted before their users, so their widths are known.
+            let width = node.width_from(&nodes);
+            nodes.insert(id, Slot { node, width });
+            id
+        };
         let mut expr_ids: Vec<NodeId> = Vec::with_capacity(expr.len());
         for rec in &expr.nodes {
             let id = match rec {
@@ -204,18 +212,9 @@ impl Prog {
                     Some(SymbolKind::Opaque(id)) => id,
                     None => unreachable!("saturate only embeds v!/o! symbols"),
                 },
-                RecNode::Const(bv) => {
-                    let id = NodeId(next_id);
-                    next_id += 1;
-                    nodes.insert(id, Node::BV(bv.clone()));
-                    id
-                }
+                RecNode::Const(bv) => add(Node::BV(bv.clone())),
                 RecNode::Op { op, args } => {
-                    let args: Vec<NodeId> = args.iter().map(|&i| expr_ids[i]).collect();
-                    let id = NodeId(next_id);
-                    next_id += 1;
-                    nodes.insert(id, Node::Op(*op, args));
-                    id
+                    add(Node::Op(*op, args.iter().map(|&i| expr_ids[i]).collect()))
                 }
             };
             expr_ids.push(id);
@@ -224,8 +223,8 @@ impl Prog {
             cone_roots.iter().zip(&root_indices).map(|(&old, &idx)| (old, expr_ids[idx])).collect();
 
         // Re-point the sequential/structural boundaries at the canonical cones.
-        for node in nodes.values_mut() {
-            match node {
+        for slot in nodes.values_mut() {
+            match &mut slot.node {
                 Node::Reg { data, .. } => {
                     if let Some(&new) = extracted.get(data) {
                         *data = new;
@@ -252,17 +251,14 @@ impl Prog {
             if !reachable.insert(id) {
                 continue;
             }
-            match &nodes[&id] {
+            match &nodes[&id].node {
                 Node::Op(_, args) => stack.extend(args.iter().copied()),
                 Node::Reg { data, .. } => stack.push(*data),
                 Node::Prim(p) => stack.extend(p.bindings.values().copied()),
                 _ => {}
             }
         }
-        let nodes: BTreeMap<NodeId, Node> = nodes
-            .into_iter()
-            .filter(|(id, node)| reachable.contains(id) || matches!(node, Node::Var { .. }))
-            .collect();
+        nodes.retain(|id, slot| reachable.contains(id) || matches!(slot.node, Node::Var { .. }));
         let prog = Prog { name: self.name.clone(), root, nodes, inputs: self.inputs.clone() };
         if sp.is_active() {
             sp.attr("cones", cone_roots.len() as u64);

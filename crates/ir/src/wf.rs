@@ -138,7 +138,7 @@ impl Prog {
         &self,
         edges: &mut Vec<(NodeId, NodeId)>,
     ) -> Result<(), WellFormednessError> {
-        for (&id, node) in &self.nodes {
+        for (id, node) in self.nodes() {
             match node {
                 Node::Op(op, args) => {
                     if args.len() != op.arity() {
@@ -191,7 +191,7 @@ impl Prog {
                     // Rule 2: w(prim) > w(sub-program root).
                     edges.push((p.semantics.root, id));
                     // Rule 3: for Var x nodes inside the sub-program, w(var) > w(bs[x]).
-                    for (&sub_id, sub_node) in &p.semantics.nodes {
+                    for (sub_id, sub_node) in p.semantics.nodes() {
                         if let Node::Var { name, .. } = sub_node {
                             if let Some(&outer) = p.bindings.get(name) {
                                 edges.push((outer, sub_id));
@@ -246,7 +246,7 @@ mod tests {
         );
         nodes
             .insert(crate::NodeId(2), Node::Reg { data: crate::NodeId(1), init: BitVec::zeros(8) });
-        let prog = Prog { name: "counter".into(), root: crate::NodeId(2), nodes, inputs: vec![] };
+        let prog = Prog::from_nodes("counter", crate::NodeId(2), nodes);
         assert!(prog.well_formed().is_ok());
     }
 
@@ -261,7 +261,7 @@ mod tests {
         );
         nodes
             .insert(crate::NodeId(1), Node::Op(BvOp::Or, vec![crate::NodeId(0), crate::NodeId(0)]));
-        let prog = Prog { name: "loop".into(), root: crate::NodeId(0), nodes, inputs: vec![] };
+        let prog = Prog::from_nodes("loop", crate::NodeId(0), nodes);
         assert!(matches!(prog.well_formed(), Err(WellFormednessError::CombinationalLoop { .. })));
     }
 
@@ -270,7 +270,7 @@ mod tests {
         use crate::{Node, Prog};
         let mut nodes = Map::new();
         nodes.insert(crate::NodeId(0), Node::Op(BvOp::Not, vec![crate::NodeId(7)]));
-        let prog = Prog { name: "bad".into(), root: crate::NodeId(0), nodes, inputs: vec![] };
+        let prog = Prog::from_nodes("bad", crate::NodeId(0), nodes);
         assert!(matches!(prog.well_formed(), Err(WellFormednessError::DanglingInput { .. })));
     }
 
@@ -279,7 +279,7 @@ mod tests {
         use crate::{Node, Prog};
         let mut nodes = Map::new();
         nodes.insert(crate::NodeId(0), Node::BV(BitVec::zeros(1)));
-        let prog = Prog { name: "bad".into(), root: crate::NodeId(3), nodes, inputs: vec![] };
+        let prog = Prog::from_nodes("bad", crate::NodeId(3), nodes);
         assert_eq!(prog.well_formed(), Err(WellFormednessError::RootMissing(crate::NodeId(3))));
     }
 
@@ -289,7 +289,7 @@ mod tests {
         let mut nodes = Map::new();
         nodes.insert(crate::NodeId(0), Node::BV(BitVec::zeros(4)));
         nodes.insert(crate::NodeId(1), Node::Op(BvOp::Add, vec![crate::NodeId(0)]));
-        let prog = Prog { name: "bad".into(), root: crate::NodeId(1), nodes, inputs: vec![] };
+        let prog = Prog::from_nodes("bad", crate::NodeId(1), nodes);
         assert!(matches!(prog.well_formed(), Err(WellFormednessError::BadArity { .. })));
     }
 
