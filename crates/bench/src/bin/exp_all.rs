@@ -2,7 +2,7 @@
 //! Scale is selected with `--quick` (default), `--smoke`, or `--full`.
 //!
 //! The completeness sweeps run their independent mapping jobs on the `lr_serve`
-//! work-stealing scheduler; `--jobs <N>` picks the worker count (default: the
+//! batch scheduler; `--jobs <N>` picks the worker count (default: the
 //! machine's parallelism). For jobs that finish within their budget, verdicts,
 //! resources, and tallies are identical at any worker count — per-job wall
 //! times are measured under whatever CPU contention the workers create, and a

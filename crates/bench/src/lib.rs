@@ -197,7 +197,7 @@ pub fn run_architecture(arch: &Architecture, scale: Scale) -> ArchResults {
 }
 
 /// [`run_architecture`] with an explicit worker count: the sweep's independent
-/// mapping jobs run concurrently on the `lr_serve` work-stealing scheduler,
+/// mapping jobs run concurrently on the `lr_serve` batch scheduler,
 /// and the records fold back in submission order, so tallies and resource
 /// tables are identical at any worker count.
 pub fn run_architecture_with(arch: &Architecture, scale: Scale, workers: usize) -> ArchResults {

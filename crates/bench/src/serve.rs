@@ -48,8 +48,6 @@ pub struct ScalingRun {
     pub timeouts: usize,
     /// Unposeable jobs.
     pub errors: usize,
-    /// Jobs that migrated between workers.
-    pub steals: u64,
 }
 
 /// One phase of the cache experiment (cold or warm).
@@ -147,7 +145,6 @@ impl Record for ServeReport {
                 ("unsats", Json::Num(r.unsats as f64)),
                 ("timeouts", Json::Num(r.timeouts as f64)),
                 ("errors", Json::Num(r.errors as f64)),
-                ("steals", Json::Num(r.steals as f64)),
             ])
         });
         let cache = [&self.cold, &self.warm].map(|p| {
@@ -216,7 +213,7 @@ impl Record for ServeReport {
         println!("\n-- Batch scaling: mixed workload of {} jobs, cold cache --", self.scaling_jobs);
         for r in &self.scaling {
             println!(
-                "  {} worker{}  {:8.1} ms  {:6.2} jobs/s  ({} success / {} unsat / {} timeout / {} error, {} steals)",
+                "  {} worker{}  {:8.1} ms  {:6.2} jobs/s  ({} success / {} unsat / {} timeout / {} error)",
                 r.workers,
                 if r.workers == 1 { " " } else { "s" },
                 r.wall_ms,
@@ -225,7 +222,6 @@ impl Record for ServeReport {
                 r.unsats,
                 r.timeouts,
                 r.errors,
-                r.steals,
             );
         }
         if let Some(speedup) = self.speedup_4v1() {
@@ -309,7 +305,6 @@ pub fn run_serve_experiment(scale: Scale) -> ServeReport {
             unsats: report.unsats,
             timeouts: report.timeouts,
             errors: report.errors,
-            steals: run.steals,
         });
     }
 
@@ -356,7 +351,6 @@ mod tests {
                     unsats: 0,
                     timeouts: 6,
                     errors: 0,
-                    steals: 0,
                 },
                 ScalingRun {
                     workers: 4,
@@ -366,7 +360,6 @@ mod tests {
                     unsats: 0,
                     timeouts: 6,
                     errors: 0,
-                    steals: 3,
                 },
             ],
             cold: CachePhase {

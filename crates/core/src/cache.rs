@@ -10,7 +10,7 @@
 //! requests, batches, and (with `lr_serve`'s on-disk persistence) processes.
 //!
 //! This module defines what a cache stores and how keys are computed; the
-//! sharded map, persistence, and statistics live in `lr_serve`, which plugs in
+//! map, persistence, and statistics live in `lr_serve`, which plugs in
 //! through [`MapCache`] on [`crate::MapConfig::cache`]. Three design points:
 //!
 //! * **Keys are AC-normalized.** Extraction breaks cost ties deterministically,
@@ -70,11 +70,6 @@ impl FromStr for CacheKey {
 }
 
 impl CacheKey {
-    /// The shard index for this key among `shards` shards.
-    pub fn shard(&self, shards: usize) -> usize {
-        (self.0[0] as usize) % shards.max(1)
-    }
-
     /// Computes the content address of one mapping job. `spec` must be the
     /// *prepared* spec — already canonicalized when the e-graph is on — since the
     /// whole point is that equal canonical forms share an address.

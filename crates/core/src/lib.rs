@@ -73,7 +73,7 @@ pub struct MapConfig {
     /// Content-addressed synthesis cache (see [`cache`]): consulted before
     /// synthesis under the canonical spec's [`CacheKey`], fed after. `None`
     /// (the default) synthesizes every request from scratch; the `lr_serve`
-    /// batch engine installs its sharded [`MapCache`] here.
+    /// batch engine installs its [`MapCache`] here.
     pub cache: Option<Arc<dyn MapCache>>,
     /// The budget used for the cache key's timeout tier; defaults to
     /// [`MapConfig::timeout`]. Callers that shrink `timeout` *dynamically* —

@@ -24,6 +24,17 @@ pub enum ElaborateError {
     /// A name is declared more than once (as ports, wires, registers or
     /// parameters, in any combination), which Verilog forbids.
     Redeclared(String),
+    /// A part-select `[hi:lo]` or bit-select `[hi]` (then `lo == hi`) whose
+    /// bounds are reversed or reach past the `width` bits of the selected
+    /// expression.
+    SelectOutOfRange {
+        /// The select's upper bound.
+        hi: u32,
+        /// The select's lower bound.
+        lo: u32,
+        /// The width of the selected expression.
+        width: u32,
+    },
     /// A syntax error from the parser (for [`parse_and_elaborate`]).
     Parse(String),
 }
@@ -38,6 +49,9 @@ impl fmt::Display for ElaborateError {
             }
             ElaborateError::UndeclaredSignal(s) => write!(f, "signal `{s}` is not declared"),
             ElaborateError::Redeclared(s) => write!(f, "signal `{s}` is declared more than once"),
+            ElaborateError::SelectOutOfRange { hi, lo, width } => {
+                write!(f, "select [{hi}:{lo}] is out of range for a value of width {width}")
+            }
             ElaborateError::Parse(s) => write!(f, "{s}"),
         }
     }
@@ -85,7 +99,8 @@ pub fn extract_semantics(src: &str) -> Result<Prog, ElaborateError> {
 ///
 /// # Errors
 /// Returns an error if the module has no output, a name is declared twice, a
-/// signal is undeclared, or a combinational signal is used before it is driven.
+/// signal is undeclared, a combinational signal is used before it is driven,
+/// or a constant select is reversed or out of range.
 pub fn elaborate(ast: &ModuleAst, params_as_inputs: bool) -> Result<Prog, ElaborateError> {
     let output_name = ast.outputs.first().cloned().ok_or(ElaborateError::NoOutput)?;
     let decls = declarations(ast)?;
@@ -172,6 +187,15 @@ fn resize(b: &mut ProgBuilder, id: NodeId, width: u32) -> NodeId {
     } else {
         b.extract(id, width - 1, 0)
     }
+}
+
+/// Bits `hi` down to `lo` of `x`, checked against `x`'s width.
+fn select(b: &mut ProgBuilder, x: NodeId, hi: u32, lo: u32) -> Result<NodeId, ElaborateError> {
+    let width = b.width_of(x);
+    if lo > hi || hi >= width {
+        return Err(ElaborateError::SelectOutOfRange { hi, lo, width });
+    }
+    Ok(b.extract(x, hi, lo))
 }
 
 fn lower_expr(
@@ -289,11 +313,11 @@ fn lower_expr(
         }
         Expr::PartSelect(inner, hi, lo) => {
             let x = lower_expr(b, env, decls, inner)?;
-            Ok(b.extract(x, *hi, *lo))
+            select(b, x, *hi, *lo)
         }
         Expr::BitSelect(inner, idx) => {
             let x = lower_expr(b, env, decls, inner)?;
-            Ok(b.extract(x, *idx, *idx))
+            select(b, x, *idx, *idx)
         }
         Expr::DynBitSelect(inner, index) => {
             // x[i] with a non-constant index lowers to (x >> i)[0].
@@ -437,6 +461,33 @@ endmodule
                 Err(ElaborateError::Redeclared("a".to_string())),
                 "{src}"
             );
+        }
+    }
+
+    #[test]
+    fn out_of_range_selects_are_rejected() {
+        // `a` is 8 bits wide and `{a, a}` 16: selects past the width and
+        // reversed part-selects are typed errors, not panics or wrapped widths.
+        let elab = |expr: &str| {
+            parse_and_elaborate(&format!(
+                "module m(input [7:0] a, output [3:0] out); assign out = {expr}; endmodule"
+            ))
+        };
+        for (expr, hi, lo, width) in [
+            ("a[12:9]", 12, 9, 8),
+            ("a[9]", 9, 9, 8),
+            ("a[8]", 8, 8, 8),
+            ("a[1:3]", 1, 3, 8),
+            ("{a, a}[16:13]", 16, 13, 16),
+        ] {
+            assert_eq!(
+                elab(expr),
+                Err(ElaborateError::SelectOutOfRange { hi, lo, width }),
+                "{expr}"
+            );
+        }
+        for expr in ["a[7:4]", "a[7]", "a[0]", "{a, a}[15:12]"] {
+            assert!(elab(expr).is_ok(), "{expr}");
         }
     }
 

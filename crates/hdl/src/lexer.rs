@@ -7,8 +7,9 @@ use std::fmt;
 pub enum Token {
     /// An identifier or keyword.
     Ident(String),
-    /// An unsized decimal number.
-    Number(u64),
+    /// An unsized decimal number. The subset sizes these at 32 bits, so a
+    /// larger one is a lexical error rather than a silently truncated value.
+    Number(u32),
     /// A sized literal such as `8'hff` (kept as text; parsed by `lr-bv`).
     SizedLiteral(String),
     /// Any punctuation or operator symbol.
@@ -82,8 +83,9 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, String> {
                 out.push(Token::SizedLiteral(bytes[start..i].iter().collect()));
             } else {
                 let text: String = bytes[start..i].iter().filter(|c| **c != '_').collect();
-                let value: u64 =
-                    text.parse().map_err(|_| format!("bad number literal `{text}`"))?;
+                let value: u32 = text
+                    .parse()
+                    .map_err(|_| format!("unsized literal `{text}` does not fit in 32 bits"))?;
                 out.push(Token::Number(value));
             }
             continue;

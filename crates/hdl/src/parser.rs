@@ -80,6 +80,14 @@ fn parse_sized_literal(text: &str) -> Result<BitVec, ParseError> {
     Ok(value.extract(width - 1, 0))
 }
 
+/// A constant select bound, which must fit in `u32`: a wider value is a parse
+/// error, not a bound truncated into range.
+fn select_index(bv: &BitVec) -> Result<u32, ParseError> {
+    bv.to_u64()
+        .and_then(|v| u32::try_from(v).ok())
+        .ok_or_else(|| ParseError::new(format!("select index {bv} does not fit in 32 bits")))
+}
+
 /// Parses a single module from mini-HDL source text.
 ///
 /// # Errors
@@ -196,7 +204,7 @@ impl Parser {
     }
 
     fn range(&mut self) -> Result<u32, ParseError> {
-        // "[" hi ":" lo "]" -> width hi - lo + 1
+        // "[" hi ":" 0 "]" -> width hi + 1
         self.expect_symbol("[")?;
         let hi = self.const_number()?;
         self.expect_symbol(":")?;
@@ -205,10 +213,11 @@ impl Parser {
         if lo != 0 {
             return Err(ParseError::new("only [N:0] ranges are supported"));
         }
-        Ok((hi - lo + 1) as u32)
+        hi.checked_add(1)
+            .ok_or_else(|| ParseError::new(format!("range [{hi}:0] is too wide for 32 bits")))
     }
 
-    fn const_number(&mut self) -> Result<u64, ParseError> {
+    fn const_number(&mut self) -> Result<u32, ParseError> {
         match self.next() {
             Some(Token::Number(n)) => Ok(n),
             other => Err(ParseError::new(format!("expected number, found {other:?}"))),
@@ -286,7 +295,7 @@ impl Parser {
         let name = self.expect_ident()?;
         self.expect_symbol("=")?;
         let default = match self.next() {
-            Some(Token::Number(n)) => BitVec::from_u64(n, width),
+            Some(Token::Number(n)) => BitVec::from_u64(n.into(), width),
             Some(Token::SizedLiteral(text)) => parse_sized_literal(&text)?.resize_zext(width),
             other => {
                 return Err(ParseError::new(format!("expected parameter value, found {other:?}")))
@@ -508,18 +517,16 @@ impl Parser {
             let index = self.expr()?;
             if self.eat_symbol(":") {
                 let hi = match index {
-                    Expr::Literal(ref bv) => bv.to_u64().unwrap_or(0) as u32,
+                    Expr::Literal(ref bv) => select_index(bv)?,
                     _ => return Err(ParseError::new("part-select bounds must be constants")),
                 };
-                let lo = self.const_number()? as u32;
+                let lo = self.const_number()?;
                 self.expect_symbol("]")?;
                 base = Expr::PartSelect(Box::new(base), hi, lo);
             } else {
                 self.expect_symbol("]")?;
                 base = match index {
-                    Expr::Literal(ref bv) => {
-                        Expr::BitSelect(Box::new(base), bv.to_u64().unwrap_or(0) as u32)
-                    }
+                    Expr::Literal(ref bv) => Expr::BitSelect(Box::new(base), select_index(bv)?),
                     other => Expr::DynBitSelect(Box::new(base), Box::new(other)),
                 };
             }
@@ -529,7 +536,7 @@ impl Parser {
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
         match self.next() {
-            Some(Token::Number(n)) => Ok(Expr::Literal(BitVec::from_u64(n, 32))),
+            Some(Token::Number(n)) => Ok(Expr::Literal(BitVec::from_u64(n.into(), 32))),
             Some(Token::SizedLiteral(text)) => Ok(Expr::Literal(parse_sized_literal(&text)?)),
             Some(Token::Ident(name)) => Ok(Expr::Ident(name)),
             Some(Token::Symbol(s)) if s == "(" => {
@@ -691,6 +698,39 @@ endmodule
                 other => panic!("unexpected parse of `{ok}`: {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn numbers_indices_and_widths_past_u32_are_rejected() {
+        // An unsized literal, a select index and a declared width must each
+        // fit in 32 bits; each shape one past the limit is a parse error.
+        for (bad, reason) in [
+            (expr_module("4294967296"), "does not fit in 32 bits"),
+            (expr_module("a[4294967296]"), "does not fit in 32 bits"),
+            (expr_module("a[33'h100000000]"), "select index"),
+            (expr_module("a[33'h100000000:0]"), "select index"),
+            (
+                "module m(input [4294967295:0] a, output y); assign y = a; endmodule".to_string(),
+                "too wide",
+            ),
+        ] {
+            let err = parse_module(&bad).unwrap_err();
+            assert!(err.to_string().contains(reason), "`{bad}`: {err}");
+        }
+        // At the limits themselves they parse.
+        let m = parse_module(&expr_module("4294967295 + a[33'hFFFFFFFF]")).unwrap();
+        match &m.statements[0] {
+            Statement::Assign { rhs: Expr::Binary(BinaryOp::Add, lhs, rhs), .. } => {
+                assert!(
+                    matches!(&**lhs, Expr::Literal(bv) if bv.to_u64() == Some(u32::MAX.into()))
+                );
+                assert!(matches!(**rhs, Expr::BitSelect(_, u32::MAX)));
+            }
+            other => panic!("unexpected parse: {other:?}"),
+        }
+        let m = parse_module("module m(input [4294967294:0] a, output y); assign y = a; endmodule")
+            .unwrap();
+        assert_eq!(m.signals[0].width, u32::MAX);
     }
 
     #[test]

@@ -131,8 +131,6 @@ pub struct BatchReport {
     pub wall: Duration,
     /// Worker threads used.
     pub workers: usize,
-    /// Jobs that migrated between workers.
-    pub steals: u64,
     /// Per-job execution times of *synthesized* verdicts.
     pub synth_latencies: Vec<Duration>,
     /// Per-job execution times of *cache-served* verdicts.
@@ -170,7 +168,6 @@ impl BatchReport {
             cache_served: 0,
             wall: run.wall,
             workers: run.workers,
-            steals: run.steals,
             synth_latencies: Vec::new(),
             cached_latencies: Vec::new(),
             cache,
@@ -233,12 +230,11 @@ impl BatchReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "batch: {} jobs on {} workers in {:.2?}  ({:.2} jobs/s, {} steals)\n",
+            "batch: {} jobs on {} workers in {:.2?}  ({:.2} jobs/s)\n",
             self.jobs,
             self.workers,
             self.wall,
             self.throughput(),
-            self.steals,
         ));
         out.push_str(&format!(
             "verdicts: {} success / {} unsat / {} timeout / {} error / {} expired / {} cancelled\n",

@@ -28,9 +28,10 @@
 //! ```
 //!
 //! runs every job of a manifest (designs × architectures × templates, see
-//! `lr_serve::parse_manifest` for the format) over the work-stealing scheduler,
-//! sharing one content-addressed synthesis cache across all jobs; `--cache`
-//! persists that cache across invocations, so a repeated batch is served warm.
+//! `lr_serve::parse_manifest` for the format) on the batch scheduler, which
+//! starts jobs in exact priority order, sharing one content-addressed
+//! synthesis cache across all jobs; `--cache` persists that cache across
+//! invocations, so a repeated batch is served warm.
 //!
 //! Serve mode — the resident daemon:
 //!

@@ -1,14 +1,15 @@
-//! The sharded, optionally-persistent synthesis cache behind
-//! [`lakeroad::MapCache`].
+//! The optionally-persistent synthesis cache behind [`lakeroad::MapCache`].
 //!
 //! Entries are keyed by [`lakeroad::CacheKey`] (canonical spec × architecture ×
 //! template × timeout tier) and store replayable verdicts
 //! ([`lakeroad::CachedOutcome`]): hole assignments for successes, a bare marker
-//! for UNSATs. The map is split into fixed shards, each behind its own
-//! `std::sync::Mutex`, so scheduler workers hitting different shards never
-//! contend; hit/miss/store/invalidation/eviction counters are lock-free
-//! atomics. An optional entry-count cap ([`SynthCache::set_capacity`]) evicts
-//! oldest insertions per shard, so a long-lived daemon process cannot grow
+//! for UNSATs. The whole table — entries, insertion order, cap and
+//! hit/miss/store/invalidation/eviction counters — sits behind one
+//! `std::sync::Mutex`: a lookup holds it for a hash probe, while the request
+//! around it is a solver run or a replay of a millisecond or more, so one
+//! lock is all the traffic needs. An optional entry-count
+//! cap ([`SynthCache::set_capacity`]) bounds the whole cache exactly, evicting
+//! the oldest insertions first, so a long-lived daemon process cannot grow
 //! without bound; the cap defaults to off for one-shot batch runs.
 //!
 //! [`SynthCache::save`] / [`SynthCache::load`] persist the table as a sorted
@@ -22,18 +23,14 @@
 //! but UNSAT entries are trusted from the address alone, so a semantic change
 //! must orphan old files rather than let them answer for the new engine.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{hash_map::Entry, BTreeMap, HashMap};
 use std::io::{self, Write as _};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use lakeroad::{CacheKey, CachedOutcome, MapCache};
 use lr_bv::BitVec;
-
-/// Number of independently-locked shards. A power of two comfortably above any
-/// realistic worker count, so two workers rarely serialize on one mutex.
-const SHARDS: usize = 16;
 
 /// Point-in-time view of the cache counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -73,126 +70,79 @@ impl CacheSnapshot {
     }
 }
 
-/// One independently-locked shard: the entry map plus the insertion order used
-/// for eviction. The order queue may lag behind the map — invalidated keys stay
-/// queued until eviction pops (and skips) them lazily. Each queued occurrence
-/// carries the insertion generation of the entry it was pushed for, so a stale
-/// occurrence (its entry invalidated, then the key re-stored under a newer
-/// generation) can never evict the live entry.
+/// The whole cache state. Every live entry has one generation, assigned when
+/// its key is first stored, and `order` maps each live generation back to its
+/// key, so the first entry of `order` is always the oldest live entry.
 #[derive(Debug, Default)]
-struct Shard {
+struct Table {
     map: HashMap<CacheKey, (u64, CachedOutcome)>,
-    order: VecDeque<(CacheKey, u64)>,
+    order: BTreeMap<u64, CacheKey>,
     next_gen: u64,
+    /// Entry-count cap; `None` is unbounded (the default, right for one-shot
+    /// batch runs — the daemon turns the cap on).
+    cap: Option<usize>,
+    counters: CacheSnapshot,
 }
 
-impl Shard {
-    /// Inserts or overwrites one entry. A fresh key gets a new generation and
-    /// a queue slot; an overwrite keeps the existing generation (and therefore
-    /// its original insertion-order position).
+impl Table {
+    /// Inserts or overwrites one entry. A fresh key gets a new generation; an
+    /// overwrite keeps the existing one (and so its insertion-order position).
     fn insert(&mut self, key: CacheKey, outcome: CachedOutcome) {
         match self.map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().1 = outcome,
-            std::collections::hash_map::Entry::Vacant(e) => {
+            Entry::Occupied(mut e) => e.get_mut().1 = outcome,
+            Entry::Vacant(e) => {
                 let gen = self.next_gen;
                 self.next_gen += 1;
                 e.insert((gen, outcome));
-                self.order.push_back((key, gen));
+                self.order.insert(gen, key);
             }
+        }
+    }
+
+    /// Evicts the oldest entries until the table is within its cap.
+    fn trim(&mut self) {
+        let Some(cap) = self.cap else { return };
+        while self.map.len() > cap {
+            let Some((_, oldest)) = self.order.pop_first() else { break };
+            self.map.remove(&oldest);
+            self.counters.evictions += 1;
         }
     }
 }
 
-/// A sharded in-memory synthesis cache with optional on-disk persistence and an
+/// An in-memory synthesis cache with optional on-disk persistence and an
 /// optional entry-count cap (see [`SynthCache::set_capacity`]).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SynthCache {
-    shards: Vec<Mutex<Shard>>,
-    /// Entry-count cap across all shards; 0 means unbounded (the default, right
-    /// for one-shot batch runs — the daemon turns the cap on).
-    capacity: AtomicUsize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    stores: AtomicU64,
-    invalidations: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl Default for SynthCache {
-    fn default() -> Self {
-        Self::new()
-    }
+    table: Mutex<Table>,
 }
 
 impl SynthCache {
     /// An empty, unbounded cache.
     pub fn new() -> SynthCache {
-        SynthCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            capacity: AtomicUsize::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            stores: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+        SynthCache::default()
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<Shard> {
-        &self.shards[key.shard(self.shards.len())]
+    fn table(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().expect("a thread panicked while holding the cache lock")
     }
 
     /// Sets (or clears, with `None`/`Some(0)` meaning unbounded) the entry-count
-    /// cap and immediately evicts down to it, oldest insertions first. The cap
-    /// is enforced per shard at `ceil(cap / SHARDS)`, so a skewed key
-    /// distribution can evict before the global total reaches `cap`; totals
-    /// never exceed `SHARDS * ceil(cap / SHARDS)`.
+    /// cap and immediately evicts down to it, oldest insertions first.
     pub fn set_capacity(&self, cap: Option<usize>) {
-        self.capacity.store(cap.unwrap_or(0), Ordering::Relaxed);
-        if let Some(per_shard) = self.per_shard_cap() {
-            for shard in &self.shards {
-                let mut guard = shard.lock().unwrap();
-                self.evict_to(&mut guard, per_shard);
-            }
-        }
+        let mut table = self.table();
+        table.cap = cap.filter(|&cap| cap > 0);
+        table.trim();
     }
 
     /// The configured entry-count cap (`None` = unbounded).
     pub fn capacity(&self) -> Option<usize> {
-        match self.capacity.load(Ordering::Relaxed) {
-            0 => None,
-            cap => Some(cap),
-        }
+        self.table().cap
     }
 
-    fn per_shard_cap(&self) -> Option<usize> {
-        match self.capacity.load(Ordering::Relaxed) {
-            0 => None,
-            cap => Some(cap.div_ceil(SHARDS)),
-        }
-    }
-
-    /// Pops insertion-order entries until `shard` is at or under `cap` entries.
-    /// Stale queue occurrences — the entry was invalidated, whether or not the
-    /// key was later re-stored under a newer generation — are skipped without
-    /// counting as evictions; only a generation match evicts.
-    fn evict_to(&self, shard: &mut Shard, cap: usize) {
-        let mut evicted = 0u64;
-        while shard.map.len() > cap {
-            let Some((old, gen)) = shard.order.pop_front() else { break };
-            if shard.map.get(&old).is_some_and(|(live_gen, _)| *live_gen == gen) {
-                shard.map.remove(&old);
-                evicted += 1;
-            }
-        }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-    }
-
-    /// Number of entries across all shards.
+    /// Number of entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().map.len()).sum()
+        self.table().map.len()
     }
 
     /// Whether the cache holds no entries.
@@ -202,22 +152,13 @@ impl SynthCache {
 
     /// Current counter values.
     pub fn snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            stores: self.stores.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+        self.table().counters
     }
 
     /// All entries, sorted by key (the persistence order; also handy for tests).
     pub fn entries(&self) -> Vec<(CacheKey, CachedOutcome)> {
-        let mut out: Vec<(CacheKey, CachedOutcome)> = Vec::new();
-        for shard in &self.shards {
-            let guard = shard.lock().unwrap();
-            out.extend(guard.map.iter().map(|(k, (_, v))| (*k, v.clone())));
-        }
+        let mut out: Vec<(CacheKey, CachedOutcome)> =
+            self.table().map.iter().map(|(k, (_, v))| (*k, v.clone())).collect();
         out.sort_by_key(|&(k, _)| k);
         out
     }
@@ -303,7 +244,7 @@ impl SynthCache {
             let entry = parse_entry(line)
                 .map_err(|e| invalid(format!("cache line {}: {e}", lineno + 2)))?;
             let (key, outcome) = entry;
-            cache.shard(&key).lock().unwrap().insert(key, outcome);
+            cache.table().insert(key, outcome);
         }
         Ok(cache)
     }
@@ -340,28 +281,27 @@ fn parse_entry(line: &str) -> Result<(CacheKey, CachedOutcome), String> {
 
 impl MapCache for SynthCache {
     fn lookup(&self, key: &CacheKey) -> Option<CachedOutcome> {
-        let found = self.shard(key).lock().unwrap().map.get(key).map(|(_, v)| v.clone());
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+        let mut table = self.table();
+        let found = table.map.get(key).map(|(_, v)| v.clone());
+        match found {
+            Some(_) => table.counters.hits += 1,
+            None => table.counters.misses += 1,
+        }
         found
     }
 
     fn store(&self, key: CacheKey, outcome: CachedOutcome) {
-        let per_shard = self.per_shard_cap();
-        let mut shard = self.shard(&key).lock().unwrap();
-        shard.insert(key, outcome);
-        if let Some(cap) = per_shard {
-            self.evict_to(&mut shard, cap);
-        }
-        drop(shard);
-        self.stores.fetch_add(1, Ordering::Relaxed);
+        let mut table = self.table();
+        table.insert(key, outcome);
+        table.trim();
+        table.counters.stores += 1;
     }
 
     fn invalidate(&self, key: &CacheKey) {
-        if self.shard(key).lock().unwrap().map.remove(key).is_some() {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
+        let mut table = self.table();
+        if let Some((gen, _)) = table.map.remove(key) {
+            table.order.remove(&gen);
+            table.counters.invalidations += 1;
         }
     }
 }
@@ -399,17 +339,6 @@ mod tests {
         assert_eq!(snap.stores, 2);
         assert_eq!(snap.invalidations, 1);
         assert!((snap.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn entries_spread_over_shards() {
-        let cache = SynthCache::new();
-        for n in 0..64 {
-            cache.store(key(n), CachedOutcome::Unsat);
-        }
-        assert_eq!(cache.len(), 64);
-        let populated = cache.shards.iter().filter(|s| !s.lock().unwrap().map.is_empty()).count();
-        assert!(populated > 1, "64 keys should not all land in one shard");
     }
 
     #[test]
@@ -463,8 +392,6 @@ mod tests {
     fn capacity_cap_evicts_oldest_insertions() {
         let cache = SynthCache::new();
         cache.set_capacity(Some(32));
-        // key(n) lands in shard n % SHARDS, so 0..200 spreads uniformly: each
-        // shard keeps its per-shard cap (32/16 = 2) newest keys.
         for n in 0..200 {
             cache.store(key(n), CachedOutcome::Unsat);
         }
@@ -472,9 +399,23 @@ mod tests {
         let snap = cache.snapshot();
         assert_eq!(snap.stores, 200);
         assert_eq!(snap.evictions, 200 - 32);
-        // The newest key per shard survived; the oldest ones are gone.
+        // The 32 newest keys survived; the oldest ones are gone.
         assert!(cache.lookup(&key(199)).is_some());
+        assert!(cache.lookup(&key(168)).is_some());
+        assert!(cache.lookup(&key(167)).is_none());
         assert!(cache.lookup(&key(0)).is_none());
+    }
+
+    #[test]
+    fn the_cap_bounds_the_whole_cache() {
+        let cache = SynthCache::new();
+        cache.set_capacity(Some(2));
+        for n in 1..=3 {
+            cache.store(key(n), CachedOutcome::Unsat);
+        }
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.lookup(&key(1)), None);
+        assert_eq!(cache.snapshot().evictions, 1);
     }
 
     #[test]
@@ -498,10 +439,10 @@ mod tests {
     #[test]
     fn eviction_skips_invalidated_keys_without_counting_them() {
         let cache = SynthCache::new();
-        cache.set_capacity(Some(SHARDS)); // per-shard cap of 1
-        cache.store(key(16), CachedOutcome::Unsat); // shard 0
-        cache.invalidate(&key(16)); // gone from the map, still queued
-        cache.store(key(32), CachedOutcome::Unsat); // shard 0 again: no eviction needed
+        cache.set_capacity(Some(1));
+        cache.store(key(16), CachedOutcome::Unsat);
+        cache.invalidate(&key(16));
+        cache.store(key(32), CachedOutcome::Unsat); // within the cap: no eviction needed
         assert_eq!(cache.lookup(&key(32)), Some(CachedOutcome::Unsat));
         assert_eq!(cache.snapshot().evictions, 0);
     }
@@ -511,10 +452,11 @@ mod tests {
         // Regression: a key invalidated and then re-stored used to be queued
         // twice; eviction popping the stale first occurrence removed the live,
         // freshly-stored entry (and counted it), evicting it ahead of
-        // genuinely older entries. Generations make the stale slot inert.
+        // genuinely older entries. Invalidation drops the key's place in the
+        // insertion order along with the entry, so no stale slot remains.
         let cache = SynthCache::new();
-        cache.set_capacity(Some(2 * SHARDS)); // per-shard cap of 2
-        let (a, b, c) = (key(16), key(32), key(48)); // all land in shard 0
+        cache.set_capacity(Some(2));
+        let (a, b, c) = (key(16), key(32), key(48));
         cache.store(a, CachedOutcome::Unsat);
         cache.store(b, CachedOutcome::Unsat);
         cache.invalidate(&a);

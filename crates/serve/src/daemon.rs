@@ -13,7 +13,7 @@
 //!   the door with a `rejected` response, never silently dropped);
 //! * a fixed pool of **workers** pops jobs in priority order (FIFO within a
 //!   priority) and executes them through the same
-//!   [`scheduler::execute_job`] path as `lakeroad batch`, sharing the cache;
+//!   `scheduler::execute_job` path as `lakeroad batch`, sharing the cache;
 //! * an optional **persister** snapshots the cache to disk every interval
 //!   using the atomic [`SynthCache::save`], so a crash loses at most one
 //!   interval of new verdicts and never the file.
@@ -43,8 +43,8 @@ use crate::cache::{CacheSnapshot, SynthCache};
 use crate::forensics::{FlightRecorder, ForensicsConfig, RequestRecord};
 use crate::json::Json;
 use crate::protocol::{
-    error_response, map_response, parse_request, pong_response, read_frame, rejected_response,
-    shutdown_response, trace_response, write_frame, Request,
+    error_response, finish, map_response, parse_request, pong_response, read_frame,
+    rejected_response, shutdown_response, trace_response, write_frame, Request,
 };
 use crate::scheduler::{execute_job, BatchJob, JobResult, TemplateChoice};
 
@@ -58,9 +58,10 @@ pub struct DaemonConfig {
     /// Base mapping configuration. The daemon installs its own shared cache;
     /// any cache already present is replaced.
     pub map: MapConfig,
-    /// Entry cap for the shared cache (`None` = unbounded). Unlike one-shot
-    /// batches, a resident cache must be bounded, so the daemon defaults this
-    /// on.
+    /// Entry cap for the shared cache (`None` = unbounded): the cache never
+    /// holds more than this many entries, evicting the oldest first. Unlike
+    /// one-shot batches, a resident cache must be bounded, so the daemon
+    /// defaults this on.
     pub cache_capacity: Option<usize>,
     /// Cache snapshot file: loaded (warm start) at bind, rewritten atomically
     /// by the persister and at shutdown. `None` disables persistence.
@@ -684,7 +685,7 @@ fn stats_response(inner: &Inner, id: Option<&Json>) -> String {
     let n = |a: &AtomicU64| Json::num(a.load(Ordering::Relaxed) as f64);
     let cache = inner.cache.snapshot();
     let queue_depth = inner.queue.lock().unwrap().heap.len();
-    let mut doc = Json::obj([
+    let doc = Json::obj([
         ("kind", Json::str("stats")),
         ("uptime_ms", Json::num(inner.started.elapsed().as_secs_f64() * 1e3)),
         ("workers", Json::num(inner.workers as f64)),
@@ -776,10 +777,7 @@ fn stats_response(inner: &Inner, id: Option<&Json>) -> String {
             },
         ),
     ]);
-    if let (Json::Obj(map), Some(id)) = (&mut doc, id) {
-        map.insert("id".to_string(), id.clone());
-    }
-    doc.render()
+    finish(doc, id)
 }
 
 /// The windowed-rate section of `stats`: current load over the last 1/10/60
@@ -901,15 +899,12 @@ fn metrics_response(inner: &Inner, id: Option<&Json>) -> String {
     // histograms recorded by the instrumented mapping stack itself.
     w.snapshot("lakeroad_", &lr_trace::metrics_snapshot());
 
-    let mut doc = Json::obj([
+    let doc = Json::obj([
         ("kind", Json::str("metrics")),
         ("content_type", Json::str("application/openmetrics-text; version=1.0.0")),
         ("text", Json::str(w.finish())),
     ]);
-    if let (Json::Obj(map), Some(id)) = (&mut doc, id) {
-        map.insert("id".to_string(), id.clone());
-    }
-    doc.render()
+    finish(doc, id)
 }
 
 /// Answers `{"kind":"forensics"}`: with an `id`, the full record (header +
@@ -919,33 +914,20 @@ fn forensics_response(inner: &Inner, id: Option<&Json>) -> String {
     let Some(recorder) = &inner.recorder else {
         return error_response(id, "forensics are not enabled (--slow-ms / --forensics-dir)");
     };
-    let mut doc = match id {
+    let fields = match id {
         Some(wanted) => match recorder.fetch(wanted) {
-            Some(record) => {
-                let mut doc = Json::obj([("kind", Json::str("forensics"))]);
-                if let (Json::Obj(map), Json::Obj(fields)) = (&mut doc, record) {
-                    for (k, v) in fields {
-                        map.insert(k, v);
-                    }
-                }
-                doc
-            }
+            Some(record) => record,
             None => return error_response(id, "no forensics record with that id"),
         },
-        None => {
-            let mut doc = Json::obj([("kind", Json::str("forensics"))]);
-            if let (Json::Obj(map), Json::Obj(fields)) = (&mut doc, recorder.list_json()) {
-                for (k, v) in fields {
-                    map.insert(k, v);
-                }
-            }
-            doc
-        }
+        None => recorder.list_json(),
     };
-    if let (Json::Obj(map), Some(id)) = (&mut doc, id) {
-        map.insert("id".to_string(), id.clone());
+    let mut doc = Json::obj([("kind", Json::str("forensics"))]);
+    if let (Json::Obj(map), Json::Obj(fields)) = (&mut doc, fields) {
+        for (k, v) in fields {
+            map.insert(k, v);
+        }
     }
-    doc.render()
+    finish(doc, id)
 }
 
 /// Takes the periodic snapshots until the drain starts; [`Daemon::wait`] writes

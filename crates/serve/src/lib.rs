@@ -9,16 +9,18 @@
 //!
 //! * **A content-addressed synthesis cache** ([`SynthCache`]): verdicts are
 //!   stored under a stable hash of the e-graph-canonicalized spec plus
-//!   architecture, template, and timeout tier (`lakeroad::CacheKey`), sharded
-//!   behind `std::sync` mutexes, and optionally persisted to disk so warm
-//!   caches survive across CLI invocations. Success hits replay the stored
+//!   architecture, template, and timeout tier (`lakeroad::CacheKey`) in one
+//!   table behind one `std::sync` mutex, bounded exactly by an optional entry
+//!   cap, and optionally persisted to disk so warm caches survive across CLI
+//!   invocations. Success hits replay the stored
 //!   hole assignment through sketch generation and are **verified by `lr_ir`
 //!   interpretation** before being served — a stale entry costs a wasted
 //!   replay and falls back to synthesis. (UNSAT entries have nothing to
 //!   replay and rest on the 128-bit content address plus the persisted
 //!   format's version header.)
-//! * **A work-stealing scheduler** ([`run_batch`]): per-worker deques of jobs
-//!   with steal-on-empty, priority-ordered dealing, per-job deadlines, and
+//! * **A batch scheduler** ([`run_batch`]): workers claim jobs through one
+//!   atomic cursor over the priority-sorted order, so jobs start in exact
+//!   priority order at any worker count, with per-job deadlines and
 //!   cooperative cancellation, built on `std::thread::scope`. Results stream
 //!   back in submission order, so batch output is stable regardless of worker
 //!   count — a property the determinism tests pin down.

@@ -12,7 +12,7 @@
 //!    path (`lr_synth::cegis`), not the CEGIS loop: one synthesis check over
 //!    every input assignment, one portfolio member, and evaluation of every
 //!    assignment instead of the prefold and the SAT verifier;
-//! 2. fans the cones out as jobs on the work-stealing scheduler
+//! 2. fans the cones out as jobs on the batch scheduler
 //!    ([`run_batch_streaming`]), prioritized by cone size so the fattest
 //!    cones start first, sharing one content-addressed [`SynthCache`] so
 //!    isomorphic cones (identical canonical `x0..xK` specs) collapse into a
@@ -155,7 +155,7 @@ pub fn cone_jobs(aig: &Aig, part: &Partition, arch: &Architecture) -> Vec<BatchJ
 }
 
 /// Maps a structural netlist end to end: partition into cones, synthesize
-/// every cone on the work-stealing scheduler, stitch, verify.
+/// every cone on the batch scheduler, stitch, verify.
 ///
 /// `on_cone` observes each cone job's [`JobRecord`] as it is delivered (in
 /// submission order), exactly like [`run_batch_streaming`]'s callback; pass

@@ -230,7 +230,8 @@ fn parse_seconds(doc: &Json, field: &str) -> Result<Option<Duration>, String> {
     }
 }
 
-fn finish(mut doc: Json, id: Option<&Json>) -> String {
+/// Inserts the request's `id` (if any) into a response and renders it.
+pub(crate) fn finish(mut doc: Json, id: Option<&Json>) -> String {
     if let (Json::Obj(map), Some(id)) = (&mut doc, id) {
         map.insert("id".to_string(), id.clone());
     }

@@ -1,20 +1,21 @@
-//! The work-stealing batch scheduler.
+//! The batch scheduler.
 //!
 //! A batch is a list of independent mapping jobs (spec × architecture ×
-//! template). Jobs are distributed round-robin over per-worker deques in
-//! priority order; each worker pops from the front of its own deque and, when
-//! empty, steals from the back of a sibling's — the classic split that keeps
-//! hot jobs local and contention at the cold end. Workers are plain scoped
-//! threads (`std::thread::scope`), so the scheduler borrows the jobs and needs
-//! no `'static` plumbing.
+//! template), all known at batch start. The scheduler sorts their indices by
+//! priority once, and its workers claim jobs from that order through one
+//! atomic cursor, so jobs start in exact priority order at any worker count.
+//! A job is a solver run of milliseconds or more, so one shared cursor and one
+//! lock over the finished records are all the coordination a batch needs.
+//! Workers are plain scoped threads (`std::thread::scope`), so the scheduler
+//! borrows the jobs and needs no `'static` plumbing.
 //!
 //! Three control mechanisms ride on the queue:
 //!
-//! * **Priorities** (higher first) order the initial distribution; stealing
-//!   preserves them approximately, which is all a batch engine needs.
-//! * **Per-job deadlines** are relative to batch start. A job popped after its
+//! * **Priorities** (higher first) order the claims; the sort is stable, so
+//!   ties keep submission order.
+//! * **Per-job deadlines** are relative to batch start. A job claimed after its
 //!   deadline is not posed at all ([`JobResult::DeadlineExpired`]); a job
-//!   popped before it has its synthesis timeout clamped so it cannot overrun.
+//!   claimed before it has its synthesis timeout clamped so it cannot overrun.
 //! * **Cooperative cancellation**: flip the [`BatchOptions::cancel`] flag and
 //!   every not-yet-started job drains as [`JobResult::Cancelled`]. The flag is
 //!   also installed as [`MapConfig::cancel`] on every posed job, which reaches
@@ -26,8 +27,7 @@
 //! `0..i` have been delivered, which is what lets a manifest run print a stable
 //! report while overlapping work.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -151,8 +151,6 @@ pub struct JobRecord {
     pub name: String,
     /// Worker that delivered the result.
     pub worker: usize,
-    /// Whether the job reached its worker by stealing.
-    pub stolen: bool,
     /// Wall-clock time the job spent executing (zero for expired/cancelled).
     pub elapsed: Duration,
     /// Time from batch start until the result was delivered.
@@ -170,8 +168,6 @@ pub struct BatchRun {
     pub wall: Duration,
     /// Worker threads used.
     pub workers: usize,
-    /// Jobs that migrated to a worker other than the one they were dealt to.
-    pub steals: u64,
 }
 
 impl BatchRun {
@@ -204,42 +200,23 @@ pub fn run_batch_streaming(
     let workers = opts.workers.max(1);
     let start = Instant::now();
 
-    // Deal job indices round-robin in priority order (stable: ties keep
-    // submission order), so every worker starts with a fair, priority-sorted
-    // slice of the batch.
+    // The claim order: job indices by priority, highest first (stable, so
+    // ties keep submission order). Workers claim them through `next`, which
+    // publishes no data (`order` is fixed before they start), so `Relaxed`.
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(jobs[i].priority));
-    let deques: Vec<Mutex<VecDeque<usize>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (slot, &job) in order.iter().enumerate() {
-        deques[slot % workers].lock().unwrap().push_back(job);
-    }
-
-    let slots: Vec<Mutex<Option<JobRecord>>> = (0..jobs.len()).map(|_| Mutex::new(None)).collect();
-    // Emission frontier: index of the next record to hand to `on_ready`.
-    // Advancing it under a lock is what serializes the callback in submission
-    // order even though completions arrive out of order.
-    let frontier: Mutex<usize> = Mutex::new(0);
-    let steals = AtomicU64::new(0);
+    let next = AtomicUsize::new(0);
+    // The finished records by submission index, and the emission frontier:
+    // the index of the next record to hand to `on_ready`. One lock over both
+    // serializes the callback in submission order even though completions
+    // arrive out of order.
+    let finished = Mutex::new(((0..jobs.len()).map(|_| None).collect::<Vec<_>>(), 0));
 
     std::thread::scope(|scope| {
         for me in 0..workers {
-            let (deques, slots, frontier, steals, on_ready) =
-                (&deques, &slots, &frontier, &steals, &on_ready);
+            let (order, next, finished, on_ready) = (&order, &next, &finished, &on_ready);
             scope.spawn(move || loop {
-                // Own deque first (front), then steal from siblings (back).
-                let mut claimed: Option<(usize, bool)> =
-                    deques[me].lock().unwrap().pop_front().map(|j| (j, false));
-                if claimed.is_none() {
-                    for other in (1..workers).map(|d| (me + d) % workers) {
-                        if let Some(j) = deques[other].lock().unwrap().pop_back() {
-                            steals.fetch_add(1, Ordering::Relaxed);
-                            claimed = Some((j, true));
-                            break;
-                        }
-                    }
-                }
-                let Some((index, stolen)) = claimed else { return };
+                let Some(&index) = order.get(next.fetch_add(1, Ordering::Relaxed)) else { return };
 
                 let job = &jobs[index];
                 let elapsed_at_start = start.elapsed();
@@ -260,7 +237,6 @@ pub fn run_batch_streaming(
                     let mut sp = lr_trace::span("job");
                     sp.attr("index", index as u64);
                     sp.attr("worker", me as u64);
-                    sp.attr("stolen", u64::from(stolen));
                     sp.attr("queue_wait_us", wait_us);
                     let job_start = Instant::now();
                     let result = execute_job(job, &opts.map, &opts.cancel, elapsed_at_start);
@@ -272,30 +248,30 @@ pub fn run_batch_streaming(
                     index,
                     name: job.name.clone(),
                     worker: me,
-                    stolen,
                     elapsed,
                     completed_at: start.elapsed(),
                     result,
                 };
-                *slots[index].lock().unwrap() = Some(record);
-
+                let (records, frontier) =
+                    &mut *finished.lock().expect("an on_ready callback panicked");
+                records[index] = Some(record);
                 // Drain every in-order record that is now ready.
-                let mut next = frontier.lock().unwrap();
-                while *next < slots.len() {
-                    let slot = slots[*next].lock().unwrap();
-                    let Some(record) = slot.as_ref() else { break };
+                while let Some(Some(record)) = records.get(*frontier) {
                     on_ready(record);
-                    *next += 1;
+                    *frontier += 1;
                 }
             });
         }
     });
 
-    let records: Vec<JobRecord> = slots
+    let records: Vec<JobRecord> = finished
+        .into_inner()
+        .expect("an on_ready callback panicked")
+        .0
         .into_iter()
-        .map(|slot| slot.into_inner().unwrap().expect("every job index is claimed exactly once"))
+        .map(|record| record.expect("every job index is claimed exactly once"))
         .collect();
-    BatchRun { records, wall: start.elapsed(), workers, steals: steals.load(Ordering::Relaxed) }
+    BatchRun { records, wall: start.elapsed(), workers }
 }
 
 /// Poses one job, clamping its budget to its deadline. A panic inside the
@@ -352,7 +328,7 @@ static POISON_JOB: Mutex<Option<String>> = Mutex::new(None);
 
 /// Installs (or clears, with `None`) a process-wide *poison job* name: any
 /// job whose name matches panics inside the mapping closure, behind
-/// [`execute_job`]'s `catch_unwind`. This is deliberate test apparatus — the
+/// `execute_job`'s `catch_unwind`. This is deliberate test apparatus — the
 /// forensics integration tests and `exp_obs`'s poison phase use it to drive
 /// the panic-containment and post-mortem paths end to end over a real
 /// socket; nothing installs it in production. The panic fires *before* any
@@ -416,23 +392,27 @@ mod tests {
 
     #[test]
     fn batch_results_arrive_in_submission_order() {
-        let jobs = quick_jobs(5);
-        let seen = Mutex::new(Vec::new());
-        let run = run_batch_streaming(&jobs, &quick_opts(3), |record| {
-            seen.lock().unwrap().push(record.index);
-        });
-        assert_eq!(seen.into_inner().unwrap(), vec![0, 1, 2, 3, 4]);
-        assert_eq!(run.records.len(), 5);
-        for (i, record) in run.records.iter().enumerate() {
-            assert_eq!(record.index, i);
-            assert!(record.result.is_success(), "{:?}", record.result);
+        // Fewer workers than jobs, and more workers than jobs.
+        for (n, workers) in [(5, 3), (2, 4)] {
+            let jobs = quick_jobs(n);
+            let seen = Mutex::new(Vec::new());
+            let run = run_batch_streaming(&jobs, &quick_opts(workers), |record| {
+                seen.lock().unwrap().push(record.index);
+            });
+            assert_eq!(seen.into_inner().unwrap(), (0..n).collect::<Vec<_>>());
+            assert_eq!(run.records.len(), n);
+            for (i, record) in run.records.iter().enumerate() {
+                assert_eq!(record.index, i);
+                assert!(record.worker < workers);
+                assert!(record.result.is_success(), "{:?}", record.result);
+            }
         }
     }
 
     #[test]
     fn priorities_order_the_initial_deal() {
-        // Single worker: execution strictly follows the priority-sorted deal.
-        // Streaming is submission-ordered by design, so observe completion
+        // Single worker: execution strictly follows the priority-sorted claim
+        // order. Streaming is submission-ordered by design, so observe completion
         // times instead.
         let mut jobs = quick_jobs(3);
         jobs[2].priority = 9;
@@ -490,18 +470,6 @@ mod tests {
             "{:?}",
             run.records[0].result
         );
-    }
-
-    #[test]
-    fn stealing_happens_when_a_worker_starves() {
-        // More workers than jobs in one worker's deque: with 4 workers and 8
-        // jobs the deal gives each worker 2; uneven finish times make steals
-        // likely but not certain, so only assert the counters are consistent.
-        let jobs = quick_jobs(8);
-        let run = run_batch(&jobs, &quick_opts(4));
-        let stolen = run.records.iter().filter(|r| r.stolen).count() as u64;
-        assert_eq!(stolen, run.steals);
-        assert!(run.records.iter().all(|r| r.worker < 4));
     }
 
     #[test]

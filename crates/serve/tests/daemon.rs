@@ -34,13 +34,15 @@ fn malformed_frames_earn_errors_without_killing_the_connection() {
     assert_eq!(kind(&doc), "pong");
     assert_eq!(doc.get(&["id"]).and_then(Json::as_str), Some("a"));
 
-    // Broken JSON, a missing kind, an unknown kind, and a bad map request all
+    // Broken JSON, a missing kind, an unknown kind, and two bad map requests
+    // (an unknown architecture; a part-select past its operand's width) all
     // come back as error responses on the SAME connection...
     for bad in [
         "this is not json",
         "{\"id\":1}",
         "{\"kind\":\"frobnicate\"}",
         "{\"kind\":\"map\",\"arch\":\"pdp11\",\"bench\":\"mul_w8_s0\"}",
+        "{\"kind\":\"map\",\"arch\":\"intel\",\"template\":\"bitwise\",\"verilog\":\"module m(input [7:0] a, output [3:0] out); assign out = a[12:9]; endmodule\"}",
     ] {
         let doc = client.request(bad).unwrap();
         assert_eq!(kind(&doc), "error", "{bad}");
@@ -50,10 +52,11 @@ fn malformed_frames_earn_errors_without_killing_the_connection() {
     assert_eq!(kind(&doc), "pong");
     assert_eq!(doc.get(&["id"]).and_then(Json::as_str), Some("b"));
 
-    let doc = client.request("{\"kind\":\"stats\"}").unwrap();
+    let doc = client.request("{\"kind\":\"stats\",\"id\":\"c\"}").unwrap();
     assert_eq!(kind(&doc), "stats");
+    assert_eq!(doc.get(&["id"]).and_then(Json::as_str), Some("c"));
     assert_eq!(doc.get(&["requests", "pings"]).and_then(Json::as_f64), Some(2.0));
-    assert_eq!(doc.get(&["requests", "protocol_errors"]).and_then(Json::as_f64), Some(4.0));
+    assert_eq!(doc.get(&["requests", "protocol_errors"]).and_then(Json::as_f64), Some(5.0));
 
     let summary = daemon.shutdown_and_wait();
     assert_eq!(summary.lost(), 0);

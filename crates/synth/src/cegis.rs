@@ -5,14 +5,14 @@
 //! With [`SynthesisConfig::incremental`] (the default) both CEGIS queries reuse
 //! solver state across iterations instead of rebuilding it each round:
 //!
-//! * **Synthesis step** ([`SynthStep`]) — one `TermPool`/`BvSolver` pair lives for
+//! * **Synthesis step** (`SynthStep`) — one `TermPool`/`BvSolver` pair lives for
 //!   the whole run. Its constraints are all *permanent*: the hole-domain
 //!   constraints (asserted once, before the first iteration) and one equality
 //!   constraint per (example, cycle). Examples only ever accumulate, so nothing
 //!   needs retraction — iteration `n` asserts only the constraints contributed by
 //!   the counterexample learned in iteration `n-1`, and the bit-blast cache plus
 //!   every learnt clause carry over to the next check.
-//! * **Verification step** ([`VerifyStep`]) — one pool/solver pair is shared by
+//! * **Verification step** (`VerifyStep`) — one pool/solver pair is shared by
 //!   every candidate. Each candidate's disequality (built with its holes filled
 //!   concretely, so rewriting can shrink it) is *assumption-guarded*: the session
 //!   permanently asserts `activationᵢ → differsᵢ` and checks it with

@@ -9,13 +9,13 @@
 //! * [`lakeroad`] — the technology mapper itself (`map_design`, `map_verilog`,
 //!   microbenchmark suites, reporting).
 //! * [`lr_serve`] — the batch mapping engine: content-addressed synthesis
-//!   cache and work-stealing scheduler.
+//!   cache and batch scheduler.
 //! * [`lr_sketch`] — architecture-independent sketch templates.
 //! * [`lr_arch`] — architecture descriptions and primitive semantics.
 //! * [`lr_synth`] — the CEGIS synthesis engine and solver portfolio.
 //! * [`lr_ir`] — the ℒlr intermediate language.
 //! * [`lr_hdl`] — the behavioral mini-Verilog frontend and structural emitter.
-//! * [`lr_smt`] / [`lr_sat`] / [`lr_bv`] — the QF_BV and SAT substrates.
+//! * [`lr_smt`] / `lr_sat` / [`lr_bv`] — the QF_BV and SAT substrates.
 
 pub use lakeroad;
 pub use lr_arch;
