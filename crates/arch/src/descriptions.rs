@@ -1,10 +1,31 @@
 //! The architecture descriptions shipped with the tool (paper §4.2).
 //!
 //! One YAML document per supported FPGA family, listing the primitive-interface
-//! implementations the architecture provides, their port/parameter structure, and
-//! which of those become holes during sketch generation. These files are the only
-//! per-architecture input a user has to provide; their size (SLoC) is what the
+//! implementations the architecture provides. These files are the only
+//! per-architecture input a user has to provide, and the mapper reads every
+//! fact about a primitive from them; their size (SLoC) is what the
 //! extensibility experiment (§5.2) measures.
+//!
+//! An implementation entry gives:
+//!
+//! * `interface`: the Lakeroad interface it implements (`DSP`, `LUT`), with the
+//!   DSP's `out-width` or the LUT's `num_inputs`;
+//! * `internal_data` (LUTs): the name and width of the truth table, which becomes
+//!   the `lut{i}.INIT` hole;
+//! * `implementation.module`: the primitive module, whose semantics
+//!   [`crate::primitives::semantics`] looks up by name;
+//! * `implementation.ports`, then `implementation.parameters`: each one's `name`,
+//!   `bitwidth` and `value`, bound in the order listed. A `value` is `?NAME` (a
+//!   `dsp{i}.NAME` hole of the entry's bitwidth; `below: N` restricts it to values
+//!   under `N`), a DSP data operand `A`…`D` (a hole-selected multiplexer over the
+//!   design's inputs, selector `dsp{i}.A_SEL`…), a LUT input `I0`…`In`, the
+//!   internal data's name, or a port expression over those (`(concat HIGH … LOW)`,
+//!   `(bv VALUE WIDTH)`);
+//! * `implementation.outputs`: the output port `O` names.
+//!
+//! A new architecture built from modules that already have semantics is a new
+//! description plus the [`crate::ArchName`] variant that names it, with no
+//! instantiation code; a new module also needs its semantics.
 
 /// Xilinx UltraScale+ architecture description.
 pub const XILINX_ULTRASCALE_PLUS: &str = r#"
@@ -13,8 +34,7 @@ name: xilinx-ultrascale-plus
 vendor: xilinx
 lut_size: 6
 implementations:
-  - interface: { name: DSP, out-width: 48, a-width: 30, b-width: 18, c-width: 48, d-width: 27 }
-    holes: [INMODE, OPMODE, ALUMODE, CARRYIN, AREG, BREG, CREG, DREG, ADREG, MREG, PREG, AMULTSEL]
+  - interface: { name: DSP, out-width: 48 }
     implementation:
       module: DSP48E2
       ports:
@@ -27,14 +47,14 @@ implementations:
         - { name: OPMODE, bitwidth: 9, value: "?OPMODE" }
         - { name: ALUMODE, bitwidth: 4, value: "?ALUMODE" }
       parameters:
-        - { name: AREG, value: "?AREG" }
-        - { name: BREG, value: "?BREG" }
-        - { name: CREG, value: "?CREG" }
-        - { name: DREG, value: "?DREG" }
-        - { name: ADREG, value: "?ADREG" }
-        - { name: MREG, value: "?MREG" }
-        - { name: PREG, value: "?PREG" }
-        - { name: AMULTSEL, value: "?AMULTSEL" }
+        - { name: AREG, bitwidth: 1, value: "?AREG" }
+        - { name: BREG, bitwidth: 1, value: "?BREG" }
+        - { name: CREG, bitwidth: 1, value: "?CREG" }
+        - { name: DREG, bitwidth: 1, value: "?DREG" }
+        - { name: ADREG, bitwidth: 1, value: "?ADREG" }
+        - { name: MREG, bitwidth: 1, value: "?MREG" }
+        - { name: PREG, bitwidth: 1, value: "?PREG" }
+        - { name: AMULTSEL, bitwidth: 1, value: "?AMULTSEL" }
       outputs: { O: P }
   - interface: { name: LUT, num_inputs: 6 }
     internal_data: { INIT: 64 }
@@ -66,8 +86,7 @@ name: lattice-ecp5
 vendor: lattice
 lut_size: 4
 implementations:
-  - interface: { name: DSP, out-width: 54, a-width: 18, b-width: 18, c-width: 54 }
-    holes: [REG_INPUT, REG_C, REG_PIPE, REG_OUTPUT, ALU_OP]
+  - interface: { name: DSP, out-width: 54 }
     implementation:
       # The ECP5 exposes its DSP as a MULT18X18C feeding an ALU54A; Lakeroad maps to
       # the pair as a single DSP, as the paper does.
@@ -77,11 +96,12 @@ implementations:
         - { name: B, bitwidth: 18, value: B }
         - { name: C, bitwidth: 54, value: C }
       parameters:
-        - { name: REG_INPUT, value: "?REG_INPUT" }
-        - { name: REG_C, value: "?REG_C" }
-        - { name: REG_PIPE, value: "?REG_PIPE" }
-        - { name: REG_OUTPUT, value: "?REG_OUTPUT" }
-        - { name: ALU_OP, value: "?ALU_OP" }
+        - { name: REG_INPUT, bitwidth: 1, value: "?REG_INPUT" }
+        - { name: REG_C, bitwidth: 1, value: "?REG_C" }
+        - { name: REG_PIPE, bitwidth: 1, value: "?REG_PIPE" }
+        - { name: REG_OUTPUT, bitwidth: 1, value: "?REG_OUTPUT" }
+        # ALU_OP encodings 7 and up are reserved.
+        - { name: ALU_OP, bitwidth: 3, value: "?ALU_OP", below: 7 }
       outputs: { O: R }
   - interface: { name: LUT, num_inputs: 4 }
     internal_data: { INIT: 16 }
@@ -125,17 +145,16 @@ name: intel-cyclone10lp
 vendor: intel
 lut_size: 4
 implementations:
-  - interface: { name: DSP, out-width: 36, a-width: 18, b-width: 18 }
-    holes: [REGISTER_A, REGISTER_B, REGISTER_OUT]
+  - interface: { name: DSP, out-width: 36 }
     implementation:
       module: cyclone10lp_mac_mult
       ports:
         - { name: dataa, bitwidth: 18, value: A }
         - { name: datab, bitwidth: 18, value: B }
       parameters:
-        - { name: REGISTER_A, value: "?REGISTER_A" }
-        - { name: REGISTER_B, value: "?REGISTER_B" }
-        - { name: REGISTER_OUT, value: "?REGISTER_OUT" }
+        - { name: REGISTER_A, bitwidth: 1, value: "?REGISTER_A" }
+        - { name: REGISTER_B, bitwidth: 1, value: "?REGISTER_B" }
+        - { name: REGISTER_OUT, bitwidth: 1, value: "?REGISTER_OUT" }
       outputs: { O: dataout }
   - interface: { name: LUT, num_inputs: 4 }
     internal_data: { INIT: 16 }

@@ -7,17 +7,22 @@
 //! * [`Architecture`] wraps one of the four shipped architecture descriptions
 //!   (Xilinx UltraScale+, Lattice ECP5, Intel Cyclone 10 LP, SOFA), parsed from YAML
 //!   by the in-tree [`yaml`] parser.
-//! * [`primitives`] holds the primitive semantic models; simple primitives are
-//!   extracted from mini-HDL models via `lr-hdl`, the two big DSPs are built
-//!   programmatically.
+//! * [`primitives`] holds the primitive semantic models, looked up by module name
+//!   through [`primitives::semantics`]; simple primitives are extracted from
+//!   mini-HDL models via `lr-hdl`, the two big DSPs are built programmatically.
 //! * [`Architecture::instantiate_dsp`] / [`Architecture::instantiate_lut`] are the
 //!   hooks the sketch generator (`lr-sketch`) uses to specialize its
-//!   architecture-independent templates: they create the primitive instance, its
-//!   holes, and the port-selection logic, and return the resulting node.
+//!   architecture-independent templates. Both instantiate the description's
+//!   implementation entry the same way: they walk its ports and parameters,
+//!   create the holes and port-selection logic its `value`s ask for (see
+//!   [`descriptions`]), and return the resulting node. No module, port, width or
+//!   hole is restated in Rust.
 
 pub mod descriptions;
 pub mod primitives;
 pub mod yaml;
+
+use std::collections::BTreeMap;
 
 use lr_bv::BitVec;
 use lr_ir::{BvOp, HoleDomain, NodeId, PrimInstance, ProgBuilder};
@@ -55,12 +60,8 @@ impl std::fmt::Display for ArchName {
 pub struct DspInstantiation {
     /// The primitive node (its value is the DSP's full-width output).
     pub node: NodeId,
-    /// Width of the DSP's output port.
+    /// Width of the DSP's output port (the description's `out-width`).
     pub output_width: u32,
-    /// Names of the holes created for this instance.
-    pub holes: Vec<String>,
-    /// The concrete module name instantiated (for reports and emission).
-    pub module: String,
 }
 
 /// An FPGA architecture: its description plus programmatic access to its primitives.
@@ -124,77 +125,59 @@ impl Architecture {
         self.name
     }
 
-    /// The raw YAML architecture description text.
-    pub fn description_text(&self) -> &str {
-        self.description
-    }
-
     /// Source lines of code of the architecture description (the §5.2 metric).
     pub fn description_sloc(&self) -> usize {
         lr_hdl::count_sloc(self.description)
     }
 
-    /// The parsed YAML document.
-    pub fn description_yaml(&self) -> &Yaml {
-        &self.parsed
-    }
-
     /// The interface implementations listed in the description.
     pub fn implementations(&self) -> &[Yaml] {
-        self.parsed.get("implementations").and_then(Yaml::as_list).unwrap_or(&[])
+        list(&self.parsed, "implementations")
     }
 
     /// The LUT size this architecture provides.
     pub fn lut_size(&self) -> u32 {
-        self.parsed.get("lut_size").and_then(Yaml::as_int).unwrap_or(4) as u32
+        number(&self.parsed, "lut_size").unwrap_or(4)
     }
 
     /// Whether the architecture provides a DSP.
     pub fn has_dsp(&self) -> bool {
-        self.dsp_module().is_some()
+        self.dsp().is_some()
     }
 
     /// The concrete module name of the architecture's DSP, if any.
-    pub fn dsp_module(&self) -> Option<&'static str> {
-        match self.name {
-            ArchName::XilinxUltraScalePlus => Some("DSP48E2"),
-            ArchName::LatticeEcp5 => Some("MULT18X18C_ALU54A"),
-            ArchName::IntelCyclone10Lp => Some("cyclone10lp_mac_mult"),
-            ArchName::Sofa => None,
-        }
+    pub fn dsp_module(&self) -> Option<&str> {
+        self.dsp().map(|dsp| text(field(dsp, "implementation"), "module"))
     }
 
-    /// The DSP output width, if the architecture has a DSP.
-    pub fn dsp_output_width(&self) -> Option<u32> {
-        match self.name {
-            ArchName::XilinxUltraScalePlus => Some(primitives::DSP48E2_OUT_WIDTH),
-            ArchName::LatticeEcp5 => Some(primitives::ECP5_DSP_OUT_WIDTH),
-            ArchName::IntelCyclone10Lp => Some(primitives::CYCLONE10_OUT_WIDTH),
-            ArchName::Sofa => None,
-        }
-    }
-
-    /// The widest data operand the DSP's multiplier accepts (18 bits on all three
-    /// DSP-bearing architectures; the paper's microbenchmarks stop at 18 bits for the
-    /// same reason).
+    /// The widest data operand the DSP's multiplier accepts: the narrower of the
+    /// ports bound to the `A` and `B` operands (18 bits on all three DSP-bearing
+    /// architectures; the paper's microbenchmarks stop at 18 bits for the same
+    /// reason).
     pub fn dsp_max_operand_width(&self) -> Option<u32> {
-        if self.has_dsp() {
-            Some(18)
-        } else {
-            None
-        }
+        list(field(self.dsp()?, "implementation"), "ports")
+            .iter()
+            .filter(|port| matches!(port.get("value").and_then(Yaml::as_str), Some("A" | "B")))
+            .filter_map(|port| number(port, "bitwidth"))
+            .min()
     }
 
-    /// Whether the DSP has a pre-adder (only the DSP48E2 does), i.e. whether designs
-    /// of the form `(a ± b) * c` fit in one DSP.
-    pub fn dsp_has_preadder(&self) -> bool {
-        self.name == ArchName::XilinxUltraScalePlus
+    /// The description's DSP implementation entry, if it lists one.
+    fn dsp(&self) -> Option<&Yaml> {
+        self.implementations().iter().find(|entry| text(field(entry, "interface"), "name") == "DSP")
     }
 
-    /// Whether the DSP has a post-ALU (DSP48E2 and ECP5), i.e. whether designs of the
-    /// form `(a * b) ⊙ c` fit in one DSP.
-    pub fn dsp_has_post_alu(&self) -> bool {
-        matches!(self.name, ArchName::XilinxUltraScalePlus | ArchName::LatticeEcp5)
+    /// The description's LUT implementation entry with [`Architecture::lut_size`]
+    /// inputs.
+    fn lut(&self) -> &Yaml {
+        let size = self.lut_size();
+        self.implementations()
+            .iter()
+            .find(|entry| {
+                let interface = field(entry, "interface");
+                text(interface, "name") == "LUT" && number(interface, "num_inputs") == Some(size)
+            })
+            .unwrap_or_else(|| panic!("{} describes no LUT{size}", self.name))
     }
 
     /// Instantiates the architecture's DSP into a sketch under construction.
@@ -212,148 +195,22 @@ impl Architecture {
         design_inputs: &[(String, NodeId, u32)],
         instance_index: usize,
     ) -> Option<DspInstantiation> {
-        let prefix = format!("dsp{instance_index}");
-        let offset = semantics_id_offset(instance_index);
-        let mut holes = Vec::new();
-        match self.name {
-            ArchName::XilinxUltraScalePlus => {
-                let semantics = primitives::dsp48e2_semantics().with_id_offset(offset);
-                let a = select_input(builder, design_inputs, 30, &prefix, "A_SEL", &mut holes);
-                let b = select_input(builder, design_inputs, 18, &prefix, "B_SEL", &mut holes);
-                let c = select_input(builder, design_inputs, 48, &prefix, "C_SEL", &mut holes);
-                let d = select_input(builder, design_inputs, 27, &prefix, "D_SEL", &mut holes);
-                let mut bindings = std::collections::BTreeMap::new();
-                bindings.insert("A".to_string(), a);
-                bindings.insert("B".to_string(), b);
-                bindings.insert("C".to_string(), c);
-                bindings.insert("D".to_string(), d);
-                for (name, width) in [
-                    ("CARRYIN", 1),
-                    ("INMODE", 5),
-                    ("OPMODE", 9),
-                    ("ALUMODE", 4),
-                    ("AREG", 1),
-                    ("BREG", 1),
-                    ("CREG", 1),
-                    ("DREG", 1),
-                    ("ADREG", 1),
-                    ("MREG", 1),
-                    ("PREG", 1),
-                    ("AMULTSEL", 1),
-                ] {
-                    let hole_name = format!("{prefix}.{name}");
-                    let h = builder.hole(&hole_name, width, HoleDomain::AnyConstant);
-                    bindings.insert(name.to_string(), h);
-                    holes.push(hole_name);
-                }
-                let prim = PrimInstance {
-                    module: "DSP48E2".to_string(),
-                    interface: "DSP".to_string(),
-                    bindings,
-                    semantics,
-                    param_names: vec![
-                        "AREG".into(),
-                        "BREG".into(),
-                        "CREG".into(),
-                        "DREG".into(),
-                        "ADREG".into(),
-                        "MREG".into(),
-                        "PREG".into(),
-                        "AMULTSEL".into(),
-                    ],
-                    output_port: "P".to_string(),
-                };
-                let node = builder.prim(prim);
-                Some(DspInstantiation {
-                    node,
-                    output_width: primitives::DSP48E2_OUT_WIDTH,
-                    holes,
-                    module: "DSP48E2".to_string(),
-                })
-            }
-            ArchName::LatticeEcp5 => {
-                let semantics = primitives::ecp5_dsp_semantics().with_id_offset(offset);
-                let a = select_input(builder, design_inputs, 18, &prefix, "A_SEL", &mut holes);
-                let b = select_input(builder, design_inputs, 18, &prefix, "B_SEL", &mut holes);
-                let c = select_input(builder, design_inputs, 54, &prefix, "C_SEL", &mut holes);
-                let mut bindings = std::collections::BTreeMap::new();
-                bindings.insert("A".to_string(), a);
-                bindings.insert("B".to_string(), b);
-                bindings.insert("C".to_string(), c);
-                for (name, width, domain) in [
-                    ("REG_INPUT", 1, HoleDomain::AnyConstant),
-                    ("REG_C", 1, HoleDomain::AnyConstant),
-                    ("REG_PIPE", 1, HoleDomain::AnyConstant),
-                    ("REG_OUTPUT", 1, HoleDomain::AnyConstant),
-                    ("ALU_OP", 3, HoleDomain::LessThan(BitVec::from_u64(7, 3))),
-                ] {
-                    let hole_name = format!("{prefix}.{name}");
-                    let h = builder.hole(&hole_name, width, domain);
-                    bindings.insert(name.to_string(), h);
-                    holes.push(hole_name);
-                }
-                let prim = PrimInstance {
-                    module: "MULT18X18C_ALU54A".to_string(),
-                    interface: "DSP".to_string(),
-                    bindings,
-                    semantics,
-                    param_names: vec![
-                        "REG_INPUT".into(),
-                        "REG_C".into(),
-                        "REG_PIPE".into(),
-                        "REG_OUTPUT".into(),
-                        "ALU_OP".into(),
-                    ],
-                    output_port: "R".to_string(),
-                };
-                let node = builder.prim(prim);
-                Some(DspInstantiation {
-                    node,
-                    output_width: primitives::ECP5_DSP_OUT_WIDTH,
-                    holes,
-                    module: "MULT18X18C_ALU54A".to_string(),
-                })
-            }
-            ArchName::IntelCyclone10Lp => {
-                let semantics = primitives::cyclone10_mac_mult_semantics().with_id_offset(offset);
-                let a = select_input(builder, design_inputs, 18, &prefix, "A_SEL", &mut holes);
-                let b = select_input(builder, design_inputs, 18, &prefix, "B_SEL", &mut holes);
-                let mut bindings = std::collections::BTreeMap::new();
-                bindings.insert("dataa".to_string(), a);
-                bindings.insert("datab".to_string(), b);
-                for name in ["REGISTER_A", "REGISTER_B", "REGISTER_OUT"] {
-                    let hole_name = format!("{prefix}.{name}");
-                    let h = builder.hole(&hole_name, 1, HoleDomain::AnyConstant);
-                    bindings.insert(name.to_string(), h);
-                    holes.push(hole_name);
-                }
-                let prim = PrimInstance {
-                    module: "cyclone10lp_mac_mult".to_string(),
-                    interface: "DSP".to_string(),
-                    bindings,
-                    semantics,
-                    param_names: vec![
-                        "REGISTER_A".into(),
-                        "REGISTER_B".into(),
-                        "REGISTER_OUT".into(),
-                    ],
-                    output_port: "dataout".to_string(),
-                };
-                let node = builder.prim(prim);
-                Some(DspInstantiation {
-                    node,
-                    output_width: primitives::CYCLONE10_OUT_WIDTH,
-                    holes,
-                    module: "cyclone10lp_mac_mult".to_string(),
-                })
-            }
-            ArchName::Sofa => None,
-        }
+        let dsp = self.dsp()?;
+        let operands = Operands {
+            prefix: format!("dsp{instance_index}"),
+            design_inputs,
+            named: BTreeMap::new(),
+        };
+        let node = instantiate(builder, dsp, &operands, instance_index);
+        let output_width = number(field(dsp, "interface"), "out-width")
+            .expect("a DSP interface gives its out-width");
+        Some(DspInstantiation { node, output_width })
     }
 
     /// Instantiates one LUT of this architecture, driven by the given 1-bit input
-    /// nodes (missing inputs are tied to zero). Creates a fresh `INIT`/`sram` hole and
-    /// returns the LUT's 1-bit output node.
+    /// nodes (missing inputs are tied to zero). Creates a fresh hole for the LUT's
+    /// internal data (`INIT`, or SOFA's `sram`) and returns the LUT's 1-bit output
+    /// node.
     pub fn instantiate_lut(
         &self,
         builder: &mut ProgBuilder,
@@ -367,52 +224,151 @@ impl Architecture {
             inputs.len(),
             self.name
         );
-        let offset = semantics_id_offset(instance_index);
+        let lut = self.lut();
         let zero1 = builder.constant_u64(0, 1);
-        let padded: Vec<NodeId> =
-            (0..size as usize).map(|i| inputs.get(i).copied().unwrap_or(zero1)).collect();
-        let init_width = 1u32 << size;
-        let hole_name = format!("lut{instance_index}.INIT");
-        let init = builder.hole(&hole_name, init_width, HoleDomain::AnyConstant);
-
-        let mut bindings = std::collections::BTreeMap::new();
-        let (module, semantics, output_port, param_name) = match self.name {
-            ArchName::XilinxUltraScalePlus => {
-                let sem = primitives::lut_semantics(6).with_id_offset(offset);
-                for (i, &node) in padded.iter().enumerate() {
-                    bindings.insert(format!("I{i}"), node);
-                }
-                ("LUT6", sem, "O", "INIT")
-            }
-            ArchName::LatticeEcp5 | ArchName::IntelCyclone10Lp => {
-                let sem = primitives::lut_semantics(4).with_id_offset(offset);
-                for (name, &node) in ["A", "B", "C", "D"].iter().zip(&padded) {
-                    bindings.insert(name.to_string(), node);
-                }
-                ("LUT4", sem, "Z", "INIT")
-            }
-            ArchName::Sofa => {
-                let sem = primitives::frac_lut4_semantics().with_id_offset(offset);
-                // frac_lut4 takes its four inputs as a single 4-bit bus plus a mode pin.
-                let i10 = builder.op2(BvOp::Concat, padded[1], padded[0]);
-                let i32_ = builder.op2(BvOp::Concat, padded[3], padded[2]);
-                let bus = builder.op2(BvOp::Concat, i32_, i10);
-                bindings.insert("in".to_string(), bus);
-                bindings.insert("mode".to_string(), zero1);
-                ("frac_lut4", sem, "lut4_out", "sram")
-            }
-        };
-        bindings.insert(param_name.to_string(), init);
-        let prim = PrimInstance {
-            module: module.to_string(),
-            interface: format!("LUT{size}"),
-            bindings,
-            semantics,
-            param_names: vec![param_name.to_string()],
-            output_port: output_port.to_string(),
-        };
-        builder.prim(prim)
+        let mut named: BTreeMap<String, NodeId> = (0..size as usize)
+            .map(|i| (format!("I{i}"), inputs.get(i).copied().unwrap_or(zero1)))
+            .collect();
+        let data = field(lut, "internal_data");
+        for name in data.as_map().map(BTreeMap::keys).into_iter().flatten() {
+            let width = number(data, name).expect("internal data gives its width");
+            let hole =
+                builder.hole(&format!("lut{instance_index}.INIT"), width, HoleDomain::AnyConstant);
+            named.insert(name.clone(), hole);
+        }
+        let operands =
+            Operands { prefix: format!("lut{instance_index}"), design_inputs: &[], named };
+        instantiate(builder, lut, &operands, instance_index)
     }
+}
+
+/// Instantiates one `implementations` entry of a description: binds each of its
+/// `ports`, then each of its `parameters`, in description order, and adds the
+/// primitive node with the semantics of its module.
+fn instantiate(
+    builder: &mut ProgBuilder,
+    entry: &Yaml,
+    operands: &Operands,
+    instance_index: usize,
+) -> NodeId {
+    let implementation = field(entry, "implementation");
+    let module = text(implementation, "module");
+    let semantics = primitives::semantics(module)
+        .unwrap_or_else(|| panic!("no semantics for module `{module}`"))
+        .with_id_offset(semantics_id_offset(instance_index));
+    let mut bindings = BTreeMap::new();
+    for binding in list(implementation, "ports").iter().chain(list(implementation, "parameters")) {
+        bindings.insert(text(binding, "name").to_string(), operands.bind(builder, binding));
+    }
+    let param_names =
+        list(implementation, "parameters").iter().map(|p| text(p, "name").to_string()).collect();
+    let interface = field(entry, "interface");
+    let interface = match number(interface, "num_inputs") {
+        Some(n) => format!("{}{n}", text(interface, "name")),
+        None => text(interface, "name").to_string(),
+    };
+    builder.prim(PrimInstance {
+        module: module.to_string(),
+        interface,
+        bindings,
+        semantics,
+        param_names,
+        output_port: text(field(implementation, "outputs"), "O").to_string(),
+    })
+}
+
+/// What the `value`s of one implementation entry can name while it is
+/// instantiated.
+struct Operands<'a> {
+    /// Hole-name prefix of this instance (`dsp0`, `lut3`).
+    prefix: String,
+    /// The design inputs a DSP data operand (`A`…`D`) selects among.
+    design_inputs: &'a [(String, NodeId, u32)],
+    /// Nodes that port expressions name: a LUT's inputs `I0`…`In` and its
+    /// internal data.
+    named: BTreeMap<String, NodeId>,
+}
+
+impl Operands<'_> {
+    /// The node that one port or parameter entry binds. `?NAME` is a fresh
+    /// `{prefix}.NAME` hole of the entry's `bitwidth`, restricted to values
+    /// `below` a bound when the entry gives one; `A`…`D` is a DSP data operand,
+    /// a hole-selected multiplexer over the design inputs at the entry's
+    /// `bitwidth`; anything else is a port expression over the named nodes.
+    fn bind(&self, builder: &mut ProgBuilder, entry: &Yaml) -> NodeId {
+        let value = text(entry, "value");
+        let width =
+            || number(entry, "bitwidth").unwrap_or_else(|| panic!("`{value}` needs a bitwidth"));
+        if let Some(hole) = value.strip_prefix('?') {
+            let width = width();
+            let domain = match number(entry, "below") {
+                Some(bound) => HoleDomain::LessThan(BitVec::from_u64(bound.into(), width)),
+                None => HoleDomain::AnyConstant,
+            };
+            builder.hole(&format!("{}.{hole}", self.prefix), width, domain)
+        } else if matches!(value, "A" | "B" | "C" | "D") {
+            let hole = format!("{}.{value}_SEL", self.prefix);
+            select_input(builder, self.design_inputs, width(), &hole)
+        } else {
+            let tokens = value.replace('(', " ( ").replace(')', " ) ");
+            self.expr(builder, &mut tokens.split_whitespace())
+                .unwrap_or_else(|| panic!("`{value}` is not a port expression"))
+        }
+    }
+
+    /// Evaluates the next port expression in `tokens` — a named node,
+    /// `(bv VALUE WIDTH)`, or `(concat HIGH … LOW)` — or returns `None` at a
+    /// closing parenthesis.
+    fn expr<'t>(
+        &self,
+        builder: &mut ProgBuilder,
+        tokens: &mut impl Iterator<Item = &'t str>,
+    ) -> Option<NodeId> {
+        let node = match tokens.next()? {
+            ")" => return None,
+            "(" => match tokens.next() {
+                Some("bv") => {
+                    let mut literal = || -> u64 {
+                        tokens.next().and_then(|t| t.parse().ok()).expect("`(bv VALUE WIDTH)`")
+                    };
+                    let value = literal();
+                    let node = builder.constant_u64(value, literal() as u32);
+                    assert_eq!(tokens.next(), Some(")"), "`(bv VALUE WIDTH)` takes two numbers");
+                    node
+                }
+                Some("concat") => {
+                    let mut node = self.expr(builder, tokens).expect("`(concat)` needs operands");
+                    while let Some(low) = self.expr(builder, tokens) {
+                        node = builder.op2(BvOp::Concat, node, low);
+                    }
+                    node
+                }
+                other => panic!("unknown port expression operator {other:?}"),
+            },
+            name => *self.named.get(name).unwrap_or_else(|| panic!("`{name}` names no node")),
+        };
+        Some(node)
+    }
+}
+
+/// The value at `key` of a shipped description entry.
+fn field<'a>(entry: &'a Yaml, key: &str) -> &'a Yaml {
+    entry.get(key).unwrap_or_else(|| panic!("description entry lacks `{key}`"))
+}
+
+/// The string at `key` of a shipped description entry.
+fn text<'a>(entry: &'a Yaml, key: &str) -> &'a str {
+    field(entry, key).as_str().unwrap_or_else(|| panic!("description `{key}` is not a string"))
+}
+
+/// The non-negative number at `key`, if the entry gives one.
+fn number(entry: &Yaml, key: &str) -> Option<u32> {
+    entry.get(key)?.as_int().and_then(|n| u32::try_from(n).ok())
+}
+
+/// The list at `key`, or an empty list if the entry gives none.
+fn list<'a>(entry: &'a Yaml, key: &str) -> &'a [Yaml] {
+    entry.get(key).and_then(Yaml::as_list).unwrap_or(&[])
 }
 
 /// Reserves a disjoint node-id region for the semantics sub-program of the
@@ -423,14 +379,13 @@ fn semantics_id_offset(instance_index: usize) -> u32 {
 }
 
 /// Builds a hole-selected multiplexer that drives a primitive data port from one of
-/// the design's inputs (or constant zero), zero-extended to the port width.
+/// the design's inputs (or constant zero), zero-extended to the port width. The
+/// selector is the hole `hole_name`, created only when there is a choice to make.
 fn select_input(
     builder: &mut ProgBuilder,
     design_inputs: &[(String, NodeId, u32)],
     port_width: u32,
-    prefix: &str,
-    hole_suffix: &str,
-    holes: &mut Vec<String>,
+    hole_name: &str,
 ) -> NodeId {
     let mut options: Vec<NodeId> = vec![builder.constant_u64(0, port_width)];
     for (_, node, width) in design_inputs {
@@ -447,7 +402,6 @@ fn select_input(
         return options[0];
     }
     let bits = (usize::BITS - (options.len() - 1).leading_zeros()).max(1);
-    let hole_name = format!("{prefix}.{hole_suffix}");
     // When the option count fills the selector width exactly, every selector value is
     // legal; otherwise restrict to the populated range (the bound fits in `bits`
     // because the count is then strictly below 2^bits).
@@ -456,8 +410,7 @@ fn select_input(
     } else {
         HoleDomain::LessThan(BitVec::from_u64(options.len() as u64, bits))
     };
-    let sel = builder.hole(&hole_name, bits, domain);
-    holes.push(hole_name);
+    let sel = builder.hole(hole_name, bits, domain);
     // options[k] selected when sel == k; nested if-then-else chain.
     let mut result = options[0];
     for (k, &opt) in options.iter().enumerate().skip(1) {
@@ -471,7 +424,7 @@ fn select_input(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_ir::StreamInputs;
+    use lr_ir::{Node, StreamInputs};
     use std::collections::BTreeMap;
 
     #[test]
@@ -495,17 +448,65 @@ mod tests {
         assert!(Architecture::lattice_ecp5().has_dsp());
         assert!(Architecture::intel_cyclone10lp().has_dsp());
         assert!(!Architecture::sofa().has_dsp());
-        assert!(Architecture::xilinx_ultrascale_plus().dsp_has_preadder());
-        assert!(!Architecture::lattice_ecp5().dsp_has_preadder());
-        assert!(Architecture::lattice_ecp5().dsp_has_post_alu());
-        assert!(!Architecture::intel_cyclone10lp().dsp_has_post_alu());
+        let modules: Vec<_> =
+            Architecture::all().iter().map(|a| a.dsp_module().map(str::to_string)).collect();
+        assert_eq!(
+            modules,
+            [Some("DSP48E2"), Some("MULT18X18C_ALU54A"), Some("cyclone10lp_mac_mult"), None]
+                .map(|m| m.map(str::to_string))
+        );
+        for arch in Architecture::with_dsps() {
+            assert_eq!(arch.dsp_max_operand_width(), Some(18), "{}", arch.name());
+        }
+        assert_eq!(Architecture::sofa().dsp_max_operand_width(), None);
         assert_eq!(Architecture::xilinx_ultrascale_plus().lut_size(), 6);
         assert_eq!(Architecture::sofa().lut_size(), 4);
     }
 
     #[test]
     fn dsp_instantiation_produces_a_well_formed_sketch() {
-        for arch in Architecture::with_dsps() {
+        // Four 8-bit inputs: each data operand selects among zero and the four
+        // inputs, so its selector is 3 bits wide and stays below 5.
+        let select = HoleDomain::LessThan(BitVec::from_u64(5, 3));
+        let any = HoleDomain::AnyConstant;
+        let expected: [&[(&str, u32, HoleDomain)]; 3] = [
+            &[
+                ("A_SEL", 3, select.clone()),
+                ("B_SEL", 3, select.clone()),
+                ("C_SEL", 3, select.clone()),
+                ("D_SEL", 3, select.clone()),
+                ("CARRYIN", 1, any.clone()),
+                ("INMODE", 5, any.clone()),
+                ("OPMODE", 9, any.clone()),
+                ("ALUMODE", 4, any.clone()),
+                ("AREG", 1, any.clone()),
+                ("BREG", 1, any.clone()),
+                ("CREG", 1, any.clone()),
+                ("DREG", 1, any.clone()),
+                ("ADREG", 1, any.clone()),
+                ("MREG", 1, any.clone()),
+                ("PREG", 1, any.clone()),
+                ("AMULTSEL", 1, any.clone()),
+            ],
+            &[
+                ("A_SEL", 3, select.clone()),
+                ("B_SEL", 3, select.clone()),
+                ("C_SEL", 3, select.clone()),
+                ("REG_INPUT", 1, any.clone()),
+                ("REG_C", 1, any.clone()),
+                ("REG_PIPE", 1, any.clone()),
+                ("REG_OUTPUT", 1, any.clone()),
+                ("ALU_OP", 3, HoleDomain::LessThan(BitVec::from_u64(7, 3))),
+            ],
+            &[
+                ("A_SEL", 3, select.clone()),
+                ("B_SEL", 3, select),
+                ("REGISTER_A", 1, any.clone()),
+                ("REGISTER_B", 1, any.clone()),
+                ("REGISTER_OUT", 1, any),
+            ],
+        ];
+        for (arch, expected) in Architecture::with_dsps().into_iter().zip(expected) {
             let mut b = ProgBuilder::new("sketch");
             let mut inputs = Vec::new();
             for name in ["a", "b", "c", "d"] {
@@ -516,9 +517,41 @@ mod tests {
             let out = b.extract(dsp.node, 7, 0);
             let sketch = b.finish(out);
             assert!(sketch.well_formed().is_ok(), "{}: {:?}", arch.name(), sketch.well_formed());
-            assert!(sketch.has_holes(), "{} sketch should carry holes", arch.name());
-            assert!(!dsp.holes.is_empty());
-            assert!(sketch.holes().len() >= dsp.holes.len());
+            let holes: Vec<_> =
+                sketch.holes().into_iter().map(|h| (h.name, h.width, h.domain)).collect();
+            let mut expected: Vec<_> =
+                expected.iter().map(|(n, w, d)| (format!("dsp0.{n}"), *w, d.clone())).collect();
+            expected.sort_by(|x, y| x.0.cmp(&y.0));
+            assert_eq!(holes, expected, "{}", arch.name());
+        }
+    }
+
+    #[test]
+    fn instances_bind_exactly_their_semantics_free_variables() {
+        for arch in Architecture::all() {
+            let mut b = ProgBuilder::new("sketch");
+            let x = b.input("x", 8);
+            let bit = b.extract(x, 0, 0);
+            let mut prims = vec![arch.instantiate_lut(&mut b, &[bit], 0)];
+            let dsp = arch.instantiate_dsp(&mut b, &[("x".to_string(), x, 8)], 1);
+            prims.extend(dsp.as_ref().map(|d| d.node));
+            let sketch = b.finish(prims[0]);
+            for id in prims {
+                let Some(Node::Prim(prim)) = sketch.node(id) else {
+                    panic!("{id} is no primitive")
+                };
+                let semantics = primitives::semantics(&prim.module).unwrap();
+                let bound: Vec<_> = prim
+                    .bindings
+                    .iter()
+                    .map(|(name, &node)| (name.clone(), sketch.width(node)))
+                    .collect();
+                assert_eq!(bound, semantics.free_vars(), "{} {}", arch.name(), prim.module);
+                assert_eq!(sketch.width(id), semantics.width(semantics.root()));
+            }
+            if let Some(dsp) = dsp {
+                assert_eq!(dsp.output_width, sketch.width(dsp.node), "{}", arch.name());
+            }
         }
     }
 

@@ -10,8 +10,10 @@
 //! by variables that the sketch binds to holes.
 //!
 //! Every builder returns a behavioral [`Prog`] whose free variables are the
-//! primitive's ports *and* configuration parameters; the sketch generator decides
-//! which of those become data connections and which become holes.
+//! primitive's ports *and* configuration parameters; the architecture description
+//! decides which of those become data connections and which become holes.
+//! [`semantics`] is the one table from a description's module names to these
+//! builders, so a new architecture that reuses a module needs no semantics code.
 
 use lr_bv::BitVec;
 use lr_ir::{BvOp, NodeId, Prog, ProgBuilder};
@@ -22,12 +24,21 @@ pub const DSP48E2_MODEL_SLOC: usize = 120;
 /// See [`DSP48E2_MODEL_SLOC`].
 pub const ECP5_DSP_MODEL_SLOC: usize = 80;
 
-/// Output width of the DSP48E2's `P` port.
-pub const DSP48E2_OUT_WIDTH: u32 = 48;
-/// Output width of the combined ECP5 DSP (ALU54A).
-pub const ECP5_DSP_OUT_WIDTH: u32 = 54;
-/// Output width of the Intel Cyclone 10 LP multiplier.
-pub const CYCLONE10_OUT_WIDTH: u32 = 36;
+/// The semantics of the primitive module named `module` in an architecture
+/// description, or `None` if no model of that module exists.
+pub fn semantics(module: &str) -> Option<Prog> {
+    Some(match module {
+        "DSP48E2" => dsp48e2_semantics(),
+        "MULT18X18C_ALU54A" => ecp5_dsp_semantics(),
+        "cyclone10lp_mac_mult" => cyclone10_mac_mult_semantics(),
+        "LUT2" => lut_semantics(2),
+        "LUT4" => lut_semantics(4),
+        "LUT6" => lut_semantics(6),
+        "frac_lut4" => frac_lut4_semantics(),
+        "CARRY8" => carry8_semantics(),
+        _ => return None,
+    })
+}
 
 fn opt_reg(b: &mut ProgBuilder, enable: NodeId, value: NodeId, width: u32) -> NodeId {
     let registered = b.reg(value, width);

@@ -1,19 +1,16 @@
 //! Single-benchmark CEGIS diagnostic: runs one named Xilinx microbenchmark in both
-//! solving modes and prints the run statistics. Per-check timing and conflict
-//! detail now comes from `lr_trace` spans rather than ad-hoc prints: setting
-//! `LR_CEGIS_TRACE=1` enables the tracer with stderr echo, so every recorded
-//! span (`cegis-iteration`, `synth-check`, `verify-check`, `sat-check`, …)
-//! prints one `[lr_trace]` line with its duration and attributes as it closes.
-//! `LR_CEGIS_TRACE_TERMS=1` additionally echoes the unfolded verification
-//! disequality, to localize where a slow benchmark spends its time.
+//! solving modes, with `lr_trace` on, and prints each run's statistics followed
+//! by its per-stage span summary (`cegis-iteration`, `synth-check`,
+//! `verify-check`, `sat-check`, … with call counts and total/mean/max time), to
+//! localize where a slow benchmark spends its time.
 //!
 //! ```sh
-//! LR_CEGIS_TRACE=1 cargo run --release -p lr_bench --bin exp_probe -- mul_w8_s1
+//! cargo run --release -p lr_bench --bin exp_probe -- mul_w8_s1
 //! ```
 //!
-//! For a whole-pipeline view (with Chrome `about:tracing` output and a stage
-//! summary) prefer `lakeroad --trace out.json <design>`; this probe stays the
-//! quick single-benchmark loupe.
+//! For a whole-pipeline view (with Chrome `about:tracing` output) prefer
+//! `lakeroad --trace out.json <design>`; this probe stays the quick
+//! single-benchmark loupe.
 use std::time::Instant;
 
 use lakeroad::suite::suite_for;
@@ -32,7 +29,9 @@ fn main() {
     let sketch = generate_sketch(Template::Dsp, &arch, &spec).unwrap();
     let t = pipeline_depth(&spec);
     let task = SynthesisTask::over_window(&spec, &sketch, t, 2);
+    lr_trace::set_enabled(true);
     for incremental in [true, false] {
+        lr_trace::reset();
         let config = SynthesisConfig { timeout: None, incremental, ..Default::default() };
         let start = Instant::now();
         let outcome = synthesize(&task, &config).unwrap();
@@ -54,5 +53,6 @@ fn main() {
             stats.constraints_reencoded,
             stats.learnt_clauses_reused,
         );
+        print!("{}", lr_trace::stage_summary(&lr_trace::take_events()));
     }
 }

@@ -48,19 +48,12 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use lakeroad::{map_design, map_design_auto, MapConfig, MapOutcome, Template};
+use lakeroad::{map_design, map_design_auto, MapConfig, MapOutcome};
 use lr_arch::{ArchName, Architecture};
 use lr_serve::{
-    parse_arch_name, parse_manifest, run_batch_streaming, BatchOptions, BatchReport, Daemon,
-    DaemonConfig, JobResult, SynthCache,
+    parse_arch_name, parse_manifest, parse_template, run_batch_streaming, BatchOptions,
+    BatchReport, Daemon, DaemonConfig, JobResult, SynthCache, TemplateChoice,
 };
-
-/// Which sketch template(s) to try: a named template, or `auto` — the ranking the
-/// rule-driven sketch guidance derives from the design's saturated e-graph.
-enum TemplateChoice {
-    Named(Template),
-    Auto,
-}
 
 struct Options {
     template: TemplateChoice,
@@ -246,14 +239,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--trace" => trace = Some(flags.value("--trace", "an output file")?),
             "--template" => {
                 let name = flags.value("--template", "a value")?;
-                template = Some(if name == "auto" {
-                    TemplateChoice::Auto
-                } else {
-                    TemplateChoice::Named(
-                        Template::from_cli_name(&name)
-                            .ok_or(format!("unknown template `{name}`"))?,
-                    )
-                });
+                template = Some(parse_template(&name).ok_or(format!("unknown template `{name}`"))?);
             }
             "--arch-desc" => arch = Some(flags.arch()?),
             "--timeout" => timeout = flags.seconds("--timeout")?,
@@ -327,6 +313,33 @@ fn parse_batch_args(args: &[String]) -> Result<BatchArgs, String> {
     })
 }
 
+/// Opens the cache `--cache`/`--no-cache` ask for: the persistent file at
+/// `path` (empty while it does not exist yet), a cache that lives for this run
+/// only when no path is given, or none with `--no-cache`.
+fn open_cache(use_cache: bool, path: Option<&str>) -> Result<Option<Arc<SynthCache>>, String> {
+    if !use_cache {
+        return Ok(None);
+    }
+    let Some(path) = path else { return Ok(Some(Arc::new(SynthCache::new()))) };
+    let cache = SynthCache::load(std::path::Path::new(path))
+        .map_err(|e| format!("cannot load cache `{path}`: {e}"))?;
+    if !cache.is_empty() {
+        eprintln!("loaded {} cached verdicts from `{path}`", cache.len());
+    }
+    Ok(Some(Arc::new(cache)))
+}
+
+/// Saves the run's cache back to `--cache <path>`, when there is both.
+fn save_cache(cache: Option<&SynthCache>, path: Option<&str>) -> Result<(), String> {
+    if let (Some(cache), Some(path)) = (cache, path) {
+        cache
+            .save(std::path::Path::new(path))
+            .map_err(|e| format!("cannot save cache `{path}`: {e}"))?;
+        eprintln!("saved {} cached verdicts to `{path}`", cache.len());
+    }
+    Ok(())
+}
+
 fn batch_main(args: &[String]) -> ExitCode {
     let options = match parse_batch_args(args) {
         Ok(o) => o,
@@ -352,27 +365,12 @@ fn batch_main(args: &[String]) -> ExitCode {
         }
     };
 
-    // `--cache <path>` loads/saves a persistent cache; the default is a cache
-    // that lives for this batch only; `--no-cache` synthesizes every job.
-    let cache = if options.use_cache {
-        let cache = match &options.cache_path {
-            Some(path) => match SynthCache::load(std::path::Path::new(path)) {
-                Ok(cache) => {
-                    if !cache.is_empty() {
-                        eprintln!("loaded {} cached verdicts from `{path}`", cache.len());
-                    }
-                    cache
-                }
-                Err(e) => {
-                    eprintln!("cannot load cache `{path}`: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            None => SynthCache::new(),
-        };
-        Some(Arc::new(cache))
-    } else {
-        None
+    let cache = match open_cache(options.use_cache, options.cache_path.as_deref()) {
+        Ok(cache) => cache,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
     };
 
     let mut map = MapConfig {
@@ -428,12 +426,9 @@ fn batch_main(args: &[String]) -> ExitCode {
     }
     print!("{}", report.render());
 
-    if let (Some(cache), Some(path)) = (&cache, &options.cache_path) {
-        if let Err(e) = cache.save(std::path::Path::new(path)) {
-            eprintln!("cannot save cache `{path}`: {e}");
-            return ExitCode::from(2);
-        }
-        eprintln!("saved {} cached verdicts to `{path}`", cache.len());
+    if let Err(e) = save_cache(cache.as_deref(), options.cache_path.as_deref()) {
+        eprintln!("{e}");
+        return ExitCode::from(2);
     }
     if report.errors > 0 {
         return ExitCode::FAILURE;
@@ -536,25 +531,12 @@ fn map_netlist_main(args: &[String]) -> ExitCode {
         }
     };
 
-    let cache = if options.use_cache {
-        let cache = match &options.cache_path {
-            Some(path) => match SynthCache::load(std::path::Path::new(path)) {
-                Ok(cache) => {
-                    if !cache.is_empty() {
-                        eprintln!("loaded {} cached verdicts from `{path}`", cache.len());
-                    }
-                    cache
-                }
-                Err(e) => {
-                    eprintln!("cannot load cache `{path}`: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            None => SynthCache::new(),
-        };
-        Some(Arc::new(cache))
-    } else {
-        None
+    let cache = match open_cache(options.use_cache, options.cache_path.as_deref()) {
+        Ok(cache) => cache,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
     };
     let mut map = MapConfig::default().with_timeout(options.timeout);
     if let Some(cache) = &cache {
@@ -586,12 +568,9 @@ fn map_netlist_main(args: &[String]) -> ExitCode {
     };
     eprint!("{}", report.render());
 
-    if let (Some(cache), Some(path)) = (&cache, &options.cache_path) {
-        if let Err(e) = cache.save(std::path::Path::new(path)) {
-            eprintln!("cannot save cache `{path}`: {e}");
-            return ExitCode::from(2);
-        }
-        eprintln!("saved {} cached verdicts to `{path}`", cache.len());
+    if let Err(e) = save_cache(cache.as_deref(), options.cache_path.as_deref()) {
+        eprintln!("{e}");
+        return ExitCode::from(2);
     }
     match options.output {
         Some(path) => {

@@ -164,23 +164,16 @@ impl SynthCache {
     }
 
     /// Writes the cache to `path` in the versioned text format. The write is
-    /// atomic (a temp file in the same directory, renamed over the target): a
-    /// crash or full disk mid-save must not replace a good warm cache with a
-    /// torn file that the strict loader would then reject forever.
-    ///
-    /// The temp name is unique per process *and* per save — two concurrent
-    /// writers (the daemon's background persister racing a `lakeroad batch
-    /// --cache` exit save, or two batch processes sharing one warm file) each
-    /// write their own complete temp file and the renames land whole-file
-    /// last-writer-wins, instead of interleaving through one shared temp path
-    /// and renaming a half-written file over a good cache. The data is fsynced
-    /// before the rename so a crash cannot leave the target pointing at
-    /// not-yet-durable content.
+    /// atomic (a unique temp file in the same directory, fsynced, renamed over
+    /// the target): a crash or full disk mid-save must not replace a good warm
+    /// cache with a torn file that the strict loader would then reject
+    /// forever, and two concurrent writers (the daemon's background persister
+    /// racing a `lakeroad batch --cache` exit save, or two batch processes
+    /// sharing one warm file) land whole-file last-writer-wins.
     ///
     /// # Errors
     /// Propagates the underlying I/O error.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        static SAVE_TICKET: AtomicU64 = AtomicU64::new(0);
         let mut out = Vec::new();
         writeln!(out, "{FORMAT_HEADER}")?;
         for (key, outcome) in self.entries() {
@@ -195,26 +188,7 @@ impl SynthCache {
                 }
             }
         }
-        let base = path
-            .file_name()
-            .map_or_else(|| "cache".to_string(), |name| name.to_string_lossy().into_owned());
-        let tmp = path.with_file_name(format!(
-            "{base}.{}.{}.tmp",
-            std::process::id(),
-            SAVE_TICKET.fetch_add(1, Ordering::Relaxed),
-        ));
-        let result = (|| {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(&out)?;
-            file.sync_all()?;
-            drop(file);
-            std::fs::rename(&tmp, path)
-        })();
-        if result.is_err() {
-            // Best effort: do not leave a stray temp file behind a failed save.
-            let _ = std::fs::remove_file(&tmp);
-        }
-        result
+        write_atomic(path, &out)
     }
 
     /// Reads a cache from `path`. A missing file yields an empty cache (cold
@@ -304,6 +278,38 @@ impl MapCache for SynthCache {
             table.counters.invalidations += 1;
         }
     }
+}
+
+/// Writes `bytes` to `path` atomically: into a temp file in the same
+/// directory, fsynced, then renamed over the target, so a reader sees either
+/// the old file or the whole new one and a crash cannot leave the target
+/// pointing at not-yet-durable content. The directory is fsynced after the
+/// rename so the new entry itself survives a crash. The temp name is unique
+/// per process *and* per write, so concurrent writers never interleave
+/// through one temp file; a failed write removes its temp file.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static TICKET: AtomicU64 = AtomicU64::new(0);
+    let base = path
+        .file_name()
+        .map_or_else(|| "file".to_string(), |name| name.to_string_lossy().into_owned());
+    let tmp = path.with_file_name(format!(
+        "{base}.{}.{}.tmp",
+        std::process::id(),
+        TICKET.fetch_add(1, Ordering::Relaxed),
+    ));
+    let result = (|| {
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&tmp, path)
+    })();
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+        return result;
+    }
+    let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+    std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
 }
 
 #[cfg(test)]

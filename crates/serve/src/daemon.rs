@@ -530,7 +530,6 @@ fn worker_loop(inner: &Inner) {
         let waited = queued.submitted.elapsed();
         let wait_us = u64::try_from(waited.as_micros()).unwrap_or(u64::MAX);
         inner.counters.queue_wait_us.record(wait_us);
-        lr_trace::hist_record("daemon.queue_wait_us", wait_us);
         let start = Instant::now();
         let mut spans: Vec<lr_trace::TraceEvent> = Vec::new();
         let result = if queued.job.deadline.is_some_and(|d| waited >= d) {
@@ -756,7 +755,7 @@ fn stats_response(inner: &Inner, id: Option<&Json>) -> String {
             "trace",
             Json::obj([
                 ("enabled", Json::Bool(lr_trace::enabled())),
-                ("spans_dropped", Json::num(lr_trace::counter_value("trace_spans_dropped") as f64)),
+                ("spans_dropped", Json::num(lr_trace::dropped_events() as f64)),
             ]),
         ),
         (
@@ -884,10 +883,10 @@ fn metrics_response(inner: &Inner, id: Option<&Json>) -> String {
         w.histogram("lakeroad_daemon_latency_10s_us", &[], &rates.latency_us.windowed(now, 10_000));
     }
     w.histogram("lakeroad_daemon_request_latency_us", &[], &c.request_latency_us.snapshot());
-    // The daemon's own queue-wait histogram and the spans-dropped counter are
-    // NOT emitted here: the registry snapshot below carries the same families
-    // (`daemon.queue_wait_us`, `trace_spans_dropped`) under the `lakeroad_`
-    // prefix, and OpenMetrics forbids a family appearing twice.
+    // Both live whether or not tracing is on, unlike the registry below,
+    // which records nothing while tracing is off.
+    w.histogram("lakeroad_daemon_queue_wait_us", &[], &c.queue_wait_us.snapshot());
+    w.counter("lakeroad_trace_spans_dropped", &[], lr_trace::dropped_events());
 
     if let Some(rec) = &inner.recorder {
         w.counter("lakeroad_daemon_forensics_bundles_written", &[], rec.bundles_written());

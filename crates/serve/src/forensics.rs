@@ -17,19 +17,18 @@
 //!   tests and `exp_obs` use).
 //!
 //! A bundle is one JSONL file under `--forensics-dir`: line 1 is the record
-//! header, each further line one span event. Files are written with the same
-//! atomic discipline as the cache snapshot (unique tmp + `sync_all` +
-//! `rename`) and rotated oldest-first so at most `--forensics-keep` bundles
-//! exist. Draining writes a final `drain` bundle of the whole ring, so the
-//! evidence of a crashing run's last requests survives the restart.
+//! header, each further line one span event. Files are written by the cache
+//! snapshot's atomic writer (unique tmp + `sync_all` + `rename`) and rotated
+//! oldest-first so at most `--forensics-keep` bundles exist. Draining writes
+//! a final `drain` bundle of the whole ring, so the evidence of a crashing
+//! run's last requests survives the restart.
 //!
 //! Everything here is observation-only: the recorder never touches the
 //! mapping configuration or the cache, so enabling it must not change any
 //! deterministic synthesis counter (`check_obs` gates exactly that).
 
 use std::collections::VecDeque;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
@@ -309,8 +308,8 @@ impl FlightRecorder {
         ring.iter().rev().find(|r| r.id.as_ref() == Some(id)).map(RequestRecord::full_json)
     }
 
-    /// Writes one bundle file atomically (unique tmp, `sync_all`, rename —
-    /// the cache-snapshot discipline) and rotates the oldest bundles out.
+    /// Writes one bundle file atomically (with the cache snapshot's writer,
+    /// `cache::write_atomic`) and rotates the oldest bundles out.
     fn write_bundle(&self, stem: &str, records: &[RequestRecord]) {
         let Some(dir) = &self.config.dir else { return };
         let unix_ms = SystemTime::now()
@@ -322,7 +321,8 @@ impl FlightRecorder {
         // keeps names unique within one millisecond.
         let name = format!("{unix_ms:013}-{ticket:04}-{stem}.jsonl");
         let path = dir.join(&name);
-        match self.write_atomic(dir, &path, records) {
+        let bytes: String = records.iter().map(RequestRecord::to_jsonl).collect();
+        match crate::cache::write_atomic(&path, bytes.as_bytes()) {
             Ok(()) => {
                 self.bundles_written.fetch_add(1, Ordering::Relaxed);
                 let mut bundles = self.bundles.lock().unwrap();
@@ -337,32 +337,6 @@ impl FlightRecorder {
                 self.bundle_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
-    }
-
-    fn write_atomic(
-        &self,
-        dir: &Path,
-        path: &Path,
-        records: &[RequestRecord],
-    ) -> std::io::Result<()> {
-        let tmp = dir.join(format!(
-            "{}.{}.{}.tmp",
-            path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default(),
-            std::process::id(),
-            self.ticket.fetch_add(1, Ordering::Relaxed),
-        ));
-        let result = (|| {
-            let mut file = std::fs::File::create(&tmp)?;
-            for record in records {
-                file.write_all(record.to_jsonl().as_bytes())?;
-            }
-            file.sync_all()?;
-            std::fs::rename(&tmp, path)
-        })();
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        result
     }
 }
 

@@ -188,3 +188,24 @@ fn the_persisted_cache_warm_starts_the_next_daemon() {
     let summary = daemon.shutdown_and_wait();
     assert_eq!(summary.lost(), 0);
 }
+
+#[test]
+fn metrics_carry_queue_wait_and_dropped_spans_with_tracing_off() {
+    let daemon = Daemon::bind(quick_config()).unwrap();
+    let mut client = DaemonClient::connect(daemon.local_addr()).unwrap();
+    let doc = client.request(&map_request(0)).unwrap();
+    assert_eq!(doc.get(&["verdict"]).and_then(Json::as_str), Some("success"));
+
+    let stats = client.request("{\"kind\":\"stats\"}").unwrap();
+    assert_eq!(stats.get(&["trace", "enabled"]).and_then(Json::as_bool), Some(false));
+    assert_eq!(stats.get(&["trace", "spans_dropped"]).and_then(Json::as_f64), Some(0.0));
+    let waits = stats.get(&["latency", "queue_wait_us", "count"]).and_then(Json::as_f64);
+    assert_eq!(waits, Some(1.0));
+
+    let metrics = client.request("{\"kind\":\"metrics\"}").unwrap();
+    let text = metrics.get(&["text"]).and_then(Json::as_str).unwrap();
+    assert!(text.contains("# TYPE lakeroad_daemon_queue_wait_us histogram\n"), "{text}");
+    assert!(text.contains("\nlakeroad_daemon_queue_wait_us_count 1\n"), "{text}");
+    assert!(text.contains("\nlakeroad_trace_spans_dropped_total 0\n"), "{text}");
+    assert_eq!(daemon.shutdown_and_wait().lost(), 0);
+}

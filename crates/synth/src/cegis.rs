@@ -87,16 +87,6 @@ pub fn synthesize(
     config: &SynthesisConfig,
     cancel: Option<Arc<AtomicBool>>,
 ) -> Result<SynthesisOutcome, SynthesisError> {
-    // Convenience toggles: the historical `LR_CEGIS_TRACE` env vars now enable
-    // the structured tracer plus its stderr echo sink, which prints one
-    // `[lr_trace]` line per recorded span — the successor of the old
-    // per-check `eprintln!`s (same signal, richer structure).
-    if std::env::var_os("LR_CEGIS_TRACE").is_some()
-        || std::env::var_os("LR_CEGIS_TRACE_TERMS").is_some()
-    {
-        lr_trace::set_enabled(true);
-        lr_trace::set_stderr_echo(true);
-    }
     let mut sp = lr_trace::span("cegis");
     let result = synthesize_run(task, config, cancel);
     if sp.is_active() {
@@ -640,16 +630,6 @@ impl VerifyStep {
             Prefold::Undecided(term) => term,
         };
         stats.verification_used_sat = true;
-        // Term dumps are inherently textual, so they ride the echo sink (on
-        // whenever either trace env var is set) rather than span attributes.
-        if std::env::var_os("LR_CEGIS_TRACE_TERMS").is_some() {
-            let d = verify.session.pool_ref().display(differs);
-            lr_trace::echo(&format!(
-                "unfolded differs ({} chars): {}",
-                d.len(),
-                &d[..d.len().min(2000)]
-            ));
-        }
 
         // Assumption-guarded: `activation → differs` is asserted permanently, but
         // the disequality only binds while `activation` is assumed — this check and

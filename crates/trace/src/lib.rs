@@ -36,11 +36,10 @@
 //!   `_bucket`/`_sum`/`_count` series) in Prometheus/OpenMetrics text format,
 //!   so any scraper can consume the registry without a bespoke client.
 //!
-//! The stderr echo sink ([`set_stderr_echo`]) reproduces the old
-//! `LR_CEGIS_TRACE` line-per-check behaviour: with it on, every recorded span
-//! also prints one `[lr_trace]` line. The CEGIS engine still honours the
-//! `LR_CEGIS_TRACE` / `LR_CEGIS_TRACE_TERMS` environment variables by turning
-//! on tracing plus this sink.
+//! Tracing is switched on only by its callers ([`set_enabled`]): the CLI's
+//! `--trace`, `lakeroad serve --trace` or an active flight recorder, and the
+//! `exp_*` experiment binaries. No library call turns it on by itself, and
+//! nothing here reads the environment.
 
 mod hist;
 pub mod openmetrics;
@@ -56,14 +55,13 @@ pub use registry::{
 };
 pub use rolling::{RollingCounter, RollingHistogram};
 pub use span::{
-    context, dropped_events, echo, enabled, flush, now_ns, set_context, set_enabled,
-    set_stderr_echo, snapshot_events, span, stage_summary, stderr_echo, take_events, SpanGuard,
-    TraceEvent,
+    context, dropped_events, enabled, flush, now_ns, set_context, set_enabled, snapshot_events,
+    span, stage_summary, take_events, SpanGuard, TraceEvent,
 };
 
 /// Clears every piece of global trace state: the span sink (current thread's
 /// buffer included), the dropped-event counter, and the metrics registry.
-/// The enabled/echo switches are left as they are. Meant for experiment
+/// The enabled switch is left as it is. Meant for experiment
 /// drivers and tests that need a clean slate between runs.
 pub fn reset() {
     span::reset_spans();

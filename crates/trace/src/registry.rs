@@ -58,8 +58,7 @@ pub fn hist_record(name: &str, value: u64) {
 }
 
 /// The current value of one named counter (0 when never written). Cheaper
-/// than [`metrics_snapshot`] when a single counter is wanted, e.g. the
-/// daemon's `stats` report of `trace_spans_dropped`.
+/// than [`metrics_snapshot`] when a single counter is wanted.
 pub fn counter_value(name: &str) -> u64 {
     let r = registry().lock().unwrap_or_else(PoisonError::into_inner);
     r.counters.get(name).copied().unwrap_or(0)

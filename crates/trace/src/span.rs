@@ -1,5 +1,5 @@
 //! Span recording: thread-local buffers, the global bounded sink, and the
-//! enabled/echo switches.
+//! enabled switch.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -18,7 +18,6 @@ const SINK_CAP: usize = 1 << 17;
 const THREAD_FLUSH: usize = 4096;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static STDERR_ECHO: AtomicBool = AtomicBool::new(false);
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -44,27 +43,6 @@ pub fn set_enabled(on: bool) {
 /// Whether tracing is currently enabled.
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turns the stderr echo sink on or off: with it on, every recorded span also
-/// prints one `[lr_trace]` line (name, duration, attributes) to stderr — the
-/// moral successor of the old `LR_CEGIS_TRACE` `eprintln!`s.
-pub fn set_stderr_echo(on: bool) {
-    STDERR_ECHO.store(on, Ordering::SeqCst);
-}
-
-/// Whether the stderr echo sink is on.
-pub fn stderr_echo() -> bool {
-    STDERR_ECHO.load(Ordering::Relaxed)
-}
-
-/// Prints one `[lr_trace]` line to stderr iff the echo sink is on. For the few
-/// diagnostics that are inherently textual (e.g. `LR_CEGIS_TRACE_TERMS` term
-/// dumps) and cannot ride on span attributes.
-pub fn echo(text: &str) {
-    if stderr_echo() {
-        eprintln!("[lr_trace] {text}");
-    }
 }
 
 /// One completed span, recorded when its guard dropped.
@@ -129,10 +107,6 @@ fn flush_into_sink(buf: &mut Vec<TraceEvent>) {
     }
     if dropped > 0 {
         DROPPED.fetch_add(dropped, Ordering::Relaxed);
-        // Mirrored into the registry (outside the sink lock) so overflow is
-        // visible on the ordinary metrics surfaces, not only via the
-        // dedicated accessor.
-        crate::registry::counter_add("trace_spans_dropped", dropped);
     }
 }
 
@@ -204,13 +178,6 @@ impl Drop for SpanGuard {
             return;
         }
         let dur_ns = now_ns().saturating_sub(self.start_ns);
-        if stderr_echo() {
-            let mut line = format!("{} {:.3}ms", self.name, dur_ns as f64 / 1e6);
-            for (k, v) in &self.attrs {
-                let _ = write!(line, " {k}={v}");
-            }
-            eprintln!("[lr_trace] {line}");
-        }
         let _ = TB.try_with(|t| {
             t.depth.set(t.depth.get().saturating_sub(1));
             let ev = TraceEvent {
