@@ -221,7 +221,7 @@ impl Record for EgraphReport {
             i += 2;
         }
         println!(
-            "  total: egraph {:.1} ms, no-egraph {:.1} ms",
+            "  total: egraph {:.1} ms, no-eg {:.1} ms",
             self.cegis_total_ms(true),
             self.cegis_total_ms(false)
         );

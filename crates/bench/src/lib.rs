@@ -225,7 +225,8 @@ pub fn run_architecture_with(arch: &Architecture, scale: Scale, workers: usize) 
             JobResult::Finished(outcome) => {
                 let elapsed = outcome.elapsed();
                 results.lakeroad_times.push(elapsed);
-                let (class, winner, resources) = match outcome {
+                let winner = outcome.winning_solver().map(str::to_string);
+                let (class, resources) = match outcome {
                     MapOutcome::Success(m) => {
                         let class = if m.resources.is_single_dsp() {
                             RunClass::Success
@@ -233,12 +234,10 @@ pub fn run_architecture_with(arch: &Architecture, scale: Scale, workers: usize) 
                             RunClass::Fail
                         };
                         results.lakeroad_resources.push(m.resources);
-                        (class, m.winning_solver.clone(), Some(m.resources))
+                        (class, Some(m.resources))
                     }
-                    MapOutcome::Unsat { winning_solver, .. } => {
-                        (RunClass::Unsat, winning_solver.clone(), None)
-                    }
-                    MapOutcome::Timeout { .. } => (RunClass::Timeout, None, None),
+                    MapOutcome::Unsat { .. } => (RunClass::Unsat, None),
+                    MapOutcome::Timeout { .. } => (RunClass::Timeout, None),
                 };
                 if let Some(winner) = &winner {
                     *results.portfolio_wins.entry(winner.clone()).or_default() += 1;

@@ -2,8 +2,8 @@
 //! batch-serving subsystem.
 //!
 //! A mapping run is expensive (CEGIS over SAT) but its *inputs* are small: the
-//! behavioral spec, the architecture, the sketch template, and the synthesis
-//! budget. Once the spec has been canonicalized by equality saturation
+//! behavioral spec, the architecture and the sketch template. Once the spec has
+//! been canonicalized by equality saturation
 //! ([`lr_ir::Prog::saturated`] + cost-based extraction), semantically-equal
 //! designs collapse to one normal form — so a hash of the canonical spec is a
 //! *content address* under which the synthesis verdict can be reused across
@@ -30,6 +30,12 @@
 //!   content address alone — which is why the key is 128 bits and why the
 //!   on-disk format carries a version header that must be bumped whenever the
 //!   sketch generator or synthesis semantics change what is mappable.
+//!
+//! The synthesis budget is not part of the key: no stored verdict depends on
+//! it. A success is re-verified on replay, an UNSAT is a proof, and timeouts —
+//! the only verdicts a budget decides — are never stored. So a verdict found
+//! under one budget is served under a tighter one (a deadline clamp, the
+//! auto-template loop's remainder) and under a larger one alike.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -45,8 +51,8 @@ use lr_synth::SynthesisStats;
 
 use crate::{count_resources, generate_sketch, pipeline_depth, MapConfig, MappedDesign};
 
-/// A 128-bit content address: spec fingerprint × architecture × template ×
-/// timeout tier. Displayed (and persisted) as 32 lowercase hex digits.
+/// A 128-bit content address: spec fingerprint × architecture × template.
+/// Displayed (and persisted) as 32 lowercase hex digits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CacheKey(pub [u64; 2]);
 
@@ -71,35 +77,16 @@ impl FromStr for CacheKey {
 
 impl CacheKey {
     /// Computes the content address of one mapping job. `spec` must be the
-    /// *prepared* spec — already canonicalized when the e-graph is on — since the
-    /// whole point is that equal canonical forms share an address.
-    pub fn for_mapping(
-        spec: &Prog,
-        arch: &Architecture,
-        template: Template,
-        timeout: Duration,
-    ) -> CacheKey {
+    /// *prepared* spec — already canonicalized by equality saturation — since
+    /// the whole point is that equal canonical forms share an address.
+    pub fn for_mapping(spec: &Prog, arch: &Architecture, template: Template) -> CacheKey {
         let mut mix = Mix::new();
         let (a, b) = spec_fingerprint(spec);
         mix.u64(a);
         mix.u64(b);
         mix.str(&arch.name().to_string());
         mix.str(template.cli_name());
-        mix.u64(timeout_tier(timeout) as u64);
         CacheKey(mix.finish())
-    }
-}
-
-/// The synthesis budget bucket a key falls into. Budgets inside one tier share
-/// cache entries; the paper's per-architecture timeouts (120 s / 40 s / 20 s)
-/// land in distinct tiers, so a verdict found under a generous budget is never
-/// served to a run that advertised a much tighter one (or vice versa).
-pub fn timeout_tier(timeout: Duration) -> u8 {
-    match timeout.as_secs() {
-        0..=4 => 0,
-        5..=29 => 1,
-        30..=89 => 2,
-        _ => 3,
     }
 }
 
@@ -114,7 +101,7 @@ pub enum CachedOutcome {
         holes: BTreeMap<String, BitVec>,
     },
     /// The solver proved no completion of the template's sketch implements the
-    /// spec. Valid for every budget in the key's tier (UNSAT is semantic).
+    /// spec. Valid under every budget (UNSAT is a proof).
     Unsat,
 }
 
@@ -382,22 +369,24 @@ pub fn replay(
     }
     let resources = count_resources(&implementation);
     let verilog = lr_hdl::emit_verilog(&implementation);
-    let elapsed = started.elapsed();
     Some(MappedDesign {
         implementation,
         verilog,
         resources,
-        elapsed,
-        winning_solver: None,
-        iterations: 0,
-        from_cache: true,
-        stats: SynthesisStats {
-            solver_name: "cache".to_string(),
-            elapsed,
-            from_cache: true,
-            ..SynthesisStats::default()
-        },
+        stats: served_stats(started.elapsed()),
     })
+}
+
+/// The statistics of a verdict served from the cache: a `"cache"`-labelled
+/// stub with [`SynthesisStats::from_cache`] set, no solver work, and the
+/// lookup-plus-replay time as `elapsed`.
+pub(crate) fn served_stats(elapsed: Duration) -> SynthesisStats {
+    SynthesisStats {
+        solver_name: "cache".to_string(),
+        elapsed,
+        from_cache: true,
+        ..SynthesisStats::default()
+    }
 }
 
 #[cfg(test)]
@@ -406,12 +395,7 @@ mod tests {
     use lr_ir::{BvOp, ProgBuilder};
 
     fn key_of(spec: &Prog) -> CacheKey {
-        CacheKey::for_mapping(
-            spec,
-            &Architecture::intel_cyclone10lp(),
-            Template::Dsp,
-            Duration::from_secs(15),
-        )
+        CacheKey::for_mapping(spec, &Architecture::intel_cyclone10lp(), Template::Dsp)
     }
 
     #[test]
@@ -459,6 +443,20 @@ mod tests {
         assert_ne!(spec_fingerprint(&sub(false)), spec_fingerprint(&sub(true)));
     }
 
+    /// Records every key `map_design` looks up and answers each with UNSAT, so
+    /// a mapping stops at the cache's front door without synthesizing.
+    #[derive(Default)]
+    struct KeyLog(std::sync::Mutex<Vec<CacheKey>>);
+
+    impl MapCache for KeyLog {
+        fn lookup(&self, key: &CacheKey) -> Option<CachedOutcome> {
+            self.0.lock().expect("no test thread panics holding the log").push(*key);
+            Some(CachedOutcome::Unsat)
+        }
+        fn store(&self, _: CacheKey, _: CachedOutcome) {}
+        fn invalidate(&self, _: &CacheKey) {}
+    }
+
     #[test]
     fn key_distinguishes_arch_template_and_tier() {
         let mut b = ProgBuilder::new("p");
@@ -467,35 +465,37 @@ mod tests {
         let out = b.op2(BvOp::Mul, a, bb);
         let spec = b.finish(out);
         let base = key_of(&spec);
-        let other_arch = CacheKey::for_mapping(
-            &spec,
-            &Architecture::lattice_ecp5(),
-            Template::Dsp,
-            Duration::from_secs(15),
-        );
+        let other_arch = CacheKey::for_mapping(&spec, &Architecture::lattice_ecp5(), Template::Dsp);
         let other_template = CacheKey::for_mapping(
             &spec,
             &Architecture::intel_cyclone10lp(),
             Template::Multiplication,
-            Duration::from_secs(15),
-        );
-        let other_tier = CacheKey::for_mapping(
-            &spec,
-            &Architecture::intel_cyclone10lp(),
-            Template::Dsp,
-            Duration::from_secs(120),
         );
         assert_ne!(base, other_arch);
         assert_ne!(base, other_template);
-        assert_ne!(base, other_tier);
-        // Same tier, different second → same key.
-        let same_tier = CacheKey::for_mapping(
-            &spec,
-            &Architecture::intel_cyclone10lp(),
-            Template::Dsp,
-            Duration::from_secs(20),
-        );
-        assert_eq!(base, same_tier);
+
+        // Budgets do not split a key: a deadline-clamped budget and the paper's
+        // three look up the same keys, named and auto-template alike.
+        let arch = Architecture::intel_cyclone10lp();
+        let keys_under = |secs: u64| {
+            let log = std::sync::Arc::new(KeyLog::default());
+            let config = MapConfig::single_solver()
+                .with_timeout(Duration::from_secs(secs))
+                .with_cache(log.clone());
+            let named = crate::map_design(&spec, Template::Dsp, &arch, &config).unwrap();
+            let auto = crate::map_design_auto(&spec, &arch, &config).unwrap();
+            for outcome in [named, auto] {
+                assert!(outcome.is_unsat() && outcome.served_from_cache());
+                assert_eq!(outcome.winning_solver(), None);
+            }
+            let keys = log.0.lock().unwrap().clone();
+            keys
+        };
+        let clamped = keys_under(2);
+        assert_eq!(clamped[0], key_of(&spec.saturated()));
+        for secs in [20, 40, 120] {
+            assert_eq!(keys_under(secs), clamped, "a {secs} s budget changed a key");
+        }
     }
 
     #[test]
@@ -513,14 +513,5 @@ mod tests {
             b.finish(r)
         };
         assert_eq!(spec_fingerprint(&counter(false)), spec_fingerprint(&counter(true)));
-    }
-
-    #[test]
-    fn timeout_tiers_bucket_the_paper_budgets_apart() {
-        assert_eq!(timeout_tier(Duration::from_secs(2)), 0);
-        assert_eq!(timeout_tier(Duration::from_secs(15)), 1);
-        assert_eq!(timeout_tier(Duration::from_secs(40)), 2);
-        assert_eq!(timeout_tier(Duration::from_secs(120)), 3);
-        assert_ne!(timeout_tier(Duration::from_secs(20)), timeout_tier(Duration::from_secs(40)));
     }
 }

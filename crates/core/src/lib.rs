@@ -47,7 +47,13 @@ pub use lr_sketch::{generate_sketch, SketchError, Template};
 pub use lr_synth::SynthesisStats;
 pub use source::DesignSource;
 
-/// Configuration for one mapping run.
+/// Configuration for one mapping run: only what callers vary. The pipeline
+/// itself is fixed — every run canonicalizes the spec by equality saturation
+/// ([`lr_ir::Prog::saturated`]), pre-folds the CEGIS verification
+/// disequalities that one-shot rewriting cannot decide, and solves
+/// incrementally. The from-scratch and pool-rewriting-only ablations are
+/// settings of [`lr_synth::SynthesisConfig`], which `exp_cegis` and
+/// `exp_egraph` pose directly.
 #[derive(Clone)]
 pub struct MapConfig {
     /// Wall-clock budget for synthesis (the paper uses 120 s / 40 s / 20 s per
@@ -58,31 +64,11 @@ pub struct MapConfig {
     pub bmc_window: u32,
     /// Solver configurations to race; defaults to the four-member portfolio.
     pub solvers: Vec<SolverConfig>,
-    /// Maximum CEGIS iterations per solver.
-    pub max_iterations: usize,
-    /// Reuse solver state across CEGIS iterations (default on; see
-    /// `lr_synth::cegis`). Turning this off restores the from-scratch loop, which
-    /// the differential tests and the `exp_cegis` benchmark use as a baseline.
-    pub incremental: bool,
-    /// Use equality saturation (`lr_egraph`, default on): canonicalize the spec
-    /// with [`lr_ir::Prog::saturated`] before sketch generation, and pre-fold
-    /// CEGIS verification disequalities that one-shot rewriting cannot decide.
-    /// Turning this off restores the pool-rewriting-only pipeline, kept measurable
-    /// for the `exp_egraph` ablation.
-    pub egraph: bool,
     /// Content-addressed synthesis cache (see [`cache`]): consulted before
     /// synthesis under the canonical spec's [`CacheKey`], fed after. `None`
     /// (the default) synthesizes every request from scratch; the `lr_serve`
     /// batch engine installs its [`MapCache`] here.
     pub cache: Option<Arc<dyn MapCache>>,
-    /// The budget used for the cache key's timeout tier; defaults to
-    /// [`MapConfig::timeout`]. Callers that shrink `timeout` *dynamically* —
-    /// the auto-template loop handing each attempt only the remaining budget,
-    /// the batch scheduler clamping a job to its deadline — must pin this to
-    /// the originally requested budget, or the same job would hash to
-    /// different tiers depending on wall-clock accidents and warm caches would
-    /// miss.
-    pub cache_budget: Option<Duration>,
     /// External cancellation flag, threaded through to the synthesis layer as a
     /// SAT-solver interrupt: when it becomes true, in-flight solver checks
     /// return promptly and the mapping reports a timeout verdict. `None` (the
@@ -96,11 +82,7 @@ impl std::fmt::Debug for MapConfig {
             .field("timeout", &self.timeout)
             .field("bmc_window", &self.bmc_window)
             .field("solvers", &self.solvers)
-            .field("max_iterations", &self.max_iterations)
-            .field("incremental", &self.incremental)
-            .field("egraph", &self.egraph)
             .field("cache", &self.cache.as_ref().map(|_| "<MapCache>"))
-            .field("cache_budget", &self.cache_budget)
             .field("cancel", &self.cancel.as_ref().map(|c| c.load(Ordering::Relaxed)))
             .finish()
     }
@@ -112,11 +94,7 @@ impl Default for MapConfig {
             timeout: Duration::from_secs(120),
             bmc_window: 2,
             solvers: SolverConfig::portfolio(),
-            max_iterations: 64,
-            incremental: true,
-            egraph: true,
             cache: None,
-            cache_budget: None,
             cancel: None,
         }
     }
@@ -190,19 +168,11 @@ pub struct MappedDesign {
     pub verilog: String,
     /// Resources used by the implementation.
     pub resources: Resources,
-    /// Total synthesis wall-clock time — or, for cache-served results, the
-    /// lookup-plus-replay time (near zero).
-    pub elapsed: Duration,
-    /// Which portfolio member produced the verdict (`None` for cache hits).
-    pub winning_solver: Option<String>,
-    /// CEGIS iterations of the winning run (0 for cache hits).
-    pub iterations: usize,
-    /// Whether this mapping was replayed from the synthesis cache rather than
-    /// synthesized. Cached results carry near-zero [`MappedDesign::elapsed`], so
-    /// reports must not average them in with solver latencies.
-    pub from_cache: bool,
-    /// Full statistics of the winning synthesis run (a `"cache"`-labelled stub
-    /// with [`SynthesisStats::from_cache`] set for replayed hits).
+    /// Statistics of the winning synthesis run: its wall-clock time, solver and
+    /// CEGIS iterations. A replayed cache hit carries a `"cache"`-labelled stub
+    /// with [`SynthesisStats::from_cache`] set, whose near-zero `elapsed` is the
+    /// lookup-plus-replay time, so reports must not average it in with solver
+    /// latencies.
     pub stats: SynthesisStats,
 }
 
@@ -213,20 +183,12 @@ pub enum MapOutcome {
     Success(Box<MappedDesign>),
     /// The solver proved no configuration of the sketch implements the design.
     Unsat {
-        /// Synthesis wall-clock time (near zero for cache-served verdicts).
-        elapsed: Duration,
-        /// Which portfolio member produced the verdict (`None` for cache hits).
-        winning_solver: Option<String>,
-        /// Whether the verdict was served from the synthesis cache.
-        from_cache: bool,
         /// Statistics of the run that produced the verdict (a `"cache"`-labelled
         /// stub for cache-served verdicts).
         stats: Box<SynthesisStats>,
     },
     /// The time/iteration budget was exhausted.
     Timeout {
-        /// Synthesis wall-clock time.
-        elapsed: Duration,
         /// Partial statistics of the work performed before the budget ran out
         /// (accumulated across every posed attempt for the auto-template loop).
         stats: Box<SynthesisStats>,
@@ -261,10 +223,7 @@ impl MapOutcome {
     /// results this is the lookup-plus-replay time, not the original solver
     /// time — check [`MapOutcome::served_from_cache`] before aggregating.
     pub fn elapsed(&self) -> Duration {
-        match self {
-            MapOutcome::Success(m) => m.elapsed,
-            MapOutcome::Unsat { elapsed, .. } | MapOutcome::Timeout { elapsed, .. } => *elapsed,
-        }
+        self.stats().elapsed
     }
 
     /// The synthesis statistics behind the verdict, whatever it was: the winning
@@ -281,11 +240,14 @@ impl MapOutcome {
     /// Whether the verdict was replayed from the synthesis cache rather than
     /// synthesized (always false for timeouts — they are never cached).
     pub fn served_from_cache(&self) -> bool {
-        match self {
-            MapOutcome::Success(m) => m.from_cache,
-            MapOutcome::Unsat { from_cache, .. } => *from_cache,
-            MapOutcome::Timeout { .. } => false,
-        }
+        self.stats().from_cache
+    }
+
+    /// The portfolio member that produced the verdict: `None` for a timeout,
+    /// which no member decided, and for a verdict served from the cache.
+    pub fn winning_solver(&self) -> Option<&str> {
+        let stats = self.stats();
+        (!self.is_timeout() && !stats.from_cache).then_some(stats.solver_name.as_str())
     }
 }
 
@@ -368,13 +330,12 @@ pub fn map_design(
     // chains) reach the synthesis engine in one normal form, and sketch shape
     // checks (widths, input counts) see the real structure. Saturation preserves
     // the input interface, so the sketch still binds the same free variables.
-    let spec = if config.egraph { spec.saturated() } else { spec.clone() };
-    map_prepared_design(&spec, template, arch, config)
+    map_prepared_design(&spec.saturated(), template, arch, config)
 }
 
-/// [`map_design`] for a spec that is already canonical (or deliberately raw, with
-/// `config.egraph` off) — the auto-template loop saturates once and reuses the
-/// result across every attempt instead of re-saturating per template.
+/// [`map_design`] for a spec that is already canonical — the auto-template loop
+/// saturates once and reuses the result across every attempt instead of
+/// re-saturating per template.
 fn map_prepared_design(
     spec: &Prog,
     template: Template,
@@ -387,9 +348,7 @@ fn map_prepared_design(
     // stored verdict when one verifies. A hit that fails verification (stale or
     // colliding entry) is dropped and the request falls through to synthesis.
     let started = Instant::now();
-    let key = config.cache.as_ref().map(|_| {
-        CacheKey::for_mapping(spec, arch, template, config.cache_budget.unwrap_or(config.timeout))
-    });
+    let key = config.cache.as_ref().map(|_| CacheKey::for_mapping(spec, arch, template));
     if let (Some(cache), Some(key)) = (config.cache.as_deref(), key) {
         let hit = {
             let _sp = lr_trace::span("cache-lookup");
@@ -413,17 +372,8 @@ fn map_prepared_design(
                 }
             }
             Some(CachedOutcome::Unsat) => {
-                let elapsed = started.elapsed();
                 return Ok(MapOutcome::Unsat {
-                    elapsed,
-                    winning_solver: None,
-                    from_cache: true,
-                    stats: Box::new(SynthesisStats {
-                        solver_name: "cache".to_string(),
-                        elapsed,
-                        from_cache: true,
-                        ..SynthesisStats::default()
-                    }),
+                    stats: Box::new(cache::served_stats(started.elapsed())),
                 });
             }
             None => {}
@@ -434,16 +384,11 @@ fn map_prepared_design(
     let t = pipeline_depth(spec);
     let task = SynthesisTask::over_window(spec, &sketch, t, config.bmc_window);
     let synth_config = SynthesisConfig {
-        solver: SolverConfig::default(),
-        max_iterations: config.max_iterations,
         timeout: Some(config.timeout),
-        incremental: config.incremental,
-        egraph: config.egraph,
         cancel: config.cancel.clone(),
         ..Default::default()
     };
     let result = synthesize_portfolio_with(&task, &synth_config, &config.solvers)?;
-    let winner = result.winner.clone();
     Ok(match result.outcome {
         SynthesisOutcome::Success(s) => {
             if let (Some(cache), Some(key)) = (config.cache.as_deref(), key) {
@@ -457,10 +402,6 @@ fn map_prepared_design(
                 implementation,
                 verilog,
                 resources,
-                elapsed: s.stats.elapsed,
-                winning_solver: winner,
-                iterations: s.stats.iterations,
-                from_cache: false,
                 stats: s.stats,
             }))
         }
@@ -468,31 +409,26 @@ fn map_prepared_design(
             if let (Some(cache), Some(key)) = (config.cache.as_deref(), key) {
                 cache.store(key, CachedOutcome::Unsat);
             }
-            MapOutcome::Unsat {
-                elapsed: stats.elapsed,
-                winning_solver: winner,
-                from_cache: false,
-                stats: Box::new(stats),
-            }
+            MapOutcome::Unsat { stats: Box::new(stats) }
         }
-        SynthesisOutcome::Timeout { stats } => {
-            MapOutcome::Timeout { elapsed: stats.elapsed, stats: Box::new(stats) }
-        }
+        SynthesisOutcome::Timeout { stats } => MapOutcome::Timeout { stats: Box::new(stats) },
     })
 }
 
 /// Maps a design without naming a template: tries the templates in the order the
-/// rule-driven sketch guidance ranks them (see `lr_sketch::guidance` — with the
-/// e-graph on, the ranking inspects the spec's saturated form for
-/// multiplier/carry/comparison evidence; with it off, the raw program is scanned
-/// syntactically), returning the first successful mapping. The spec is
-/// canonicalized once and shared by every attempt, and `config.timeout` is a
-/// budget for the *whole* loop — each attempt gets only what remains.
+/// rule-driven sketch guidance ranks them (see `lr_sketch::guidance` — the
+/// ranking inspects the spec's saturated form for multiplier/carry/comparison
+/// evidence), returning the first successful mapping. The spec is canonicalized
+/// once and shared by every attempt, and `config.timeout` is a budget for the
+/// *whole* loop — each attempt gets only what remains.
 ///
 /// Templates the architecture cannot instantiate are skipped. If no template
 /// succeeds, UNSAT is reported only when **every** posed attempt was UNSAT — "no
 /// ranked sketch implements this design" is a definitive claim; any attempt that
 /// timed out (or was cut off by the shared budget) makes the aggregate a timeout.
+/// Either verdict's statistics add up every posed attempt's solver work; its
+/// `elapsed` is the whole loop's wall time for a timeout and, for UNSAT, the
+/// first UNSAT attempt's time, solver and cache flag.
 ///
 /// # Errors
 /// Returns [`MapError`] only if *every* ranked template fails to even pose a task
@@ -502,12 +438,12 @@ pub fn map_design_auto(
     arch: &Architecture,
     config: &MapConfig,
 ) -> Result<MapOutcome, MapError> {
-    let start = std::time::Instant::now();
-    // Canonicalize once (respecting the e-graph switch); every attempt below uses
-    // the prepared spec directly, and the ranking scans the same program.
-    let spec = if config.egraph { spec.saturated() } else { spec.clone() };
+    let start = Instant::now();
+    // Canonicalize once; every attempt below uses the prepared spec directly,
+    // and the ranking scans the same program.
+    let spec = spec.saturated();
     let ranked = lr_sketch::rank_for_evidence(&lr_ir::StructuralEvidence::scan(&spec), arch);
-    let mut unsat: Option<MapOutcome> = None;
+    let mut unsat: Option<Box<SynthesisStats>> = None;
     let mut timed_out = false;
     let mut last_error: Option<MapError> = None;
     let mut posed_any = false;
@@ -527,28 +463,19 @@ pub fn map_design_auto(
             timed_out = true;
             break;
         };
-        // Each attempt solves under the *remaining* budget but is cache-keyed
-        // under the requested one — the remainder depends on how long earlier
-        // attempts ran, and a wall-clock-dependent key could never hit warm.
-        let attempt = MapConfig {
-            timeout: remaining,
-            cache_budget: Some(config.cache_budget.unwrap_or(config.timeout)),
-            ..config.clone()
-        };
+        let attempt = MapConfig { timeout: remaining, ..config.clone() };
         match map_prepared_design(&spec, template, arch, &attempt) {
-            Ok(outcome) if outcome.is_success() => return Ok(outcome),
-            Ok(MapOutcome::Timeout { stats, .. }) => {
+            Ok(MapOutcome::Timeout { stats }) => {
                 posed_any = true;
                 timed_out = true;
                 acc.absorb(&stats);
             }
-            Ok(outcome) => {
+            Ok(MapOutcome::Unsat { stats }) => {
                 posed_any = true;
-                acc.absorb(outcome.stats());
-                if unsat.is_none() {
-                    unsat = Some(outcome);
-                }
+                acc.absorb(&stats);
+                unsat.get_or_insert(stats);
             }
+            Ok(success) => return Ok(success),
             Err(e) => last_error = Some(e),
         }
     }
@@ -558,14 +485,18 @@ pub fn map_design_auto(
         ))));
     }
     if timed_out {
-        return Ok(MapOutcome::Timeout { elapsed: start.elapsed(), stats: Box::new(acc) });
+        let stats = SynthesisStats { elapsed: start.elapsed(), ..acc };
+        return Ok(MapOutcome::Timeout { stats: Box::new(stats) });
     }
-    let mut unsat = unsat.expect("posed_any without timeout implies an UNSAT outcome");
-    if let MapOutcome::Unsat { stats, .. } = &mut unsat {
-        // The verdict came from one attempt; the statistics cover them all.
-        **stats = acc;
-    }
-    Ok(unsat)
+    let verdict = *unsat.expect("posed_any without timeout implies an UNSAT outcome");
+    // The verdict came from one attempt; the solver counters cover them all.
+    let stats = SynthesisStats {
+        elapsed: verdict.elapsed,
+        solver_name: verdict.solver_name,
+        from_cache: verdict.from_cache,
+        ..acc
+    };
+    Ok(MapOutcome::Unsat { stats: Box::new(stats) })
 }
 
 /// Maps a behavioral mini-Verilog module (the partial-design-mapping workflow of
@@ -695,21 +626,6 @@ mod tests {
         assert!(mapped.resources.is_single_dsp(), "resources: {:?}", mapped.resources);
     }
 
-    /// With the e-graph disabled, auto mapping must not saturate anything — the
-    /// ranking falls back to a syntactic scan — and still succeed.
-    #[test]
-    fn auto_mapping_respects_the_egraph_switch() {
-        let mut b = ProgBuilder::new("mul8_auto_noeg");
-        let a = b.input("a", 8);
-        let bb = b.input("b", 8);
-        let out = b.op2(BvOp::Mul, a, bb);
-        let spec = b.finish(out);
-        let arch = Architecture::intel_cyclone10lp();
-        let config = MapConfig { egraph: false, ..quick_config() };
-        let outcome = map_design_auto(&spec, &arch, &config).unwrap();
-        assert!(outcome.is_success());
-    }
-
     /// A spec whose multiply hides behind a DSP-style negate path still maps once
     /// saturation canonicalizes it — and the result is equivalent to the
     /// *original* (disguised) spec.
@@ -738,20 +654,6 @@ mod tests {
                 "a={av} b={bv}"
             );
         }
-    }
-
-    /// The `--no-egraph` pipeline still maps (ablation path stays usable).
-    #[test]
-    fn mapping_without_the_egraph_still_works() {
-        let mut b = ProgBuilder::new("mul8_no_egraph");
-        let a = b.input("a", 8);
-        let bb = b.input("b", 8);
-        let out = b.op2(BvOp::Mul, a, bb);
-        let spec = b.finish(out);
-        let arch = Architecture::intel_cyclone10lp();
-        let config = MapConfig { egraph: false, ..quick_config() };
-        let outcome = map_design(&spec, Template::Dsp, &arch, &config).unwrap();
-        assert!(outcome.is_success());
     }
 
     #[test]

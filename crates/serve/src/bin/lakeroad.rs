@@ -62,8 +62,6 @@ struct Options {
     input: String,
     output: Option<String>,
     timeout: Duration,
-    incremental: bool,
-    egraph: bool,
     stats: bool,
     trace: Option<String>,
 }
@@ -71,25 +69,23 @@ struct Options {
 fn usage() -> String {
     "usage: lakeroad --template <auto|dsp|bitwise|bitwise-with-carry|comparison|multiplication>\n\
      \x20               --arch-desc <xilinx-ultrascale-plus|lattice-ecp5|intel-cyclone10lp|sofa>\n\
-     \x20               [--timeout <seconds>] [--no-incremental] [--no-egraph] [--stats]\n\
-     \x20               [--trace <out.json>] [--output <file>] <design.v | bench:<name>>\n\
+     \x20               [--timeout <seconds>] [--stats] [--trace <out.json>]\n\
+     \x20               [--output <file>] <design.v | bench:<name>>\n\
      \x20      lakeroad map-netlist <design.aag|.aig|.bench> [--arch-desc <name>]\n\
      \x20               [--jobs <N>] [--cache <file>] [--no-cache] [--timeout <seconds>]\n\
      \x20               [--max-cone-ands <N>] [--verify-envs <N>] [--seed <u64>]\n\
      \x20               [--output <file>] [--trace <out.json>]\n\
      \x20      lakeroad batch <manifest> [--jobs <N>] [--cache <file>] [--no-cache]\n\
-     \x20               [--timeout <seconds>] [--no-incremental] [--no-egraph]\n\
-     \x20               [--trace <out.json>]\n\
+     \x20               [--timeout <seconds>] [--trace <out.json>]\n\
      \x20      lakeroad serve [--addr <host:port>] [--jobs <N>] [--cache <file>]\n\
      \x20               [--cache-capacity <entries>] [--persist-interval <seconds>]\n\
-     \x20               [--max-pending <N>] [--timeout <seconds>] [--no-incremental]\n\
-     \x20               [--no-egraph] [--trace] [--slow-ms <ms>]\n\
-     \x20               [--forensics-dir <dir>] [--forensics-keep <N>]\n\
+     \x20               [--max-pending <N>] [--timeout <seconds>] [--trace]\n\
+     \x20               [--slow-ms <ms>] [--forensics-dir <dir>] [--forensics-keep <N>]\n\
      \x20      lakeroad top [--addr <host:port>] [--interval <seconds>] [--once]"
         .to_string()
 }
 
-/// Renders the winning run's solver statistics (requested with `--stats`): the
+/// Renders a verdict's solver statistics (requested with `--stats`): the
 /// CEGIS loop shape, the SAT effort, and the CDCL clause-quality telemetry —
 /// glue histogram, minimization ratio, learnt-database tier sizes.
 fn render_stats(stats: &lakeroad::SynthesisStats) -> String {
@@ -228,8 +224,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut input = None;
     let mut output = None;
     let mut timeout = Duration::from_secs(120);
-    let mut incremental = true;
-    let mut egraph = true;
     let mut stats = false;
     let mut trace = None;
     let mut flags = Flags::new(args);
@@ -243,8 +237,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--arch-desc" => arch = Some(flags.arch()?),
             "--timeout" => timeout = flags.seconds("--timeout")?,
-            "--no-incremental" => incremental = false,
-            "--no-egraph" => egraph = false,
             "--output" | "-o" => output = Some(flags.value("--output", "a value")?),
             "--help" | "-h" => return Err(usage()),
             other if !other.starts_with('-') => input = Some(other.to_string()),
@@ -259,8 +251,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         input: input.ok_or(format!("missing input design\n{}", usage()))?,
         output,
         timeout,
-        incremental,
-        egraph,
         stats,
         trace,
     })
@@ -272,8 +262,6 @@ struct BatchArgs {
     cache_path: Option<String>,
     use_cache: bool,
     timeout: Duration,
-    incremental: bool,
-    egraph: bool,
     trace: Option<String>,
 }
 
@@ -283,8 +271,6 @@ fn parse_batch_args(args: &[String]) -> Result<BatchArgs, String> {
     let mut cache_path = None;
     let mut use_cache = true;
     let mut timeout = Duration::from_secs(120);
-    let mut incremental = true;
-    let mut egraph = true;
     let mut trace = None;
     let mut flags = Flags::new(args);
     while let Some(arg) = flags.next() {
@@ -294,8 +280,6 @@ fn parse_batch_args(args: &[String]) -> Result<BatchArgs, String> {
             "--cache" => cache_path = Some(flags.cache()?),
             "--no-cache" => use_cache = false,
             "--timeout" => timeout = flags.seconds("--timeout")?,
-            "--no-incremental" => incremental = false,
-            "--no-egraph" => egraph = false,
             "--help" | "-h" => return Err(usage()),
             other if !other.starts_with('-') => manifest = Some(other.to_string()),
             other => return Err(unknown(other)),
@@ -307,8 +291,6 @@ fn parse_batch_args(args: &[String]) -> Result<BatchArgs, String> {
         cache_path,
         use_cache,
         timeout,
-        incremental,
-        egraph,
         trace,
     })
 }
@@ -373,11 +355,7 @@ fn batch_main(args: &[String]) -> ExitCode {
         }
     };
 
-    let mut map = MapConfig {
-        incremental: options.incremental,
-        egraph: options.egraph,
-        ..MapConfig::default().with_timeout(options.timeout)
-    };
+    let mut map = MapConfig::default().with_timeout(options.timeout);
     if let Some(cache) = &cache {
         let shared: Arc<dyn lakeroad::MapCache> = Arc::<SynthCache>::clone(cache);
         map = map.with_cache(shared);
@@ -396,10 +374,10 @@ fn batch_main(args: &[String]) -> ExitCode {
                 m.resources.dsps,
                 m.resources.logic_elements,
                 m.resources.registers,
-                if m.from_cache { " [cache]" } else { "" },
+                if m.stats.from_cache { " [cache]" } else { "" },
             ),
-            JobResult::Finished(MapOutcome::Unsat { from_cache, .. }) => {
-                format!("unsat{}", if *from_cache { " [cache]" } else { "" })
+            JobResult::Finished(MapOutcome::Unsat { stats }) => {
+                format!("unsat{}", if stats.from_cache { " [cache]" } else { "" })
             }
             JobResult::Finished(MapOutcome::Timeout { .. }) => "timeout".to_string(),
             JobResult::Error(e) => format!("error: {e}"),
@@ -591,8 +569,6 @@ fn parse_serve_args(args: &[String]) -> Result<(DaemonConfig, bool), String> {
         ..DaemonConfig::default()
     };
     let mut timeout = Duration::from_secs(120);
-    let mut incremental = true;
-    let mut egraph = true;
     let mut trace = false;
     let mut flags = Flags::new(args);
     while let Some(arg) = flags.next() {
@@ -615,8 +591,6 @@ fn parse_serve_args(args: &[String]) -> Result<(DaemonConfig, bool), String> {
                     flags.positive("--max-pending", "a bound of at least 1")?;
             }
             "--timeout" => timeout = flags.seconds("--timeout")?,
-            "--no-incremental" => incremental = false,
-            "--no-egraph" => egraph = false,
             "--slow-ms" => {
                 let ms = flags.parse("--slow-ms", "a number of milliseconds")?;
                 // 0 is meaningful: every request breaches the threshold, so
@@ -635,7 +609,7 @@ fn parse_serve_args(args: &[String]) -> Result<(DaemonConfig, bool), String> {
             other => return Err(unknown(other)),
         }
     }
-    config.map = MapConfig { incremental, egraph, ..MapConfig::default().with_timeout(timeout) };
+    config.map = MapConfig::default().with_timeout(timeout);
     Ok((config, trace))
 }
 
@@ -752,11 +726,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let config = MapConfig {
-        incremental: options.incremental,
-        egraph: options.egraph,
-        ..MapConfig::default().with_timeout(options.timeout)
-    };
+    let config = MapConfig::default().with_timeout(options.timeout);
     let result = match options.template {
         TemplateChoice::Named(template) => map_design(&spec, template, &options.arch, &config),
         TemplateChoice::Auto => map_design_auto(&spec, &options.arch, &config),
@@ -764,52 +734,50 @@ fn main() -> ExitCode {
     if let Some(path) = &options.trace {
         finish_trace(path);
     }
-    match result {
-        Ok(MapOutcome::Success(mapped)) => {
-            eprintln!(
-                "mapped onto {} in {:.2?}: {} DSP, {} LEs, {} registers",
-                options.arch.name(),
-                mapped.elapsed,
-                mapped.resources.dsps,
-                mapped.resources.logic_elements,
-                mapped.resources.registers
-            );
-            if options.stats {
-                eprint!("{}", render_stats(&mapped.stats));
-            }
-            match options.output {
-                Some(path) => {
-                    if let Err(e) = std::fs::write(&path, &mapped.verilog) {
-                        eprintln!("cannot write `{path}`: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-                None => println!("{}", mapped.verilog),
-            }
-            ExitCode::SUCCESS
+    let outcome = match result {
+        Ok(outcome) => outcome,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
         }
-        Ok(MapOutcome::Unsat { elapsed, .. }) => {
+    };
+    match &outcome {
+        MapOutcome::Success(mapped) => eprintln!(
+            "mapped onto {} in {:.2?}: {} DSP, {} LEs, {} registers",
+            options.arch.name(),
+            outcome.elapsed(),
+            mapped.resources.dsps,
+            mapped.resources.logic_elements,
+            mapped.resources.registers
+        ),
+        MapOutcome::Unsat { .. } => {
             let what = match options.template {
                 TemplateChoice::Named(t) => format!("the {t} sketch"),
                 TemplateChoice::Auto => "any ranked sketch".to_string(),
             };
             eprintln!(
-                "UNSAT after {elapsed:.2?}: no configuration of {what} implements this design"
+                "UNSAT after {:.2?}: no configuration of {what} implements this design",
+                outcome.elapsed()
             );
-            if options.stats {
-                eprintln!("(per-run solver statistics are recorded for successful mappings only)");
-            }
-            ExitCode::FAILURE
         }
-        Ok(MapOutcome::Timeout { elapsed, .. }) => {
-            eprintln!("timeout after {elapsed:.2?}");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(2)
-        }
+        MapOutcome::Timeout { .. } => eprintln!("timeout after {:.2?}", outcome.elapsed()),
     }
+    if options.stats {
+        eprint!("{}", render_stats(outcome.stats()));
+    }
+    let Some(mapped) = outcome.success() else {
+        return ExitCode::FAILURE;
+    };
+    match options.output {
+        Some(path) => {
+            if let Err(e) = std::fs::write(&path, &mapped.verilog) {
+                eprintln!("cannot write `{path}`: {e}");
+                return ExitCode::from(2);
+            }
+        }
+        None => println!("{}", mapped.verilog),
+    }
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
@@ -850,11 +818,20 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected() {
-        // There is no `--egraph`: the e-graph is on by default and `--no-egraph`
-        // turns it off.
-        for flag in ["--bogus", "--egraph"] {
-            let err = parse_args(&args(&["--template", "dsp", flag])).err().unwrap();
-            assert!(err.starts_with(&format!("unknown flag `{flag}`")), "{err}");
+        // Equality saturation and incremental solving are fixed stages of the
+        // mapping pipeline: no flag turns either on or off, in any mode.
+        let switches = ["egraph", "incremental"];
+        let flags = switches.iter().flat_map(|s| [format!("--{s}"), format!("--no-{s}")]);
+        for flag in flags.chain(["--bogus".to_string()]) {
+            let unknown = format!("unknown flag `{flag}`");
+            for err in [
+                parse_args(&args(&["--template", "dsp", &flag])).err(),
+                parse_batch_args(&args(&["jobs.manifest", &flag])).err(),
+                parse_serve_args(&args(&[&flag])).err(),
+            ] {
+                let err = err.unwrap();
+                assert!(err.starts_with(&unknown), "{err}");
+            }
         }
         assert!(parse_top_args(&args(&["--bogus"])).err().unwrap().starts_with("unknown flag"));
     }

@@ -1,7 +1,7 @@
 //! The optionally-persistent synthesis cache behind [`lakeroad::MapCache`].
 //!
 //! Entries are keyed by [`lakeroad::CacheKey`] (canonical spec × architecture ×
-//! template × timeout tier) and store replayable verdicts
+//! template) and store replayable verdicts
 //! ([`lakeroad::CachedOutcome`]): hole assignments for successes, a bare marker
 //! for UNSATs. The whole table — entries, insertion order, cap and
 //! hit/miss/store/invalidation/eviction counters — sits behind one
@@ -21,7 +21,10 @@
 //! format header's version whenever sketch generation or synthesis semantics
 //! change what is mappable: success entries self-check on replay,
 //! but UNSAT entries are trusted from the address alone, so a semantic change
-//! must orphan old files rather than let them answer for the new engine.
+//! must orphan old files rather than let them answer for the new engine. A
+//! change to what the key hashes alone needs no bump: an old file still
+//! loads, and its entries, which no new key addresses, are never served and
+//! age out wherever a cap is set.
 
 use std::collections::{hash_map::Entry, BTreeMap, HashMap};
 use std::io::{self, Write as _};

@@ -212,12 +212,6 @@ impl FlightRecorder {
         self.config.slow
     }
 
-    /// Whether span trees should be captured for records (they are the
-    /// payload of every bundle, so capture whenever the recorder is active).
-    pub fn wants_spans(&self) -> bool {
-        true
-    }
-
     /// Decides the record's dump trigger from its outcome. Panic wins over
     /// verdict, verdict over mere slowness.
     pub fn classify(&self, record: &RequestRecord) -> Option<&'static str> {

@@ -9,7 +9,7 @@
 //!
 //! * **A content-addressed synthesis cache** ([`SynthCache`]): verdicts are
 //!   stored under a stable hash of the e-graph-canonicalized spec plus
-//!   architecture, template, and timeout tier (`lakeroad::CacheKey`) in one
+//!   architecture and template (`lakeroad::CacheKey`) in one
 //!   table behind one `std::sync` mutex, bounded exactly by an optional entry
 //!   cap, and optionally persisted to disk so warm caches survive across CLI
 //!   invocations. Success hits replay the stored

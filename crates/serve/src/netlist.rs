@@ -198,7 +198,7 @@ pub fn map_netlist(
     for record in &run.records {
         match &record.result {
             JobResult::Finished(MapOutcome::Success(mapped)) => {
-                if mapped.from_cache {
+                if mapped.stats.from_cache {
                     cache_hits += 1;
                 }
                 impls.push(mapped.implementation.clone());

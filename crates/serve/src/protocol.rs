@@ -312,6 +312,7 @@ pub fn map_response(
     match result {
         JobResult::Finished(outcome) => {
             fields.push(("from_cache", Json::Bool(outcome.served_from_cache())));
+            let solver = outcome.winning_solver().map_or(Json::Null, Json::str);
             match outcome {
                 MapOutcome::Success(mapped) => {
                     fields.push(("verdict", Json::str("success")));
@@ -323,17 +324,13 @@ pub fn map_response(
                             ("registers", Json::num(mapped.resources.registers as f64)),
                         ]),
                     ));
-                    fields.push((
-                        "solver",
-                        mapped.winning_solver.as_deref().map_or(Json::Null, Json::str),
-                    ));
-                    fields.push(("iterations", Json::num(mapped.iterations as f64)));
+                    fields.push(("solver", solver));
+                    fields.push(("iterations", Json::num(mapped.stats.iterations as f64)));
                     fields.push(("verilog", Json::str(&mapped.verilog)));
                 }
-                MapOutcome::Unsat { winning_solver, .. } => {
+                MapOutcome::Unsat { .. } => {
                     fields.push(("verdict", Json::str("unsat")));
-                    fields
-                        .push(("solver", winning_solver.as_deref().map_or(Json::Null, Json::str)));
+                    fields.push(("solver", solver));
                 }
                 MapOutcome::Timeout { .. } => fields.push(("verdict", Json::str("timeout"))),
             }
@@ -497,5 +494,22 @@ mod tests {
             Json::parse(&map_response(None, "j2", &JobResult::DeadlineExpired, Duration::ZERO))
                 .unwrap();
         assert_eq!(doc.get(&["verdict"]).and_then(Json::as_str), Some("deadline_expired"));
+
+        // A synthesized UNSAT names the member that proved it; one served from
+        // the cache names none.
+        for (solver, from_cache, named) in
+            [("stipple", false, Json::str("stipple")), ("cache", true, Json::Null)]
+        {
+            let stats = lakeroad::SynthesisStats {
+                solver_name: solver.to_string(),
+                from_cache,
+                ..Default::default()
+            };
+            let unsat = JobResult::Finished(MapOutcome::Unsat { stats: Box::new(stats) });
+            let doc = Json::parse(&map_response(None, "j3", &unsat, Duration::ZERO)).unwrap();
+            assert_eq!(doc.get(&["verdict"]).and_then(Json::as_str), Some("unsat"));
+            assert_eq!(doc.get(&["from_cache"]).and_then(Json::as_bool), Some(from_cache));
+            assert_eq!(doc.get(&["solver"]), Some(&named));
+        }
     }
 }

@@ -292,12 +292,6 @@ pub(crate) fn execute_job(
     if let Some(timeout) = job.timeout {
         config.timeout = timeout;
     }
-    // Cache addressing must see the job's *requested* budget: the deadline
-    // clamp below depends on when a worker happened to pick the job up, and a
-    // wall-clock-dependent key tier would defeat warm batches.
-    if config.cache_budget.is_none() {
-        config.cache_budget = Some(config.timeout);
-    }
     if let Some(deadline) = job.deadline {
         let remaining = deadline.saturating_sub(already_elapsed);
         config.timeout = config.timeout.min(remaining);

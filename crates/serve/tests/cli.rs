@@ -35,24 +35,54 @@ fn an_unknown_template_is_a_usage_error() {
 }
 
 #[test]
+fn an_unsat_mapping_prints_its_statistics() {
+    let dir = temp_dir("unsat_stats");
+    let design = dir.join("mulxor.v");
+    std::fs::write(
+        &design,
+        "module mulxor(input clk, input [7:0] a, b, c, output [7:0] out);\n  \
+         assign out = (a * b) ^ c;\nendmodule\n",
+    )
+    .unwrap();
+    let out = lakeroad(&[
+        "--stats",
+        "--template",
+        "dsp",
+        "--arch-desc",
+        "intel-cyclone10lp",
+        design.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("UNSAT"), "{stderr}");
+    assert!(stderr.contains("-- synthesis statistics --"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_second_batch_run_loads_the_verdicts_the_first_saved() {
     let dir = temp_dir("batch");
     let manifest = dir.join("jobs.manifest");
     std::fs::write(&manifest, "bench:mul_w8_s0 intel dsp\nbench:mul_w8_s1 intel dsp\n").unwrap();
     let cache = dir.join("warm.lrc");
-    let run = || {
+    let run = |extra: &[&str]| {
         let (manifest, cache) = (manifest.to_str().unwrap(), cache.to_str().unwrap());
-        let out = lakeroad(&["batch", manifest, "--jobs", "2", "--cache", cache]);
+        let mut args = vec!["batch", manifest, "--jobs", "2", "--cache", cache];
+        args.extend_from_slice(extra);
+        let out = lakeroad(&args);
         let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
         assert_eq!(out.status.code(), Some(0), "{stderr}");
         stderr
     };
 
-    let cold = run();
+    let cold = run(&[]);
     assert!(!cold.contains("loaded"), "{cold}");
     assert!(cold.contains("saved 2 cached verdicts"), "{cold}");
-    let warm = run();
+    let warm = run(&[]);
     assert!(warm.contains("loaded 2 cached verdicts"), "{warm}");
     assert_eq!(warm.matches("[cache]").count(), 2, "{warm}");
+    // A stored verdict does not depend on the budget it was found under.
+    let tighter = run(&["--timeout", "10"]);
+    assert_eq!(tighter.matches("[cache]").count(), 2, "{tighter}");
     let _ = std::fs::remove_dir_all(&dir);
 }

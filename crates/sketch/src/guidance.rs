@@ -30,8 +30,9 @@ pub fn rank_templates_for(spec: &Prog, arch: &Architecture) -> Vec<Template> {
 }
 
 /// Ranks directly from pre-computed evidence, filtered to what the architecture
-/// can instantiate. Callers that already hold a canonical program (or that run
-/// with the e-graph disabled and scan the raw program) avoid re-saturating.
+/// can instantiate. Callers that already hold a canonical program avoid
+/// re-saturating: `lakeroad::map_design_auto` scans the spec it saturated once
+/// for all of its attempts.
 pub fn rank_for_evidence(ev: &StructuralEvidence, arch: &Architecture) -> Vec<Template> {
     rank_from_evidence(ev).into_iter().filter(|t| *t != Template::Dsp || arch.has_dsp()).collect()
 }

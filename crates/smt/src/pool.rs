@@ -136,11 +136,6 @@ impl TermPool {
         }
     }
 
-    /// All variable names appearing in the pool.
-    pub fn var_names(&self) -> impl Iterator<Item = &str> {
-        self.vars.keys().map(|s| s.as_str())
-    }
-
     fn intern(&mut self, term: Term) -> TermId {
         if let Some(&id) = self.dedup.get(&term) {
             self.stats.cons_hits += 1;

@@ -75,6 +75,9 @@ use crate::{
     SynthesisConfig, SynthesisError, SynthesisOutcome, SynthesisStats, SynthesisTask, Synthesized,
 };
 
+/// CEGIS iterations a run may take before it gives up with a timeout verdict.
+const MAX_ITERATIONS: usize = 64;
+
 /// Runs CEGIS for the given task and configuration.
 ///
 /// `cancel`, if provided, is polled between solver calls; when it becomes true the
@@ -154,7 +157,7 @@ fn synthesize_run(
     let mut verifier = VerifyStep::new();
     verifier.interrupts.clone_from(&interrupts);
 
-    for iteration in 0..config.max_iterations {
+    for iteration in 0..MAX_ITERATIONS {
         let mut iter_span = lr_trace::span("cegis-iteration");
         iter_span.attr("iteration", iteration as u64);
         iter_span.attr("examples", examples.len() as u64);

@@ -83,8 +83,6 @@ impl<'a> SynthesisTask<'a> {
 pub struct SynthesisConfig {
     /// The SAT heuristics to use for both CEGIS queries.
     pub solver: SolverConfig,
-    /// Maximum number of CEGIS iterations before giving up.
-    pub max_iterations: usize,
     /// Wall-clock budget; `None` means unlimited.
     pub timeout: Option<Duration>,
     /// Number of seeded input examples to start CEGIS with (beyond all-zeros).
@@ -113,7 +111,6 @@ impl Default for SynthesisConfig {
     fn default() -> Self {
         SynthesisConfig {
             solver: SolverConfig::default(),
-            max_iterations: 64,
             timeout: Some(Duration::from_secs(120)),
             seed_examples: 3,
             seed: 0xd5b_0001,

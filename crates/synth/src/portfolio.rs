@@ -17,14 +17,13 @@ use std::sync::{Arc, Mutex};
 use crate::cegis;
 use crate::{SolverConfig, SynthesisConfig, SynthesisError, SynthesisOutcome, SynthesisTask};
 
-/// The outcome of a portfolio run, including which member produced it.
+/// The outcome of a portfolio run. A definite verdict's
+/// [`SynthesisStats::solver_name`](crate::SynthesisStats::solver_name) names the
+/// member that produced it.
 #[derive(Debug, Clone)]
 pub struct PortfolioOutcome {
     /// The verdict (from the winning member, or a timeout if nobody finished).
     pub outcome: SynthesisOutcome,
-    /// Name of the winning solver configuration, if any member produced a definite
-    /// verdict.
-    pub winner: Option<String>,
     /// Names of the members that ran: all of them, or only the first for a task
     /// on the exhaustive path.
     pub members: Vec<String>,
@@ -66,7 +65,7 @@ pub fn synthesize_portfolio_with(
     // `cancel` is an Arc because cegis::synthesize takes ownership of its handle;
     // the result cells are plain locals borrowed by the scoped threads.
     let cancel = Arc::new(AtomicBool::new(false));
-    let winner: Mutex<Option<(String, SynthesisOutcome)>> = Mutex::new(None);
+    let winner: Mutex<Option<SynthesisOutcome>> = Mutex::new(None);
     let error: Mutex<Option<SynthesisError>> = Mutex::new(None);
     let timeouts: Mutex<Vec<SynthesisOutcome>> = Mutex::new(Vec::new());
 
@@ -99,7 +98,7 @@ pub fn synthesize_portfolio_with(
                         } else {
                             let mut guard = winner.lock().unwrap();
                             if guard.is_none() {
-                                *guard = Some((member_config.solver.name.clone(), outcome));
+                                *guard = Some(outcome);
                                 cancel.store(true, Ordering::Relaxed);
                             }
                         }
@@ -117,16 +116,15 @@ pub fn synthesize_portfolio_with(
         }
     }
 
-    match decided {
-        Some((name, outcome)) => Ok(PortfolioOutcome { outcome, winner: Some(name), members }),
-        None => {
-            let outcome =
-                timeouts.into_inner().unwrap().into_iter().next().unwrap_or(
-                    SynthesisOutcome::Timeout { stats: crate::SynthesisStats::default() },
-                );
-            Ok(PortfolioOutcome { outcome, winner: None, members })
-        }
-    }
+    let outcome = decided.unwrap_or_else(|| {
+        timeouts
+            .into_inner()
+            .unwrap()
+            .into_iter()
+            .next()
+            .unwrap_or(SynthesisOutcome::Timeout { stats: crate::SynthesisStats::default() })
+    });
+    Ok(PortfolioOutcome { outcome, members })
 }
 
 #[cfg(test)]
@@ -155,7 +153,7 @@ mod tests {
         let task = SynthesisTask::at(&spec, &sketch, 0);
         let result = synthesize_portfolio(&task, &SynthesisConfig::default()).unwrap();
         assert_eq!(result.members.len(), 4);
-        assert!(result.winner.is_some());
+        assert!(result.members.contains(&result.outcome.stats().solver_name));
         let synthesized = result.outcome.success().expect("success");
         assert_eq!(synthesized.hole_assignment["k"], BitVec::from_u64(5, 8));
     }
@@ -176,7 +174,7 @@ mod tests {
         let task = SynthesisTask::at(&spec, &sketch, 0);
         let result = synthesize_portfolio(&task, &SynthesisConfig::default()).unwrap();
         assert!(result.outcome.is_unsat());
-        assert!(result.winner.is_some());
+        assert!(result.members.contains(&result.outcome.stats().solver_name));
     }
 
     #[test]
@@ -234,7 +232,7 @@ mod tests {
         let result = synthesize_portfolio(&task, &SynthesisConfig::default()).unwrap();
         let first = SolverConfig::portfolio()[0].name.clone();
         assert_eq!(result.members, vec![first.clone()]);
-        assert_eq!(result.winner, Some(first));
+        assert_eq!(result.outcome.stats().solver_name, first);
         let synthesized = result.outcome.success().expect("success");
         assert_eq!(synthesized.hole_assignment["k"], BitVec::from_u64(0b101, 3));
     }

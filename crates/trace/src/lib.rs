@@ -21,9 +21,9 @@
 //!   invariants, lossless [`Histogram::merge`], and p50/p90/p99 queries. The
 //!   atomic variant serves live multi-threaded recording (the daemon's
 //!   request-latency and queue-wait metrics) and snapshots into the plain one.
-//! * **A named metrics registry** ([`counter_add`], [`gauge_set`],
-//!   [`hist_record`], [`metrics_snapshot`]): process-wide counters, gauges,
-//!   and histograms keyed by name, active only while tracing is enabled.
+//! * **A named metrics registry** ([`counter_add`], [`hist_record`],
+//!   [`metrics_snapshot`]): process-wide counters and histograms keyed by
+//!   name, active only while tracing is enabled.
 //!
 //! On top of those, two serving-oriented surfaces:
 //!
@@ -50,8 +50,7 @@ mod span;
 pub use hist::{AtomicHistogram, Histogram, HIST_BUCKETS};
 pub use openmetrics::OpenMetricsWriter;
 pub use registry::{
-    counter_add, counter_value, gauge_set, hist_record, metrics_snapshot, reset_metrics,
-    MetricsSnapshot,
+    counter_add, counter_value, hist_record, metrics_snapshot, reset_metrics, MetricsSnapshot,
 };
 pub use rolling::{RollingCounter, RollingHistogram};
 pub use span::{

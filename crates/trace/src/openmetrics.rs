@@ -148,9 +148,6 @@ impl OpenMetricsWriter {
         for (name, value) in &snap.counters {
             self.counter(&format!("{prefix}{name}"), &[], *value);
         }
-        for (name, value) in &snap.gauges {
-            self.gauge(&format!("{prefix}{name}"), &[], *value);
-        }
         for (name, hist) in &snap.histograms {
             self.histogram(&format!("{prefix}{name}"), &[], hist);
         }

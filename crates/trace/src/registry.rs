@@ -1,4 +1,4 @@
-//! The named metrics registry: process-wide counters, gauges, and histograms.
+//! The named metrics registry: process-wide counters and histograms.
 //!
 //! Like spans, registry writes are gated on [`enabled`](crate::enabled) so the
 //! disabled cost is one relaxed atomic load. (Metrics that must stay live even
@@ -14,7 +14,6 @@ use crate::span::enabled;
 #[derive(Default)]
 struct Registry {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
@@ -38,17 +37,6 @@ pub fn counter_add(name: &str, delta: u64) {
     });
 }
 
-/// Sets the named gauge to `value` (last write wins). No-op while tracing is
-/// off.
-pub fn gauge_set(name: &str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    with_registry(|r| {
-        r.gauges.insert(name.to_string(), value);
-    });
-}
-
 /// Records `value` into the named histogram. No-op while tracing is off.
 pub fn hist_record(name: &str, value: u64) {
     if !enabled() {
@@ -69,8 +57,6 @@ pub fn counter_value(name: &str) -> u64 {
 pub struct MetricsSnapshot {
     /// Monotonic counters by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauges by name (last written value).
-    pub gauges: BTreeMap<String, u64>,
     /// Histograms by name.
     pub histograms: BTreeMap<String, Histogram>,
 }
@@ -78,11 +64,7 @@ pub struct MetricsSnapshot {
 /// Snapshots every named metric.
 pub fn metrics_snapshot() -> MetricsSnapshot {
     let r = registry().lock().unwrap_or_else(PoisonError::into_inner);
-    MetricsSnapshot {
-        counters: r.counters.clone(),
-        gauges: r.gauges.clone(),
-        histograms: r.histograms.clone(),
-    }
+    MetricsSnapshot { counters: r.counters.clone(), histograms: r.histograms.clone() }
 }
 
 /// Clears every named metric (see also [`reset`](crate::reset)).
@@ -104,14 +86,11 @@ mod tests {
         set_enabled(true);
         counter_add("test.reg.c", 2);
         counter_add("test.reg.c", 3);
-        gauge_set("test.reg.g", 9);
-        gauge_set("test.reg.g", 4);
         hist_record("test.reg.h", 100);
         set_enabled(false);
 
         let snap = metrics_snapshot();
         assert_eq!(snap.counters.get("test.reg.c"), Some(&5));
-        assert_eq!(snap.gauges.get("test.reg.g"), Some(&4));
         assert_eq!(snap.histograms.get("test.reg.h").map(Histogram::count), Some(1));
     }
 }

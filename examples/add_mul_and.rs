@@ -44,7 +44,7 @@ fn main() {
                 mapped.resources.dsps,
                 mapped.resources.logic_elements,
                 mapped.resources.registers,
-                mapped.elapsed
+                mapped.stats.elapsed
             );
             assert!(mapped.resources.is_single_dsp());
             println!("\n--- add_mul_and_impl.v ---\n{}", mapped.verilog);

@@ -37,14 +37,15 @@ fn main() {
                     })
                     .unwrap_or_default(),
                 if mapped.resources.is_single_dsp() { "single DSP" } else { "DSP + soft logic" },
-                mapped.elapsed
+                mapped.stats.elapsed
             ),
-            MapOutcome::Unsat { elapsed, .. } => println!(
-                "{:22} -> UNSAT: a multiply-accumulate does not fit this DSP ({elapsed:.2?})",
-                arch.name().to_string()
+            MapOutcome::Unsat { stats } => println!(
+                "{:22} -> UNSAT: a multiply-accumulate does not fit this DSP ({:.2?})",
+                arch.name().to_string(),
+                stats.elapsed
             ),
-            MapOutcome::Timeout { elapsed, .. } => {
-                println!("{:22} -> timeout after {elapsed:.2?}", arch.name().to_string())
+            MapOutcome::Timeout { stats } => {
+                println!("{:22} -> timeout after {:.2?}", arch.name().to_string(), stats.elapsed)
             }
         }
     }

@@ -20,7 +20,7 @@ endmodule
     let mapped = outcome.success().expect("the lane maps to a single DSP48E2");
     assert!(mapped.resources.is_single_dsp());
 
-    println!("one lane maps to a single DSP48E2 ({:.2?})", mapped.elapsed);
+    println!("one lane maps to a single DSP48E2 ({:.2?})", mapped.stats.elapsed);
     println!("the full four-lane design therefore uses 4 DSPs and no soft logic,");
     println!("versus 4 DSPs + 128 registers + 64 LUTs reported for the SOTA flow in §2.1.\n");
     println!("--- lane_impl.v ---\n{}", mapped.verilog);

@@ -21,14 +21,14 @@ fn main() {
     let outcome = map_design(&spec, Template::Dsp, &arch, &MapConfig::default())
         .expect("the mapping task is well-formed");
 
-    match outcome {
+    match &outcome {
         MapOutcome::Success(mapped) => {
-            println!("mapped `mul8` onto {} in {:.2?}", arch.name(), mapped.elapsed);
+            println!("mapped `mul8` onto {} in {:.2?}", arch.name(), outcome.elapsed());
             println!(
                 "resources: {} DSP, {} logic elements, {} registers",
                 mapped.resources.dsps, mapped.resources.logic_elements, mapped.resources.registers
             );
-            if let Some(winner) = &mapped.winning_solver {
+            if let Some(winner) = outcome.winning_solver() {
                 println!("winning portfolio member: {winner}");
             }
             println!("\n--- structural Verilog ---\n{}", mapped.verilog);
