@@ -13,7 +13,8 @@
 //! * `internal_data` (LUTs): the name and width of the truth table, which becomes
 //!   the `lut{i}.INIT` hole;
 //! * `implementation.module`: the primitive module, whose semantics
-//!   [`crate::primitives::semantics`] looks up by name;
+//!   [`crate::primitives::semantics`] extracts from the mini-HDL model of that
+//!   name in `lr_hdl::models`;
 //! * `implementation.ports`, then `implementation.parameters`: each one's `name`,
 //!   `bitwidth` and `value`, bound in the order listed. A `value` is `?NAME` (a
 //!   `dsp{i}.NAME` hole of the entry's bitwidth; `below: N` restricts it to values
@@ -23,9 +24,10 @@
 //!   `(bv VALUE WIDTH)`);
 //! * `implementation.outputs`: the output port `O` names.
 //!
-//! A new architecture built from modules that already have semantics is a new
+//! A new architecture built from modules that already have models is a new
 //! description plus the [`crate::ArchName`] variant that names it, with no
-//! instantiation code; a new module also needs its semantics.
+//! instantiation code; a new module also needs its mini-HDL model in
+//! `lr_hdl::models`, and no Rust.
 
 /// Xilinx UltraScale+ architecture description.
 pub const XILINX_ULTRASCALE_PLUS: &str = r#"

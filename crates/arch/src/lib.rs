@@ -7,9 +7,9 @@
 //! * [`Architecture`] wraps one of the four shipped architecture descriptions
 //!   (Xilinx UltraScale+, Lattice ECP5, Intel Cyclone 10 LP, SOFA), parsed from YAML
 //!   by the in-tree [`yaml`] parser.
-//! * [`primitives`] holds the primitive semantic models, looked up by module name
-//!   through [`primitives::semantics`]; simple primitives are extracted from
-//!   mini-HDL models via `lr-hdl`, the two big DSPs are built programmatically.
+//! * [`primitives::semantics`] gives each primitive module its semantics,
+//!   extracted from the module's mini-HDL model in `lr_hdl::models`: the DSPs,
+//!   LUTs and carry chains alike, so no primitive is built in Rust.
 //! * [`Architecture::instantiate_dsp`] / [`Architecture::instantiate_lut`] are the
 //!   hooks the sketch generator (`lr-sketch`) uses to specialize its
 //!   architecture-independent templates. Both instantiate the description's
@@ -133,6 +133,11 @@ impl Architecture {
     /// The interface implementations listed in the description.
     pub fn implementations(&self) -> &[Yaml] {
         list(&self.parsed, "implementations")
+    }
+
+    /// The primitive module each implementation names, in description order.
+    pub fn modules(&self) -> impl Iterator<Item = &str> {
+        self.implementations().iter().map(|entry| text(field(entry, "implementation"), "module"))
     }
 
     /// The LUT size this architecture provides.

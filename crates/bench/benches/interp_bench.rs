@@ -1,7 +1,7 @@
 //! B3: micro-benchmarks of the ℒlr interpreter on the DSP48E2 primitive model.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lr_arch::primitives::dsp48e2_semantics;
+use lr_arch::primitives::semantics;
 use lr_bv::BitVec;
 use lr_ir::StreamInputs;
 
@@ -31,7 +31,7 @@ fn dsp_env() -> StreamInputs {
 }
 
 fn bench_interp(c: &mut Criterion) {
-    let prog = dsp48e2_semantics();
+    let prog = semantics("DSP48E2").expect("DSP48E2 has a model");
     let env = dsp_env();
     let mut group = c.benchmark_group("interp");
     group.bench_function("dsp48e2_cycle0", |b| {

@@ -1,5 +1,6 @@
-//! Experiment E6 — Table 1: the primitives whose semantics the tool imports, with
-//! the size of each primitive model.
+//! Experiment E6 — Table 1: the primitives each architecture description names,
+//! with the size of each primitive's mini-HDL model, measured from the models
+//! semantics are extracted from.
 
 use lr_bench::print_primitives_table;
 

@@ -347,30 +347,23 @@ pub fn print_portfolio(all: &[(ArchName, ArchResults)]) {
     }
 }
 
-/// Prints Table 1: primitives imported from (re-implemented) vendor models.
+/// Prints Table 1: for each shipped architecture, the primitive modules its
+/// description names, with the SLoC of each module's mini-HDL model.
 pub fn print_primitives_table() {
     println!("\n-- Table 1: FPGA primitives imported from primitive models --");
-    println!("  {:22} {:34} {:>6}", "Architecture", "Primitive", "SLoC");
-    for model in lr_hdl::builtin_models() {
-        println!(
-            "  {:22} {:34} {:>6}",
-            model.architecture,
-            model.name,
-            lr_hdl::count_sloc(model.source)
-        );
+    println!("  {:22} {:22} {:>6}", "Architecture", "Primitive", "SLoC");
+    for arch in Architecture::all() {
+        for module in arch.modules() {
+            let model = lr_hdl::builtin_model(module)
+                .unwrap_or_else(|| panic!("`{module}` has no built-in model"));
+            println!(
+                "  {:22} {:22} {:>6}",
+                arch.name().to_string(),
+                module,
+                lr_hdl::count_sloc(model.source)
+            );
+        }
     }
-    println!(
-        "  {:22} {:34} {:>6}",
-        "Xilinx UltraScale+",
-        "DSP48E2 (programmatic)",
-        lr_arch::primitives::DSP48E2_MODEL_SLOC
-    );
-    println!(
-        "  {:22} {:34} {:>6}",
-        "Lattice ECP5",
-        "MULT18X18C+ALU54A (programmatic)",
-        lr_arch::primitives::ECP5_DSP_MODEL_SLOC
-    );
 }
 
 /// Prints the §5.2 extensibility comparison (architecture-description sizes).

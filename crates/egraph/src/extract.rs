@@ -24,20 +24,6 @@ impl CostFunction for NodeCount {
     }
 }
 
-/// Per-operator costs: leaves cost one, operators cost what the function says.
-/// Used to steer extraction toward hardware-cheap forms (e.g. pricing multiplies
-/// above adds so extraction prefers shift-add decompositions when both exist).
-pub struct OpCost<F: Fn(BvOp) -> u64>(pub F);
-
-impl<F: Fn(BvOp) -> u64> CostFunction for OpCost<F> {
-    fn node_cost(&self, node: &ENode) -> u64 {
-        match node {
-            ENode::Const(_) | ENode::Symbol { .. } => 1,
-            ENode::Op { op, .. } => (self.0)(*op),
-        }
-    }
-}
-
 /// One node of an extracted term; children refer to earlier indices of the
 /// containing [`RecExpr`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -236,22 +222,6 @@ mod tests {
         let expr = extractor.extract(sum);
         assert_eq!(expr.len(), 1);
         assert!(matches!(&expr.nodes[0], RecNode::Symbol { name, .. } if name == "x"));
-    }
-
-    #[test]
-    fn per_op_costs_steer_extraction() {
-        // x*2 and x+x in one class: a cost that prices Mul high picks the add.
-        let mut eg = EGraph::new();
-        let x = eg.add(ENode::Symbol { name: "x".into(), width: 8 });
-        let two = eg.add(ENode::Const(BitVec::from_u64(2, 8)));
-        let prod = eg.add(ENode::Op { op: BvOp::Mul, args: vec![x, two] });
-        let sum = eg.add(ENode::Op { op: BvOp::Add, args: vec![x, x] });
-        eg.union(prod, sum);
-        eg.rebuild();
-        let cost = OpCost(|op| if op == BvOp::Mul { 100 } else { 1 });
-        let extractor = Extractor::new(&eg, &cost);
-        let expr = extractor.extract(prod);
-        assert!(expr.nodes.iter().all(|n| !matches!(n, RecNode::Op { op: BvOp::Mul, .. })));
     }
 
     /// Equal-cost candidates must extract identically regardless of the order

@@ -18,8 +18,8 @@
 //!   which one-shot rewriting cannot exploit;
 //! * [`saturate`] — bounded saturation ([`Limits`] caps iterations and nodes) with
 //!   [`SaturationStats`] counters;
-//! * [`Extractor`] — cost-based extraction under [`NodeCount`] or per-operator
-//!   [`OpCost`] functions;
+//! * [`Extractor`] — cost-based extraction under a [`CostFunction`] (every
+//!   extraction uses [`NodeCount`], which minimizes term size);
 //! * [`fold_term`] — the `TermPool` bridge: embed a term, saturate, extract. Used
 //!   by `lr_synth`'s CEGIS verifier to pre-fold disequalities before any SAT work,
 //!   and by `lr_ir`'s `Prog::saturated` canonicalization pass.
@@ -52,7 +52,7 @@ pub mod pattern;
 pub mod rules;
 mod runner;
 
-pub use extract::{CostFunction, Extractor, NodeCount, OpCost, RecExpr, RecNode};
+pub use extract::{CostFunction, Extractor, NodeCount, RecExpr, RecNode};
 pub use fold::{fold_term, recexpr_to_term, term_to_egraph, FoldReport};
 pub use graph::{EClass, EClassId, EGraph, ENode};
 pub use pattern::{Pattern, Recipe, Rewrite, Subst};

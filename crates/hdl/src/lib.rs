@@ -63,7 +63,7 @@ pub use ast::{Expr, ModuleAst, PortDir, Statement};
 pub use elaborate::{elaborate, extract_semantics, parse_and_elaborate, ElaborateError};
 pub use emit::emit_verilog;
 pub use fuzz::{check_seed, generate_module, FuzzOutcome};
-pub use models::{builtin_models, BuiltinModel};
+pub use models::{builtin_model, builtin_models, BuiltinModel};
 pub use parser::{parse_module, ParseError};
 
 /// Counts the source lines of code of an HDL snippet, skipping blank lines and

@@ -2,23 +2,24 @@
 //! vendor-provided Verilog simulation models the paper imports (Table 1).
 //!
 //! Licensing forbids shipping the vendor sources, so each model here re-implements
-//! the documented behaviour of its primitive (UG574/UG579 for Xilinx, the ECP5 and
-//! Cyclone 10 LP handbooks, and the SOFA repository for `frac_lut4`). The models are
-//! deliberately written in the *style* of vendor simulation models — parameters for
-//! configuration bits, registers guarded by parameters — so that the semantics
-//! extraction pass ([`crate::extract_semantics`]) exercises the same code path the
-//! paper describes: parameters are converted to ports and become solver-visible
+//! the documented behaviour of its primitive (UG574/UG579 for Xilinx, the ECP5
+//! sysDSP usage guide and handbook, the Cyclone 10 LP handbook, and the SOFA
+//! repository for `frac_lut4`). The models are deliberately written in the *style*
+//! of vendor simulation models — parameters for configuration bits, registers
+//! guarded by parameters — so that the semantics extraction pass
+//! ([`crate::extract_semantics`]) exercises the same code path the paper
+//! describes: parameters are converted to ports and become solver-visible
 //! symbols.
 //!
-//! The two largest DSP models (Xilinx `DSP48E2`, Lattice `ALU54A`) are built
-//! programmatically in `lr-arch::primitives` instead of as mini-HDL text; the
-//! experiment binary for Table 1 reports both kinds.
+//! [`builtin_models`] is the only source of primitive semantics: every module an
+//! architecture description names has exactly one model here, and `lr-arch`
+//! extracts a module's semantics from the model of that name. The largest are
+//! the two DSPs, Xilinx's `DSP48E2` and the Lattice ECP5 `MULT18X18C`
+//! multiplier feeding an `ALU54A`, which Lakeroad maps to as one DSP.
 
-/// A built-in primitive model: its architecture, module name, and mini-HDL source.
+/// A built-in primitive model: its module name and mini-HDL source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BuiltinModel {
-    /// FPGA architecture family the primitive belongs to.
-    pub architecture: &'static str,
     /// Module name (matches the vendor primitive name).
     pub name: &'static str,
     /// Mini-HDL source text.
@@ -53,6 +54,83 @@ module CARRY8(input [7:0] S, input [7:0] DI, input CI, output [8:0] O);
   assign c8 = S[7] ? c7 : DI[7];
   assign sum = S ^ {c7, c6, c5, c4, c3, c2, c1, c0};
   assign O = {c8, sum};
+endmodule
+"#;
+
+/// Xilinx UltraScale+ DSP48E2 (UG579): pre-adder, 27×18 multiplier, X/Y/Z
+/// multiplexers and a 48-bit ALU with arithmetic and logic modes, with a
+/// pipeline register per stage that its `*REG` parameter selects.
+pub const DSP48E2: &str = r#"
+// DSP48E2: P = ALU(X, Y, Z, CARRYIN) over the pre-added product M = (D +/- A) * B.
+module DSP48E2(input clk, input [29:0] A, input [17:0] B, input [47:0] C, input [26:0] D,
+               input CARRYIN, input [4:0] INMODE, input [8:0] OPMODE, input [3:0] ALUMODE,
+               output [47:0] P);
+  parameter [0:0] AREG = 1'b0;
+  parameter [0:0] BREG = 1'b0;
+  parameter [0:0] CREG = 1'b0;
+  parameter [0:0] DREG = 1'b0;
+  parameter [0:0] ADREG = 1'b0;
+  parameter [0:0] MREG = 1'b0;
+  parameter [0:0] PREG = 1'b0;
+  parameter [0:0] AMULTSEL = 1'b0;
+  reg [29:0] a_q;
+  reg [17:0] b_q;
+  reg [26:0] d_q, ad_q;
+  reg [47:0] c_q, m_q, p_q;
+  wire [29:0] a1;
+  wire [17:0] b1;
+  wire [26:0] d1, a27, ad_pre, ad;
+  wire [44:0] ma, mb;
+  wire [47:0] c1, m_pre, m, zero48, x, y, z, xyc, add_result, arith, x_xor_z, logic_out, alu_out;
+  wire [1:0] xsel, ysel, alu_lo;
+  wire is00, is01, is11;
+  // Input pipeline registers.
+  always @(posedge clk) begin
+    a_q <= A;
+    b_q <= B;
+    c_q <= C;
+    d_q <= D;
+  end
+  assign a1 = AREG ? a_q : A;
+  assign b1 = BREG ? b_q : B;
+  assign c1 = CREG ? c_q : C;
+  assign d1 = DREG ? d_q : D;
+  // Pre-adder: AD = D1 +/- A1[26:0], subtracting when INMODE[3] is set.
+  assign a27 = a1[26:0];
+  assign ad_pre = INMODE[3] ? d1 - a27 : d1 + a27;
+  always @(posedge clk) ad_q <= ad_pre;
+  assign ad = ADREG ? ad_q : ad_pre;
+  // Multiplier: 27x18 -> 45 bits, then widened to 48.
+  assign ma = AMULTSEL ? ad : a27;
+  assign mb = b1;
+  assign m_pre = ma * mb;
+  always @(posedge clk) m_q <= m_pre;
+  assign m = MREG ? m_q : m_pre;
+  // X multiplexer (OPMODE[1:0]): 0 -> 0, 1 -> M, 3 -> {A1, B1}.
+  assign zero48 = 48'd0;
+  assign xsel = OPMODE[1:0];
+  assign x = xsel == 2'd1 ? m : xsel == 2'd3 ? {a1, b1} : zero48;
+  // Y multiplexer (OPMODE[3:2]): 0 -> 0, 1 -> all ones (logic unit), 3 -> C1.
+  assign ysel = OPMODE[3:2];
+  assign y = ysel == 2'd1 ? 48'hffffffffffff : ysel == 2'd3 ? c1 : zero48;
+  // Z multiplexer (OPMODE[6:4]): 3 -> C1, otherwise 0.
+  assign z = OPMODE[6:4] == 3'd3 ? c1 : zero48;
+  // ALU, arithmetic modes (ALUMODE[3:2] == 0):
+  //   00: Z + (X + Y + CIN)        01: (X + Y + CIN) - Z - 1
+  //   10: -(Z + X + Y + CIN) - 1   11: Z - (X + Y + CIN)
+  assign xyc = x + y + CARRYIN;
+  assign add_result = z + xyc;
+  assign alu_lo = ALUMODE[1:0];
+  assign is00 = alu_lo == 2'd0;
+  assign is11 = alu_lo == 2'd3;
+  assign is01 = alu_lo == 2'd1;
+  assign arith = is00 ? add_result : is11 ? z - xyc : is01 ? xyc - z - 48'd1 : ~add_result;
+  // ALU, logic modes (ALUMODE[3:2] != 0): AND / OR / XOR / XNOR of X and Z.
+  assign x_xor_z = x ^ z;
+  assign logic_out = is00 ? x & z : is01 ? x | z : is11 ? ~x_xor_z : x_xor_z;
+  assign alu_out = ALUMODE[3:2] == 2'd0 ? arith : logic_out;
+  always @(posedge clk) p_q <= alu_out;
+  assign P = PREG ? p_q : alu_out;
 endmodule
 "#;
 
@@ -102,27 +180,42 @@ module CCU2C(input CIN, input A0, input B0, input A1, input B1, output [2:0] S);
 endmodule
 "#;
 
-/// Lattice ECP5 MULT18X18C: 18×18 multiplier with optional input/output registers.
-pub const MULT18X18C: &str = r#"
-// MULT18X18C: 18x18 multiplier; REG_INPUT/REG_OUTPUT select pipeline registers.
-module MULT18X18C(input clk, input [17:0] A, input [17:0] B, output [35:0] P);
+/// Lattice ECP5 DSP (sysDSP usage guide): a `MULT18X18C` 18×18 multiplier
+/// feeding an `ALU54A`, the pair Lakeroad maps to as one DSP, with the input,
+/// pipeline and output registers its `REG_*` parameters select.
+pub const MULT18X18C_ALU54A: &str = r#"
+// MULT18X18C_ALU54A: R = ALU_OP(M, C) for the product M = A * B. ALU_OP: 0 -> M,
+// 1 -> M + C, 2 -> M - C, 3 -> C - M, 4 -> M & C, 5 -> M | C, 6 -> M ^ C.
+module MULT18X18C_ALU54A(input clk, input [17:0] A, input [17:0] B, input [53:0] C,
+                         output [53:0] R);
   parameter [0:0] REG_INPUT = 1'b0;
+  parameter [0:0] REG_C = 1'b0;
+  parameter [0:0] REG_PIPE = 1'b0;
   parameter [0:0] REG_OUTPUT = 1'b0;
-  reg [17:0] a_q;
-  reg [17:0] b_q;
-  reg [35:0] p_q;
-  wire [17:0] a_mux;
-  wire [17:0] b_mux;
-  wire [35:0] product;
+  parameter [2:0] ALU_OP = 3'd0;
+  reg [17:0] a_q, b_q;
+  reg [53:0] c_q, m_q, c2_q, r_q;
+  wire [35:0] ma, mb;
+  wire [53:0] c1, m_wide, m, c2, result;
   always @(posedge clk) begin
     a_q <= A;
     b_q <= B;
+    c_q <= C;
   end
-  assign a_mux = REG_INPUT ? a_q : A;
-  assign b_mux = REG_INPUT ? b_q : B;
-  assign product = {18'd0, a_mux} * {18'd0, b_mux};
-  always @(posedge clk) p_q <= product;
-  assign P = REG_OUTPUT ? p_q : product;
+  assign ma = REG_INPUT ? a_q : A;
+  assign mb = REG_INPUT ? b_q : B;
+  assign c1 = REG_C ? c_q : C;
+  assign m_wide = ma * mb;
+  always @(posedge clk) begin
+    m_q <= m_wide;
+    c2_q <= c1;
+  end
+  assign m = REG_PIPE ? m_q : m_wide;
+  assign c2 = REG_PIPE ? c2_q : c1;
+  assign result = ALU_OP == 3'd6 ? m ^ c2 : ALU_OP == 3'd5 ? m | c2 : ALU_OP == 3'd4 ? m & c2
+                : ALU_OP == 3'd3 ? c2 - m : ALU_OP == 3'd2 ? m - c2 : ALU_OP == 3'd1 ? m + c2 : m;
+  always @(posedge clk) r_q <= result;
+  assign R = REG_OUTPUT ? r_q : result;
 endmodule
 "#;
 
@@ -162,22 +255,25 @@ module frac_lut4(input [3:0] in, input mode, output lut4_out);
 endmodule
 "#;
 
-/// All built-in mini-HDL primitive models, in Table 1 order.
-pub fn builtin_models() -> Vec<BuiltinModel> {
-    vec![
-        BuiltinModel { architecture: "Xilinx UltraScale+", name: "LUT6", source: LUT6 },
-        BuiltinModel { architecture: "Xilinx UltraScale+", name: "CARRY8", source: CARRY8 },
-        BuiltinModel { architecture: "Lattice ECP5", name: "LUT2", source: LUT2 },
-        BuiltinModel { architecture: "Lattice ECP5", name: "LUT4", source: LUT4 },
-        BuiltinModel { architecture: "Lattice ECP5", name: "CCU2C", source: CCU2C },
-        BuiltinModel { architecture: "Lattice ECP5", name: "MULT18X18C", source: MULT18X18C },
-        BuiltinModel {
-            architecture: "Intel Cyclone 10 LP",
-            name: "cyclone10lp_mac_mult",
-            source: CYCLONE10LP_MAC_MULT,
-        },
-        BuiltinModel { architecture: "SOFA", name: "frac_lut4", source: FRAC_LUT4 },
+/// Every built-in primitive model: one per module the shipped architecture
+/// descriptions name, in description order.
+pub fn builtin_models() -> &'static [BuiltinModel] {
+    &[
+        BuiltinModel { name: "DSP48E2", source: DSP48E2 },
+        BuiltinModel { name: "LUT6", source: LUT6 },
+        BuiltinModel { name: "CARRY8", source: CARRY8 },
+        BuiltinModel { name: "MULT18X18C_ALU54A", source: MULT18X18C_ALU54A },
+        BuiltinModel { name: "LUT4", source: LUT4 },
+        BuiltinModel { name: "LUT2", source: LUT2 },
+        BuiltinModel { name: "CCU2C", source: CCU2C },
+        BuiltinModel { name: "cyclone10lp_mac_mult", source: CYCLONE10LP_MAC_MULT },
+        BuiltinModel { name: "frac_lut4", source: FRAC_LUT4 },
     ]
+}
+
+/// The built-in model of the module named `name`, if there is one.
+pub fn builtin_model(name: &str) -> Option<&'static BuiltinModel> {
+    builtin_models().iter().find(|model| model.name == name)
 }
 
 #[cfg(test)]
@@ -276,13 +372,6 @@ mod tests {
         ]);
         assert_eq!(prog.interp(&e, 0).unwrap(), BitVec::zeros(36));
         assert_eq!(prog.interp(&e, 2).unwrap(), BitVec::from_u64(20000, 36));
-    }
-
-    #[test]
-    fn mult18x18c_multiplies() {
-        let prog = extract_semantics(MULT18X18C).unwrap();
-        let e = env(&[("A", 3000, 18), ("B", 1234, 18), ("REG_INPUT", 0, 1), ("REG_OUTPUT", 0, 1)]);
-        assert_eq!(prog.interp(&e, 0).unwrap(), BitVec::from_u64(3000 * 1234, 36));
     }
 
     #[test]

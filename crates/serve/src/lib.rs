@@ -67,9 +67,7 @@ pub use daemon::{Daemon, DaemonClient, DaemonConfig, DaemonSummary};
 pub use forensics::{FlightRecorder, ForensicsConfig, RequestRecord};
 pub use json::Json;
 pub use netlist::{cone_jobs, map_netlist, NetlistOptions, NetlistReport};
-pub use scenario::{
-    fuzz_jobs, grinder_jobs, netlist_jobs, random_program, suite_jobs, synthetic_jobs,
-};
+pub use scenario::{fuzz_jobs, grinder_jobs, netlist_jobs, random_program, suite_jobs};
 pub use scheduler::{
     run_batch, run_batch_streaming, set_poison_job, BatchJob, BatchOptions, BatchRun, JobRecord,
     JobResult, TemplateChoice,

@@ -1,17 +1,21 @@
 //! Synthetic batch scenarios: deterministic workload generators for the batch
 //! engine's tests and benchmarks.
 //!
-//! Two sources of jobs:
+//! Four sources of jobs:
 //!
 //! * [`suite_jobs`] — the paper's §5.1 microbenchmarks (via
 //!   `lakeroad::suite`), the *mappable* population a production queue would
 //!   mostly carry.
-//! * [`synthetic_jobs`] — random well-formed ℒlr programs from the same
-//!   straight-line generator idea the `Prog::simplified` property suite uses,
-//!   realized here over the shared seeded [`lr_bv::Rng`] so batches are
-//!   reproducible from a single `u64`. Random programs are overwhelmingly *not*
-//!   single-DSP-mappable, which makes them the deadline/timeout population —
-//!   exactly the traffic a serving scheduler must overlap rather than serialize.
+//! * [`grinder_jobs`] — narrow multiplications against the LUT-based
+//!   multiplication template, which exhaust a small budget: the lost causes a
+//!   serving scheduler must overlap rather than serialize.
+//! * [`fuzz_jobs`] — seeded `lr_hdl::fuzz` modules against the DSP template,
+//!   mostly unmappable: the deadline/timeout population.
+//! * [`netlist_jobs`] — small seeded AIGs resolved through the
+//!   structural-netlist frontend, all mappable with the Bitwise template.
+//!
+//! [`random_program`] generates a random well-formed ℒlr program, reproducible
+//! from a single `u64` over the shared seeded [`lr_bv::Rng`].
 
 use std::time::Duration;
 
@@ -139,40 +143,12 @@ pub fn grinder_jobs(budget: Duration) -> Vec<BatchJob> {
     jobs
 }
 
-/// `count` random-program jobs against `arch`, deterministic in `seed`. Most of
-/// these are unmappable onto one DSP; give them a short `budget` so they model
-/// the budget-bound tail of a production queue.
-pub fn synthetic_jobs(
-    seed: u64,
-    count: usize,
-    arch: ArchName,
-    budget: Option<Duration>,
-) -> Vec<BatchJob> {
-    let architecture = Architecture::load(arch);
-    let mut rng = Rng::new(seed);
-    (0..count)
-        .map(|i| {
-            let program_seed = rng.next_u64();
-            let instructions = 4 + rng.below(12) as usize;
-            let name = format!("synthetic_{i:03}");
-            let mut job = BatchJob::new(
-                name.clone(),
-                random_program(program_seed, &name, instructions),
-                architecture.clone(),
-                TemplateChoice::Named(Template::Dsp),
-            );
-            job.timeout = budget;
-            job
-        })
-        .collect()
-}
-
 /// `n` jobs whose specs come from the HDL fuzz firehose: each job elaborates a
 /// seeded `lr_hdl::fuzz` module (mixed widths, shifts, ternaries, selects,
 /// registers — a far rougher population than [`random_program`]'s straight-line
 /// IR), posed against a rotating set of architectures with the DSP template.
 /// Deterministic in `seed`. Most of these are unmappable; pass a `budget` so
-/// they model the budget-bound tail, exactly like [`synthetic_jobs`].
+/// they model the budget-bound tail of a production queue.
 pub fn fuzz_jobs(seed: u64, n: usize, budget: Option<Duration>) -> Vec<BatchJob> {
     let archs = [ArchName::IntelCyclone10Lp, ArchName::LatticeEcp5, ArchName::XilinxUltraScalePlus];
     let mut rng = Rng::new(seed);
@@ -323,16 +299,5 @@ mod tests {
         }
         // The population rotates architectures.
         assert_ne!(a[0].arch.name(), a[1].arch.name());
-    }
-
-    #[test]
-    fn synthetic_jobs_are_reproducible() {
-        let a = synthetic_jobs(42, 6, ArchName::IntelCyclone10Lp, Some(Duration::from_secs(2)));
-        let b = synthetic_jobs(42, 6, ArchName::IntelCyclone10Lp, Some(Duration::from_secs(2)));
-        assert_eq!(a.len(), 6);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.spec, y.spec);
-            assert_eq!(x.timeout, y.timeout);
-        }
     }
 }
