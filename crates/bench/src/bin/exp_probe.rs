@@ -16,7 +16,7 @@ use std::time::Instant;
 use lakeroad::suite::suite_for;
 use lakeroad::{generate_sketch, pipeline_depth, Template};
 use lr_arch::{ArchName, Architecture};
-use lr_synth::{synthesize, SynthesisConfig, SynthesisOutcome, SynthesisTask};
+use lr_synth::{synthesize, SynthesisConfig, SynthesisTask};
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "mul_w8_s1".into());
@@ -36,11 +36,7 @@ fn main() {
         let start = Instant::now();
         let outcome = synthesize(&task, &config).unwrap();
         let stats = outcome.stats().clone();
-        let verdict = match &outcome {
-            SynthesisOutcome::Success(_) => "success",
-            SynthesisOutcome::Unsat { .. } => "unsat",
-            SynthesisOutcome::Timeout { .. } => "timeout",
-        };
+        let verdict = outcome.verdict().name();
         println!(
             "{which} incr={incremental}: {verdict} in {:.1} ms, iters={}, examples={}, \
              conflicts={}, verify_sat={}, enc={}, reenc={}, reuse={}",

@@ -15,7 +15,7 @@ use lakeroad::suite::Microbenchmark;
 use lakeroad::{generate_sketch, pipeline_depth, Template};
 use lr_arch::Architecture;
 use lr_serve::Json;
-use lr_synth::{synthesize, SynthesisConfig, SynthesisOutcome, SynthesisTask};
+use lr_synth::{synthesize, SynthesisConfig, SynthesisTask, Verdict};
 
 use crate::{decimal, Record, Scale};
 
@@ -29,7 +29,7 @@ pub struct CegisRun {
     /// Whether solver state persisted across iterations.
     pub incremental: bool,
     /// `success` / `unsat` / `timeout`.
-    pub verdict: &'static str,
+    pub verdict: Verdict,
     /// Measured wall-clock time.
     pub wall_ms: f64,
     /// CEGIS iterations performed.
@@ -78,7 +78,7 @@ impl Record for CegisComparison {
                 ("arch", Json::str(&r.arch)),
                 ("benchmark", Json::str(&r.benchmark)),
                 ("incremental", Json::Bool(r.incremental)),
-                ("verdict", Json::str(r.verdict)),
+                ("verdict", Json::str(r.verdict.name())),
                 ("wall_ms", decimal(r.wall_ms, 3)),
                 ("iterations", Json::Num(r.iterations as f64)),
                 ("conflicts", Json::Num(r.conflicts as f64)),
@@ -148,16 +148,12 @@ fn run_one(
     let start = Instant::now();
     let outcome = synthesize(&task, &config).ok()?;
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let (verdict, stats) = match &outcome {
-        SynthesisOutcome::Success(s) => ("success", &s.stats),
-        SynthesisOutcome::Unsat { stats } => ("unsat", stats),
-        SynthesisOutcome::Timeout { stats } => ("timeout", stats),
-    };
+    let stats = outcome.stats();
     Some(CegisRun {
         arch: arch.name().to_string(),
         benchmark: bench.name.clone(),
         incremental,
-        verdict,
+        verdict: outcome.verdict(),
         wall_ms,
         iterations: stats.iterations,
         conflicts: stats.conflicts,
@@ -211,7 +207,7 @@ mod tests {
                     arch: "intel_cyclone10lp".into(),
                     benchmark: "mul_8b_0stage".into(),
                     incremental: true,
-                    verdict: "success",
+                    verdict: Verdict::Success,
                     wall_ms: 12.5,
                     iterations: 2,
                     conflicts: 34,
@@ -223,7 +219,7 @@ mod tests {
                     arch: "intel_cyclone10lp".into(),
                     benchmark: "mul_8b_0stage".into(),
                     incremental: false,
-                    verdict: "success",
+                    verdict: Verdict::Success,
                     wall_ms: 25.0,
                     iterations: 2,
                     conflicts: 60,

@@ -23,7 +23,7 @@ use lr_egraph::rules::bv_rules;
 use lr_egraph::{fold_term, Limits};
 use lr_serve::Json;
 use lr_smt::{TermId, TermPool};
-use lr_synth::{synthesize, SynthesisConfig, SynthesisOutcome, SynthesisTask};
+use lr_synth::{synthesize, SynthesisConfig, SynthesisTask, Verdict};
 
 use crate::{decimal, Record, Scale};
 
@@ -77,7 +77,7 @@ pub struct EgraphCegisRun {
     /// Whether the e-graph pre-fold was on.
     pub egraph: bool,
     /// `success` / `unsat` / `timeout`.
-    pub verdict: &'static str,
+    pub verdict: Verdict,
     /// Measured wall-clock time.
     pub wall_ms: f64,
     /// Disequalities handed to the e-graph.
@@ -148,7 +148,7 @@ impl Record for EgraphReport {
                 ("arch", Json::str(&r.arch)),
                 ("benchmark", Json::str(&r.benchmark)),
                 ("egraph", Json::Bool(r.egraph)),
-                ("verdict", Json::str(r.verdict)),
+                ("verdict", Json::str(r.verdict.name())),
                 ("wall_ms", decimal(r.wall_ms, 3)),
                 ("egraph_attempts", Json::Num(r.egraph_attempts as f64)),
                 ("egraph_folds", Json::Num(r.egraph_folds as f64)),
@@ -338,16 +338,12 @@ fn run_cegis_one(
     let start = Instant::now();
     let outcome = synthesize(&task, &config).ok()?;
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let (verdict, stats) = match &outcome {
-        SynthesisOutcome::Success(s) => ("success", &s.stats),
-        SynthesisOutcome::Unsat { stats } => ("unsat", stats),
-        SynthesisOutcome::Timeout { stats } => ("timeout", stats),
-    };
+    let stats = outcome.stats();
     Some(EgraphCegisRun {
         arch: arch.name().to_string(),
         benchmark: bench.name.clone(),
         egraph,
-        verdict,
+        verdict: outcome.verdict(),
         wall_ms,
         egraph_attempts: stats.egraph_attempts,
         egraph_folds: stats.egraph_folds,
@@ -433,7 +429,7 @@ mod tests {
                     arch: "intel_cyclone10lp".into(),
                     benchmark: "mul_8b_0stage".into(),
                     egraph: true,
-                    verdict: "success",
+                    verdict: Verdict::Success,
                     wall_ms: 10.0,
                     egraph_attempts: 1,
                     egraph_folds: 1,
@@ -444,7 +440,7 @@ mod tests {
                     arch: "intel_cyclone10lp".into(),
                     benchmark: "mul_8b_0stage".into(),
                     egraph: false,
-                    verdict: "success",
+                    verdict: Verdict::Success,
                     wall_ms: 12.0,
                     egraph_attempts: 0,
                     egraph_folds: 0,

@@ -251,11 +251,10 @@ pub fn run_architecture_with(arch: &Architecture, scale: Scale, workers: usize) 
                 });
                 class
             }
-            // Unposeable jobs keep the pre-scheduler classification; expiry and
-            // cancellation cannot occur (no deadlines, nobody cancels).
-            JobResult::Error(_) | JobResult::DeadlineExpired | JobResult::Cancelled => {
-                RunClass::Timeout
-            }
+            // Unposeable and panicked jobs keep the pre-scheduler
+            // classification; expiry and cancellation cannot occur (no
+            // deadlines, nobody cancels).
+            _ => RunClass::Timeout,
         };
         results.tallies.entry("lakeroad".into()).or_default().record(class);
     }

@@ -17,7 +17,7 @@ use lakeroad::{generate_sketch, pipeline_depth, Template};
 use lr_arch::Architecture;
 use lr_serve::Json;
 use lr_smt::SolverConfig;
-use lr_synth::{synthesize, SynthesisConfig, SynthesisOutcome, SynthesisTask};
+use lr_synth::{synthesize, SynthesisConfig, SynthesisTask, Verdict};
 
 use crate::{decimal, Record, Scale};
 
@@ -41,7 +41,7 @@ pub struct SatRun {
     /// `"modern"` or `"legacy"`.
     pub mode: &'static str,
     /// `success` / `unsat` / `timeout`.
-    pub verdict: &'static str,
+    pub verdict: Verdict,
     /// Measured wall-clock time (informational; never gated on).
     pub wall_ms: f64,
     /// CEGIS iterations performed.
@@ -101,7 +101,7 @@ impl Record for SatComparison {
                 ("arch", Json::str(&r.arch)),
                 ("benchmark", Json::str(&r.benchmark)),
                 ("mode", Json::str(r.mode)),
-                ("verdict", Json::str(r.verdict)),
+                ("verdict", Json::str(r.verdict.name())),
                 ("wall_ms", decimal(r.wall_ms, 3)),
                 ("iterations", Json::Num(r.iterations as f64)),
                 ("conflicts", Json::Num(r.conflicts as f64)),
@@ -147,7 +147,10 @@ impl Record for SatComparison {
             if a.benchmark == b.benchmark && a.mode != b.mode && a.verdict != b.verdict {
                 failures.push(format!(
                     "verdict drift on {}/{}: modern={} legacy={}",
-                    a.arch, a.benchmark, a.verdict, b.verdict
+                    a.arch,
+                    a.benchmark,
+                    a.verdict.name(),
+                    b.verdict.name()
                 ));
             }
             i += 2;
@@ -228,16 +231,12 @@ fn run_one(
     let start = Instant::now();
     let outcome = synthesize(&task, &config).ok()?;
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let (verdict, stats) = match &outcome {
-        SynthesisOutcome::Success(s) => ("success", &s.stats),
-        SynthesisOutcome::Unsat { stats } => ("unsat", stats),
-        SynthesisOutcome::Timeout { stats } => ("timeout", stats),
-    };
+    let stats = outcome.stats();
     Some(SatRun {
         arch: arch.name().to_string(),
         benchmark: bench.name.clone(),
         mode,
-        verdict,
+        verdict: outcome.verdict(),
         wall_ms,
         iterations: stats.iterations,
         conflicts: stats.conflicts,
@@ -283,7 +282,7 @@ mod tests {
             arch: "intel_cyclone10lp".into(),
             benchmark: benchmark.into(),
             mode,
-            verdict: "success",
+            verdict: Verdict::Success,
             wall_ms: 1.0,
             iterations: 1,
             conflicts,
@@ -328,7 +327,7 @@ mod tests {
     #[test]
     fn gates_fail_on_verdict_drift() {
         let mut worse = run("legacy", "b", 20, 1000);
-        worse.verdict = "unsat";
+        worse.verdict = Verdict::Unsat;
         let cmp =
             SatComparison { scale: Scale::Quick, runs: vec![run("modern", "b", 10, 500), worse] };
         assert!(cmp.gate_failures().iter().any(|f| f.contains("verdict drift")));

@@ -22,11 +22,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use lakeroad::{MapConfig, MapOutcome};
+use lakeroad::{MapConfig, MapOutcome, Verdict};
 use lr_arch::ArchName;
 use lr_serve::{
     fuzz_jobs, grinder_jobs, netlist_jobs, run_batch, suite_jobs, BatchJob, BatchOptions,
-    BatchReport, BatchRun, CacheSnapshot, JobResult, Json, SynthCache,
+    BatchReport, BatchRun, CacheSnapshot, JobResult, JobVerdict, Json, SynthCache,
 };
 
 use crate::{decimal, Record, Scale};
@@ -61,8 +61,9 @@ pub struct CachePhase {
     pub cache: CacheSnapshot,
     /// Verdicts served from the cache (each one a verified replay).
     pub served: usize,
-    /// Per-job verdict letters in submission order (`s`/`u`/`t`/`e`), the
-    /// compact form the cold/warm and 1-vs-N comparisons diff.
+    /// Per-job verdicts in submission order, each the first letter of its
+    /// name (`s`/`u`/`t`/`e`/`d`/`c`), the compact form the cold/warm and
+    /// 1-vs-N comparisons diff.
     pub verdicts: String,
     /// DSP/LE/register triples of successful jobs, in submission order.
     pub resources: Vec<(usize, usize, usize)>,
@@ -85,16 +86,8 @@ pub struct ServeReport {
 
 fn phase(label: &'static str, run: &BatchRun, cache: CacheSnapshot) -> CachePhase {
     let report = BatchReport::from_run(run, Some(cache));
-    let verdicts: String = run
-        .records
-        .iter()
-        .map(|r| match &r.result {
-            JobResult::Finished(MapOutcome::Success(_)) => 's',
-            JobResult::Finished(MapOutcome::Unsat { .. }) => 'u',
-            JobResult::Finished(MapOutcome::Timeout { .. }) => 't',
-            _ => 'e',
-        })
-        .collect();
+    let verdicts: String =
+        run.records.iter().filter_map(|r| r.result.verdict().name().chars().next()).collect();
     let resources = run
         .records
         .iter()
@@ -301,10 +294,10 @@ pub fn run_serve_experiment(scale: Scale) -> ServeReport {
             workers,
             wall_ms: run.wall.as_secs_f64() * 1e3,
             throughput: report.throughput(),
-            successes: report.successes,
-            unsats: report.unsats,
-            timeouts: report.timeouts,
-            errors: report.errors,
+            successes: report.count(JobVerdict::Finished(Verdict::Success)),
+            unsats: report.count(JobVerdict::Finished(Verdict::Unsat)),
+            timeouts: report.count(JobVerdict::Finished(Verdict::Timeout)),
+            errors: report.count(JobVerdict::Error),
         });
     }
 

@@ -21,7 +21,7 @@ use lakeroad::suite::Microbenchmark;
 use lakeroad::{generate_sketch, pipeline_depth, Template};
 use lr_arch::Architecture;
 use lr_serve::Json;
-use lr_synth::{synthesize, SynthesisConfig, SynthesisOutcome, SynthesisTask};
+use lr_synth::{synthesize, SynthesisConfig, SynthesisTask, Verdict};
 
 use crate::{decimal, Record, Scale};
 
@@ -34,8 +34,8 @@ pub const REQUIRED_SPANS: [&str; 5] =
 /// The deterministic counters of one synthesis run, in one tracing mode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceProbe {
-    /// `success` / `unsat` / `timeout`.
-    pub verdict: &'static str,
+    /// The run's verdict.
+    pub verdict: Verdict,
     /// CEGIS iterations performed.
     pub iterations: usize,
     /// Counterexamples accumulated (including seeds).
@@ -118,7 +118,7 @@ impl Record for TraceComparison {
             Json::obj([
                 ("arch", Json::str(&r.arch)),
                 ("benchmark", Json::str(&r.benchmark)),
-                ("verdict", Json::str(r.untraced.verdict)),
+                ("verdict", Json::str(r.untraced.verdict.name())),
                 ("iterations", Json::Num(r.untraced.iterations as f64)),
                 ("examples", Json::Num(r.untraced.examples as f64)),
                 ("conflicts", Json::Num(r.untraced.conflicts as f64)),
@@ -208,15 +208,10 @@ fn run_one(arch: &Architecture, bench: &Microbenchmark) -> Option<(TraceProbe, f
     let start = Instant::now();
     let outcome = synthesize(&task, &config).ok()?;
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let verdict = match &outcome {
-        SynthesisOutcome::Success(_) => "success",
-        SynthesisOutcome::Unsat { .. } => "unsat",
-        SynthesisOutcome::Timeout { .. } => "timeout",
-    };
     let stats = outcome.stats();
     Some((
         TraceProbe {
-            verdict,
+            verdict: outcome.verdict(),
             iterations: stats.iterations,
             examples: stats.examples,
             conflicts: stats.conflicts,
@@ -279,7 +274,7 @@ mod tests {
 
     fn probe(conflicts: u64) -> TraceProbe {
         TraceProbe {
-            verdict: "success",
+            verdict: Verdict::Success,
             iterations: 2,
             examples: 5,
             conflicts,

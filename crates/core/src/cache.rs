@@ -49,7 +49,7 @@ use lr_sketch::Template;
 use lr_synth::cegis::{check_examples, exhaustive_inputs};
 use lr_synth::SynthesisStats;
 
-use crate::{count_resources, generate_sketch, pipeline_depth, MapConfig, MappedDesign};
+use crate::{generate_sketch, pipeline_depth, MapConfig, MappedDesign};
 
 /// A 128-bit content address: spec fingerprint × architecture × template.
 /// Displayed (and persisted) as 32 lowercase hex digits.
@@ -353,28 +353,17 @@ pub fn replay(
 ) -> Option<MappedDesign> {
     let sketch = generate_sketch(template, arch, spec).ok()?;
     let filled = sketch.fill_holes(holes).ok()?;
-    let implementation = filled.simplified().with_name(format!("{}_impl", spec.name()));
+    let mapped = MappedDesign::from_filled(spec, &filled, SynthesisStats::default());
+    let implementation = &mapped.implementation;
     let t = pipeline_depth(spec);
     let last = t + config.bmc_window;
-    let agrees = match exhaustive_inputs(spec, &implementation) {
-        Some(all) => {
-            check_examples(&spec.schedule().ok()?, &implementation, &all, t..=last).is_ok()
-        }
+    let agrees = match exhaustive_inputs(spec, implementation) {
+        Some(all) => check_examples(&spec.schedule().ok()?, implementation, &all, t..=last).is_ok(),
         None => {
-            interp_equivalent(spec, &implementation, REPLAY_SEED, REPLAY_ROUNDS, t, last).is_ok()
+            interp_equivalent(spec, implementation, REPLAY_SEED, REPLAY_ROUNDS, t, last).is_ok()
         }
     };
-    if !agrees {
-        return None;
-    }
-    let resources = count_resources(&implementation);
-    let verilog = lr_hdl::emit_verilog(&implementation);
-    Some(MappedDesign {
-        implementation,
-        verilog,
-        resources,
-        stats: served_stats(started.elapsed()),
-    })
+    agrees.then(|| MappedDesign { stats: served_stats(started.elapsed()), ..mapped })
 }
 
 /// The statistics of a verdict served from the cache: a `"cache"`-labelled

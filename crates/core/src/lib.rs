@@ -44,7 +44,7 @@ use lr_synth::{SolverConfig, SynthesisConfig, SynthesisError, SynthesisOutcome, 
 
 pub use cache::{CacheKey, CachedOutcome, MapCache};
 pub use lr_sketch::{generate_sketch, SketchError, Template};
-pub use lr_synth::SynthesisStats;
+pub use lr_synth::{SynthesisStats, Verdict};
 pub use source::DesignSource;
 
 /// Configuration for one mapping run: only what callers vary. The pipeline
@@ -176,6 +176,21 @@ pub struct MappedDesign {
     pub stats: SynthesisStats,
 }
 
+impl MappedDesign {
+    /// The mapping of `spec` by a hole-free sketch: `filled` simplified and
+    /// named `{spec}_impl`, with its resources and Verilog. Synthesis and
+    /// cache replay both build their result here.
+    fn from_filled(spec: &Prog, filled: &Prog, stats: SynthesisStats) -> MappedDesign {
+        let implementation = filled.simplified().with_name(format!("{}_impl", spec.name()));
+        MappedDesign {
+            resources: count_resources(&implementation),
+            verilog: lr_hdl::emit_verilog(&implementation),
+            implementation,
+            stats,
+        }
+    }
+}
+
 /// The verdict of a mapping run.
 #[derive(Debug, Clone)]
 pub enum MapOutcome {
@@ -196,6 +211,15 @@ pub enum MapOutcome {
 }
 
 impl MapOutcome {
+    /// The mapping's verdict, named as synthesis names it.
+    pub fn verdict(&self) -> Verdict {
+        match self {
+            MapOutcome::Success(_) => Verdict::Success,
+            MapOutcome::Unsat { .. } => Verdict::Unsat,
+            MapOutcome::Timeout { .. } => Verdict::Timeout,
+        }
+    }
+
     /// Whether mapping succeeded.
     pub fn is_success(&self) -> bool {
         matches!(self, MapOutcome::Success(_))
@@ -394,16 +418,11 @@ fn map_prepared_design(
             if let (Some(cache), Some(key)) = (config.cache.as_deref(), key) {
                 cache.store(key, CachedOutcome::Success { holes: s.hole_assignment.clone() });
             }
-            let implementation =
-                s.implementation.simplified().with_name(format!("{}_impl", spec.name()));
-            let resources = count_resources(&implementation);
-            let verilog = lr_hdl::emit_verilog(&implementation);
-            MapOutcome::Success(Box::new(MappedDesign {
-                implementation,
-                verilog,
-                resources,
-                stats: s.stats,
-            }))
+            MapOutcome::Success(Box::new(MappedDesign::from_filled(
+                spec,
+                &s.implementation,
+                s.stats,
+            )))
         }
         SynthesisOutcome::Unsat { stats } => {
             if let (Some(cache), Some(key)) = (config.cache.as_deref(), key) {

@@ -10,7 +10,7 @@
 //! (mirrored subtractions, negate-path multiplies, re-associable constant chains)
 //! reach the synthesis engine in one normal form.
 //!
-//! [`Prog::structural_evidence`] scans the canonical form for the operator
+//! [`StructuralEvidence::scan`] of the canonical form finds the operator
 //! families the sketch templates target — the "rule-driven sketch guidance" input
 //! that `lr_sketch::guidance` ranks templates with.
 
@@ -268,20 +268,12 @@ impl Prog {
         }
         SaturateOutcome { prog, stats, cones: cone_roots.len(), extracted_nodes: expr.len() }
     }
-
-    /// The operator families surviving canonicalization — see
-    /// [`StructuralEvidence`]. Used by `lr_sketch::guidance` to rank which sketch
-    /// templates to try first.
-    pub fn structural_evidence(&self) -> StructuralEvidence {
-        StructuralEvidence::scan(&self.saturated())
-    }
 }
 
 impl StructuralEvidence {
-    /// Scans a program's operators *as-is* (no saturation). Callers that want
-    /// disguise-proof evidence pass an already-canonical program (this is what
-    /// [`Prog::structural_evidence`] does); callers running with the e-graph
-    /// disabled scan the raw program and get a purely syntactic ranking.
+    /// Scans a program's operators *as-is* (no saturation). Pass a canonical
+    /// program ([`Prog::saturated`]) for disguise-proof evidence, as
+    /// `lakeroad::map_design_auto` does.
     pub fn scan(canonical: &Prog) -> StructuralEvidence {
         let mut ev = StructuralEvidence {
             root_width: canonical.width(canonical.root()),
@@ -391,7 +383,7 @@ mod tests {
         let prod = b.op2(BvOp::Mul, a, nb);
         let out = b.op2(BvOp::Sub, zero, prod);
         let prog = b.finish(out);
-        let ev = prog.structural_evidence();
+        let ev = StructuralEvidence::scan(&prog.saturated());
         assert!(ev.multiplier);
         assert_eq!(ev.root_width, 8);
         assert!(!ev.comparison);
@@ -404,7 +396,7 @@ mod tests {
         let bb = b.input("b", 8);
         let out = b.op2(BvOp::Xor, prod, bb);
         let prog = b.finish(out);
-        let ev = prog.structural_evidence();
+        let ev = StructuralEvidence::scan(&prog.saturated());
         assert!(!ev.multiplier);
         assert!(ev.bitwise);
 
@@ -414,7 +406,7 @@ mod tests {
         let bb = b.input("b", 8);
         let out = b.op2(BvOp::Ult, a, bb);
         let prog = b.finish(out);
-        let ev = prog.structural_evidence();
+        let ev = StructuralEvidence::scan(&prog.saturated());
         assert!(ev.comparison);
         assert_eq!(ev.root_width, 1);
     }

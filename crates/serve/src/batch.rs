@@ -22,11 +22,11 @@ use std::path::Path;
 use std::time::Duration;
 
 use lakeroad::report::summarize_timing;
-use lakeroad::{DesignSource, MapOutcome, Template};
+use lakeroad::{DesignSource, Template};
 use lr_arch::{ArchName, Architecture};
 
 use crate::cache::CacheSnapshot;
-use crate::scheduler::{BatchJob, BatchRun, JobResult, TemplateChoice};
+use crate::scheduler::{BatchJob, BatchRun, JobVerdict, TemplateChoice};
 
 /// Parses an architecture column (the CLI spellings of `--arch-desc`).
 pub fn parse_arch_name(name: &str) -> Option<ArchName> {
@@ -113,18 +113,9 @@ pub fn parse_manifest(text: &str, base: &Path) -> Result<Vec<BatchJob>, String> 
 pub struct BatchReport {
     /// Jobs in the batch.
     pub jobs: usize,
-    /// Successful mappings.
-    pub successes: usize,
-    /// UNSAT verdicts.
-    pub unsats: usize,
-    /// Solver timeouts.
-    pub timeouts: usize,
-    /// Jobs that could not be posed.
-    pub errors: usize,
-    /// Jobs whose deadline expired before they ran.
-    pub deadline_expired: usize,
-    /// Jobs drained by cancellation.
-    pub cancelled: usize,
+    /// Jobs per verdict, in [`JobVerdict::slot`] order; see
+    /// [`BatchReport::count`].
+    pub verdicts: [usize; JobVerdict::ALL.len()],
     /// Verdicts served from the synthesis cache.
     pub cache_served: usize,
     /// Wall-clock time of the batch.
@@ -159,12 +150,7 @@ impl BatchReport {
     pub fn from_run(run: &BatchRun, cache: Option<CacheSnapshot>) -> BatchReport {
         let mut report = BatchReport {
             jobs: run.records.len(),
-            successes: 0,
-            unsats: 0,
-            timeouts: 0,
-            errors: 0,
-            deadline_expired: 0,
-            cancelled: 0,
+            verdicts: [0; JobVerdict::ALL.len()],
             cache_served: 0,
             wall: run.wall,
             workers: run.workers,
@@ -174,26 +160,21 @@ impl BatchReport {
             stages: Vec::new(),
         };
         for record in &run.records {
-            match &record.result {
-                JobResult::Finished(outcome) => {
-                    match outcome {
-                        MapOutcome::Success(_) => report.successes += 1,
-                        MapOutcome::Unsat { .. } => report.unsats += 1,
-                        MapOutcome::Timeout { .. } => report.timeouts += 1,
-                    }
-                    if outcome.served_from_cache() {
-                        report.cache_served += 1;
-                        report.cached_latencies.push(record.elapsed);
-                    } else {
-                        report.synth_latencies.push(record.elapsed);
-                    }
-                }
-                JobResult::Error(_) => report.errors += 1,
-                JobResult::DeadlineExpired => report.deadline_expired += 1,
-                JobResult::Cancelled => report.cancelled += 1,
+            report.verdicts[record.result.verdict().slot()] += 1;
+            let Some(outcome) = record.result.outcome() else { continue };
+            if outcome.served_from_cache() {
+                report.cache_served += 1;
+                report.cached_latencies.push(record.elapsed);
+            } else {
+                report.synth_latencies.push(record.elapsed);
             }
         }
         report
+    }
+
+    /// Jobs that ended with `verdict`.
+    pub fn count(&self, verdict: JobVerdict) -> usize {
+        self.verdicts[verdict.slot()]
     }
 
     /// Jobs per second of batch wall time.
@@ -236,15 +217,9 @@ impl BatchReport {
             self.wall,
             self.throughput(),
         ));
-        out.push_str(&format!(
-            "verdicts: {} success / {} unsat / {} timeout / {} error / {} expired / {} cancelled\n",
-            self.successes,
-            self.unsats,
-            self.timeouts,
-            self.errors,
-            self.deadline_expired,
-            self.cancelled,
-        ));
+        let verdicts: Vec<String> =
+            JobVerdict::ALL.iter().map(|v| format!("{} {}", self.count(*v), v.name())).collect();
+        out.push_str(&format!("verdicts: {}\n", verdicts.join(" / ")));
         if let Some(t) = summarize_timing(&self.synth_latencies) {
             out.push_str(&format!(
                 "synthesized: {}  (median {:.3} s, min {:.3} s, max {:.3} s)\n",
@@ -381,6 +356,21 @@ bench:mul_w8_s0 intel-cyclone10lp auto deadline=30  # trailing comment
     }
 
     #[test]
+    fn report_counts_a_cancelled_run_by_verdict() {
+        let jobs = crate::scenario::suite_jobs(ArchName::IntelCyclone10Lp, 3);
+        let opts =
+            BatchOptions::new(2, MapConfig::single_solver().with_timeout(Duration::from_secs(30)));
+        opts.cancel.store(true, std::sync::atomic::Ordering::Relaxed);
+        let run = run_batch(&jobs, &opts);
+        assert!(run.records.iter().all(|r| r.result.verdict().name() == "cancelled"));
+        let report = BatchReport::from_run(&run, None);
+        assert_eq!(report.count(JobVerdict::Cancelled), 3);
+        assert_eq!(report.verdicts.iter().sum::<usize>(), 3);
+        let rendered = report.render();
+        assert!(rendered.contains("/ 0 deadline_expired / 3 cancelled\n"), "{rendered}");
+    }
+
+    #[test]
     fn report_tallies_a_run() {
         let mut jobs = crate::scenario::suite_jobs(ArchName::IntelCyclone10Lp, 2);
         jobs[1].deadline = Some(Duration::ZERO);
@@ -389,12 +379,13 @@ bench:mul_w8_s0 intel-cyclone10lp auto deadline=30  # trailing comment
         let run = run_batch(&jobs, &opts);
         let report = BatchReport::from_run(&run, None);
         assert_eq!(report.jobs, 2);
-        assert_eq!(report.successes, 1);
-        assert_eq!(report.deadline_expired, 1);
+        assert_eq!(report.count(JobVerdict::Finished(lakeroad::Verdict::Success)), 1);
+        assert_eq!(report.count(JobVerdict::DeadlineExpired), 1);
         assert_eq!(report.cache_served, 0);
         let rendered = report.render();
         assert!(rendered.contains("2 jobs"));
-        assert!(rendered.contains("1 success"));
-        assert!(rendered.contains("1 expired"));
+        let verdicts = "verdicts: 1 success / 0 unsat / 0 timeout / 0 error / \
+                        1 deadline_expired / 0 cancelled\n";
+        assert!(rendered.contains(verdicts), "{rendered}");
     }
 }

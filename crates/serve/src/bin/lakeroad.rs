@@ -52,7 +52,7 @@ use lakeroad::{map_design, map_design_auto, MapConfig, MapOutcome};
 use lr_arch::{ArchName, Architecture};
 use lr_serve::{
     parse_arch_name, parse_manifest, parse_template, run_batch_streaming, BatchOptions,
-    BatchReport, Daemon, DaemonConfig, JobResult, SynthCache, TemplateChoice,
+    BatchReport, Daemon, DaemonConfig, JobResult, JobVerdict, SynthCache, TemplateChoice,
 };
 
 struct Options {
@@ -368,22 +368,19 @@ fn batch_main(args: &[String]) -> ExitCode {
     let total = jobs.len();
     let before = cache.as_ref().map(|c| c.snapshot());
     let run = run_batch_streaming(&jobs, &opts, |record| {
-        let verdict = match &record.result {
-            JobResult::Finished(MapOutcome::Success(m)) => format!(
-                "success ({} DSP, {} LEs, {} regs){}",
-                m.resources.dsps,
-                m.resources.logic_elements,
-                m.resources.registers,
-                if m.stats.from_cache { " [cache]" } else { "" },
-            ),
-            JobResult::Finished(MapOutcome::Unsat { stats }) => {
-                format!("unsat{}", if stats.from_cache { " [cache]" } else { "" })
-            }
-            JobResult::Finished(MapOutcome::Timeout { .. }) => "timeout".to_string(),
-            JobResult::Error(e) => format!("error: {e}"),
-            JobResult::DeadlineExpired => "deadline expired".to_string(),
-            JobResult::Cancelled => "cancelled".to_string(),
-        };
+        let result = &record.result;
+        let mut verdict = result.verdict().name().to_string();
+        if let JobResult::Finished(MapOutcome::Success(m)) = result {
+            let r = &m.resources;
+            verdict +=
+                &format!(" ({} DSP, {} LEs, {} regs)", r.dsps, r.logic_elements, r.registers);
+        }
+        if result.outcome().is_some_and(MapOutcome::served_from_cache) {
+            verdict += " [cache]";
+        }
+        if let Some(e) = result.error() {
+            verdict += &format!(": {e}");
+        }
         eprintln!(
             "[{}/{}] {:32} {:.3}s  {}",
             record.index + 1,
@@ -408,7 +405,7 @@ fn batch_main(args: &[String]) -> ExitCode {
         eprintln!("{e}");
         return ExitCode::from(2);
     }
-    if report.errors > 0 {
+    if report.count(JobVerdict::Error) > 0 {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
@@ -530,7 +527,7 @@ fn map_netlist_main(args: &[String]) -> ExitCode {
     netlist_options.verify_seed = options.seed;
 
     let result = lr_serve::map_netlist(&aig, &netlist_options, |record| {
-        if let JobResult::Error(e) = &record.result {
+        if let Some(e) = record.result.error() {
             eprintln!("{}: {e}", record.name);
         }
     });

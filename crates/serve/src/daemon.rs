@@ -36,7 +36,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lakeroad::{CacheKey, MapConfig, MapOutcome};
+use lakeroad::{CacheKey, MapConfig, MapOutcome, SynthesisStats};
 use lr_trace::{OpenMetricsWriter, RollingCounter, RollingHistogram};
 
 use crate::cache::{CacheSnapshot, SynthCache};
@@ -46,7 +46,7 @@ use crate::protocol::{
     error_response, finish, map_response, parse_request, pong_response, read_frame,
     rejected_response, shutdown_response, trace_response, write_frame, Request,
 };
-use crate::scheduler::{execute_job, BatchJob, JobResult, TemplateChoice};
+use crate::scheduler::{execute_job, BatchJob, JobResult, JobVerdict, TemplateChoice};
 
 /// Configuration of a daemon instance.
 #[derive(Clone)]
@@ -152,18 +152,12 @@ struct Counters {
     accepted: AtomicU64,
     rejected: AtomicU64,
     completed: AtomicU64,
-    successes: AtomicU64,
-    unsats: AtomicU64,
-    timeouts: AtomicU64,
-    job_errors: AtomicU64,
-    deadline_expired: AtomicU64,
-    cancelled: AtomicU64,
+    /// Completed jobs per verdict, in [`JobVerdict::slot`] order.
+    verdicts: [AtomicU64; JobVerdict::ALL.len()],
     cache_served: AtomicU64,
-    synth_iterations: AtomicU64,
-    synth_examples: AtomicU64,
-    sat_conflicts: AtomicU64,
-    sat_propagations: AtomicU64,
-    sat_restarts: AtomicU64,
+    /// Every finished job's synthesis statistics, folded together — failed
+    /// and expired-budget jobs' partial work included.
+    synthesis: Mutex<SynthesisStats>,
     trace_requests: AtomicU64,
     metrics_requests: AtomicU64,
     forensics_requests: AtomicU64,
@@ -571,13 +565,15 @@ fn worker_loop(inner: &Inner) {
             recorder.record(build_record(inner, &queued, &result, wait_us, latency_us, spans));
         }
         queued.client.pending.fetch_sub(1, Ordering::Relaxed);
+        // Counted before the answer goes out, so a `stats` request the
+        // client sends after reading it sees this job as completed.
+        inner.counters.completed.fetch_add(1, Ordering::Relaxed);
         queued.client.respond(&map_response(
             queued.id.as_ref(),
             &queued.job.name,
             &result,
             latency,
         ));
-        inner.counters.completed.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -593,23 +589,7 @@ fn build_record(
     spans: Vec<lr_trace::TraceEvent>,
 ) -> RequestRecord {
     let (hi, lo) = lakeroad::cache::spec_fingerprint(&queued.job.spec);
-    let (verdict, error, from_cache) = match result {
-        JobResult::Finished(outcome) => {
-            let verdict = match outcome {
-                MapOutcome::Success(_) => "success",
-                MapOutcome::Unsat { .. } => "unsat",
-                MapOutcome::Timeout { .. } => "timeout",
-            };
-            (verdict, None, outcome.served_from_cache())
-        }
-        JobResult::Error(message) => ("error", Some(message.clone()), false),
-        JobResult::DeadlineExpired => ("deadline_expired", None, false),
-        JobResult::Cancelled => ("cancelled", None, false),
-    };
-    let stats = match result {
-        JobResult::Finished(outcome) => Some(outcome.stats()),
-        _ => None,
-    };
+    let outcome = result.outcome();
     RequestRecord {
         seq: queued.seq,
         id: queued.id.clone(),
@@ -621,67 +601,37 @@ fn build_record(
             TemplateChoice::Auto => "auto".to_string(),
         },
         priority: queued.job.priority,
-        verdict,
-        // `execute_job` contains worker panics via `catch_unwind` and reports
-        // them with this prefix — the recorder's `panic` trigger keys off it.
-        panicked: error.as_deref().is_some_and(|e| e.starts_with("panicked: ")),
-        error,
-        from_cache,
+        verdict: result.verdict(),
+        error: result.error(),
+        panicked: matches!(result, JobResult::Panicked(_)),
+        from_cache: outcome.is_some_and(MapOutcome::served_from_cache),
         queue_wait_us,
         latency_us,
         completed_at_ms: inner.now_ms(),
-        iterations: stats.map_or(0, |s| s.iterations as u64),
-        examples: stats.map_or(0, |s| s.examples as u64),
-        conflicts: stats.map_or(0, |s| s.conflicts),
-        propagations: stats.map_or(0, |s| s.propagations),
-        restarts: stats.map_or(0, |s| s.restarts),
+        stats: outcome.map(|o| o.stats().clone()).unwrap_or_default(),
         spans,
         trigger: None,
     }
 }
 
 fn record_result(c: &Counters, result: &JobResult) {
-    match result {
-        JobResult::Finished(outcome) => {
-            if outcome.served_from_cache() {
-                c.cache_served.fetch_add(1, Ordering::Relaxed);
-            }
-            // Every finished verdict carries its run's statistics now, so
-            // failed and expired-budget jobs' partial work is accounted too —
-            // the old success-only accumulation under-reported daemon load.
-            let stats = outcome.stats();
-            c.synth_iterations.fetch_add(stats.iterations as u64, Ordering::Relaxed);
-            c.synth_examples.fetch_add(stats.examples as u64, Ordering::Relaxed);
-            c.sat_conflicts.fetch_add(stats.conflicts, Ordering::Relaxed);
-            c.sat_propagations.fetch_add(stats.propagations, Ordering::Relaxed);
-            c.sat_restarts.fetch_add(stats.restarts, Ordering::Relaxed);
-            match outcome {
-                MapOutcome::Success(_) => {
-                    c.successes.fetch_add(1, Ordering::Relaxed);
-                }
-                MapOutcome::Unsat { .. } => {
-                    c.unsats.fetch_add(1, Ordering::Relaxed);
-                }
-                MapOutcome::Timeout { .. } => {
-                    c.timeouts.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+    c.verdicts[result.verdict().slot()].fetch_add(1, Ordering::Relaxed);
+    if let Some(outcome) = result.outcome() {
+        if outcome.served_from_cache() {
+            c.cache_served.fetch_add(1, Ordering::Relaxed);
         }
-        JobResult::Error(_) => {
-            c.job_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        JobResult::DeadlineExpired => {
-            c.deadline_expired.fetch_add(1, Ordering::Relaxed);
-        }
-        JobResult::Cancelled => {
-            c.cancelled.fetch_add(1, Ordering::Relaxed);
-        }
+        c.synthesis
+            .lock()
+            .expect("folding or copying statistics does not panic")
+            .absorb(outcome.stats());
     }
 }
 
 fn stats_response(inner: &Inner, id: Option<&Json>) -> String {
     let c = &inner.counters;
     let n = |a: &AtomicU64| Json::num(a.load(Ordering::Relaxed) as f64);
+    let synthesis =
+        c.synthesis.lock().expect("folding or copying statistics does not panic").clone();
     let cache = inner.cache.snapshot();
     let queue_depth = inner.queue.lock().unwrap().heap.len();
     let doc = Json::obj([
@@ -704,17 +654,7 @@ fn stats_response(inner: &Inner, id: Option<&Json>) -> String {
                 ("completed", n(&c.completed)),
             ]),
         ),
-        (
-            "verdicts",
-            Json::obj([
-                ("success", n(&c.successes)),
-                ("unsat", n(&c.unsats)),
-                ("timeout", n(&c.timeouts)),
-                ("error", n(&c.job_errors)),
-                ("deadline_expired", n(&c.deadline_expired)),
-                ("cancelled", n(&c.cancelled)),
-            ]),
-        ),
+        ("verdicts", Json::obj(JobVerdict::ALL.map(|v| (v.name(), n(&c.verdicts[v.slot()]))))),
         (
             "cache",
             Json::obj([
@@ -733,14 +673,17 @@ fn stats_response(inner: &Inner, id: Option<&Json>) -> String {
         ),
         (
             "synthesis",
-            Json::obj([("iterations", n(&c.synth_iterations)), ("examples", n(&c.synth_examples))]),
+            Json::obj([
+                ("iterations", Json::num(synthesis.iterations as f64)),
+                ("examples", Json::num(synthesis.examples as f64)),
+            ]),
         ),
         (
             "solver",
             Json::obj([
-                ("conflicts", n(&c.sat_conflicts)),
-                ("propagations", n(&c.sat_propagations)),
-                ("restarts", n(&c.sat_restarts)),
+                ("conflicts", Json::num(synthesis.conflicts as f64)),
+                ("propagations", Json::num(synthesis.propagations as f64)),
+                ("restarts", Json::num(synthesis.restarts as f64)),
             ]),
         ),
         (
@@ -828,15 +771,12 @@ fn metrics_response(inner: &Inner, id: Option<&Json>) -> String {
     {
         w.counter("lakeroad_daemon_jobs", &[("outcome", outcome)], load(counter));
     }
-    for (verdict, counter) in [
-        ("success", &c.successes),
-        ("unsat", &c.unsats),
-        ("timeout", &c.timeouts),
-        ("error", &c.job_errors),
-        ("deadline_expired", &c.deadline_expired),
-        ("cancelled", &c.cancelled),
-    ] {
-        w.counter("lakeroad_daemon_verdicts", &[("verdict", verdict)], load(counter));
+    for v in JobVerdict::ALL {
+        w.counter(
+            "lakeroad_daemon_verdicts",
+            &[("verdict", v.name())],
+            load(&c.verdicts[v.slot()]),
+        );
     }
     let cache = inner.cache.snapshot();
     for (event, value) in [
@@ -849,14 +789,16 @@ fn metrics_response(inner: &Inner, id: Option<&Json>) -> String {
     ] {
         w.counter("lakeroad_daemon_cache_events", &[("event", event)], value);
     }
-    for (stage, counter) in [
-        ("iterations", &c.synth_iterations),
-        ("examples", &c.synth_examples),
-        ("conflicts", &c.sat_conflicts),
-        ("propagations", &c.sat_propagations),
-        ("restarts", &c.sat_restarts),
+    let synthesis =
+        c.synthesis.lock().expect("folding or copying statistics does not panic").clone();
+    for (stage, value) in [
+        ("iterations", synthesis.iterations as u64),
+        ("examples", synthesis.examples as u64),
+        ("conflicts", synthesis.conflicts),
+        ("propagations", synthesis.propagations),
+        ("restarts", synthesis.restarts),
     ] {
-        w.counter("lakeroad_daemon_synthesis", &[("counter", stage)], load(counter));
+        w.counter("lakeroad_daemon_synthesis", &[("counter", stage)], value);
     }
     w.gauge("lakeroad_daemon_queue_depth", &[], inner.queue.lock().unwrap().heap.len() as u64);
     w.gauge("lakeroad_daemon_workers", &[], inner.workers as u64);

@@ -9,8 +9,8 @@
 //! last N `map` requests, and *dumps* a record as an on-disk post-mortem
 //! bundle when something went wrong:
 //!
-//! * the worker **panicked** (the scheduler's `catch_unwind` contains it and
-//!   reports `panicked: ...`);
+//! * the worker **panicked** (the scheduler's `catch_unwind` contains it as
+//!   `JobResult::Panicked`);
 //! * the verdict was **unsat** or **timeout**;
 //! * end-to-end latency breached the **slow-query threshold** (`--slow-ms`;
 //!   a threshold of 0 dumps every request, which is what the integration
@@ -33,9 +33,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
+use lakeroad::{SynthesisStats, Verdict};
 use lr_trace::TraceEvent;
 
 use crate::json::Json;
+use crate::scheduler::JobVerdict;
 
 /// Flight-recorder configuration, carried on `DaemonConfig`.
 #[derive(Debug, Clone, Default)]
@@ -77,9 +79,8 @@ pub struct RequestRecord {
     pub template: String,
     /// Scheduling priority.
     pub priority: u8,
-    /// Verdict label, matching the `mapped` response (`success`, `unsat`,
-    /// `timeout`, `error`, `deadline_expired`, `cancelled`).
-    pub verdict: &'static str,
+    /// The job's verdict, named as in the `mapped` response.
+    pub verdict: JobVerdict,
     /// The error message for `error` verdicts.
     pub error: Option<String>,
     /// Whether the error was a contained worker panic.
@@ -92,16 +93,8 @@ pub struct RequestRecord {
     pub latency_us: u64,
     /// Milliseconds since daemon start when the record was made.
     pub completed_at_ms: u64,
-    /// CEGIS iterations of this run (0 when not finished).
-    pub iterations: u64,
-    /// Counterexamples accumulated.
-    pub examples: u64,
-    /// SAT conflicts.
-    pub conflicts: u64,
-    /// SAT unit propagations.
-    pub propagations: u64,
-    /// SAT restarts.
-    pub restarts: u64,
+    /// This run's synthesis statistics (all zero when it did not finish).
+    pub stats: SynthesisStats,
     /// The request's own span tree (events whose trace ctx matched the job).
     pub spans: Vec<TraceEvent>,
     /// Why this record was dumped as a bundle (`panic`, `unsat`, `timeout`,
@@ -121,7 +114,7 @@ impl RequestRecord {
             ("arch", Json::str(&self.arch)),
             ("template", Json::str(&self.template)),
             ("priority", Json::num(f64::from(self.priority))),
-            ("verdict", Json::str(self.verdict)),
+            ("verdict", Json::str(self.verdict.name())),
             ("error", self.error.as_deref().map_or(Json::Null, Json::str)),
             ("panicked", Json::Bool(self.panicked)),
             ("from_cache", Json::Bool(self.from_cache)),
@@ -131,11 +124,11 @@ impl RequestRecord {
             (
                 "counters",
                 Json::obj([
-                    ("iterations", Json::num(self.iterations as f64)),
-                    ("examples", Json::num(self.examples as f64)),
-                    ("conflicts", Json::num(self.conflicts as f64)),
-                    ("propagations", Json::num(self.propagations as f64)),
-                    ("restarts", Json::num(self.restarts as f64)),
+                    ("iterations", Json::num(self.stats.iterations as f64)),
+                    ("examples", Json::num(self.stats.examples as f64)),
+                    ("conflicts", Json::num(self.stats.conflicts as f64)),
+                    ("propagations", Json::num(self.stats.propagations as f64)),
+                    ("restarts", Json::num(self.stats.restarts as f64)),
                 ]),
             ),
             ("span_events", Json::num(self.spans.len() as f64)),
@@ -218,10 +211,8 @@ impl FlightRecorder {
         if record.panicked {
             return Some("panic");
         }
-        match record.verdict {
-            "unsat" => return Some("unsat"),
-            "timeout" => return Some("timeout"),
-            _ => {}
+        if let JobVerdict::Finished(v @ (Verdict::Unsat | Verdict::Timeout)) = record.verdict {
+            return Some(v.name());
         }
         let slow = self.config.slow?;
         let threshold_us = u64::try_from(slow.as_micros()).unwrap_or(u64::MAX);
@@ -338,7 +329,9 @@ impl FlightRecorder {
 mod tests {
     use super::*;
 
-    fn sample(seq: u64, verdict: &'static str, latency_us: u64) -> RequestRecord {
+    const SUCCESS: JobVerdict = JobVerdict::Finished(Verdict::Success);
+
+    fn sample(seq: u64, verdict: JobVerdict, latency_us: u64) -> RequestRecord {
         RequestRecord {
             seq,
             id: Some(Json::num(seq as f64)),
@@ -354,11 +347,14 @@ mod tests {
             queue_wait_us: 10,
             latency_us,
             completed_at_ms: 5,
-            iterations: 2,
-            examples: 3,
-            conflicts: 40,
-            propagations: 500,
-            restarts: 1,
+            stats: SynthesisStats {
+                iterations: 2,
+                examples: 3,
+                conflicts: 40,
+                propagations: 500,
+                restarts: 1,
+                ..SynthesisStats::default()
+            },
             spans: vec![TraceEvent {
                 name: "daemon-request",
                 tid: 1,
@@ -384,23 +380,29 @@ mod tests {
             slow: Some(Duration::from_millis(100)),
             ..ForensicsConfig::default()
         });
-        let mut panicked = sample(0, "error", 1);
+        let mut panicked = sample(0, JobVerdict::Error, 1);
         panicked.panicked = true;
         assert_eq!(rec.classify(&panicked), Some("panic"));
-        assert_eq!(rec.classify(&sample(1, "unsat", 1)), Some("unsat"));
-        assert_eq!(rec.classify(&sample(2, "timeout", 1)), Some("timeout"));
-        assert_eq!(rec.classify(&sample(3, "success", 200_000)), Some("slow"));
-        assert_eq!(rec.classify(&sample(4, "success", 10)), None);
+        assert_eq!(
+            rec.classify(&sample(1, JobVerdict::Finished(Verdict::Unsat), 1)),
+            Some("unsat")
+        );
+        assert_eq!(
+            rec.classify(&sample(2, JobVerdict::Finished(Verdict::Timeout), 1)),
+            Some("timeout")
+        );
+        assert_eq!(rec.classify(&sample(3, SUCCESS, 200_000)), Some("slow"));
+        assert_eq!(rec.classify(&sample(4, SUCCESS, 10)), None);
 
         let no_slow = FlightRecorder::new(ForensicsConfig::default());
-        assert_eq!(no_slow.classify(&sample(5, "success", u64::MAX)), None);
+        assert_eq!(no_slow.classify(&sample(5, SUCCESS, u64::MAX)), None);
     }
 
     #[test]
     fn ring_is_bounded_and_fetch_finds_by_id() {
         let rec = FlightRecorder::new(ForensicsConfig { ring: 3, ..ForensicsConfig::default() });
         for seq in 0..5 {
-            rec.record(sample(seq, "success", 10));
+            rec.record(sample(seq, SUCCESS, 10));
         }
         assert_eq!(rec.retained(), 3);
         assert!(rec.fetch(&Json::num(1.0)).is_none(), "evicted oldest-first");
@@ -419,7 +421,7 @@ mod tests {
             ring: 8,
         });
         for seq in 0..4 {
-            rec.record(sample(seq, "success", 50));
+            rec.record(sample(seq, SUCCESS, 50));
         }
         assert_eq!(rec.bundles_written(), 4);
         let mut files: Vec<_> = std::fs::read_dir(&dir)
@@ -451,8 +453,8 @@ mod tests {
             ring: 8,
             ..ForensicsConfig::default()
         });
-        rec.record(sample(0, "success", 10));
-        rec.record(sample(1, "success", 10));
+        rec.record(sample(0, SUCCESS, 10));
+        rec.record(sample(1, SUCCESS, 10));
         assert_eq!(rec.bundles_written(), 0, "no trigger, no per-request bundle");
         rec.final_sync();
         assert_eq!(rec.bundles_written(), 1);
@@ -472,7 +474,7 @@ mod tests {
             keep: 4,
             ring: 4,
         });
-        rec.record(sample(0, "unsat", 10));
+        rec.record(sample(0, JobVerdict::Finished(Verdict::Unsat), 10));
         let listing = rec.list_json();
         assert_eq!(listing.get(&["bundles_written"]).and_then(Json::as_f64), Some(1.0));
         let records = listing.get(&["records"]).and_then(Json::as_arr).unwrap();

@@ -70,6 +70,6 @@ pub use netlist::{cone_jobs, map_netlist, NetlistOptions, NetlistReport};
 pub use scenario::{fuzz_jobs, grinder_jobs, netlist_jobs, random_program, suite_jobs};
 pub use scheduler::{
     run_batch, run_batch_streaming, set_poison_job, BatchJob, BatchOptions, BatchRun, JobRecord,
-    JobResult, TemplateChoice,
+    JobResult, JobVerdict, TemplateChoice,
 };
 pub use tracefmt::{chrome_trace, chrome_trace_json};

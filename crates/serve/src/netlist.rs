@@ -196,24 +196,15 @@ pub fn map_netlist(
     let mut impls = Vec::with_capacity(run.records.len());
     let mut cache_hits = 0;
     for record in &run.records {
-        match &record.result {
-            JobResult::Finished(MapOutcome::Success(mapped)) => {
-                if mapped.stats.from_cache {
-                    cache_hits += 1;
-                }
-                impls.push(mapped.implementation.clone());
-            }
-            JobResult::Finished(outcome) => {
-                let verdict = if outcome.is_unsat() { "UNSAT" } else { "timeout" };
-                return Err(format!("cone `{}` did not map: {verdict}", record.name));
-            }
-            JobResult::Error(e) => {
-                return Err(format!("cone `{}` did not map: {e}", record.name));
-            }
-            JobResult::DeadlineExpired | JobResult::Cancelled => {
-                return Err(format!("cone `{}` did not run", record.name));
-            }
+        let JobResult::Finished(MapOutcome::Success(mapped)) = &record.result else {
+            let result = &record.result;
+            let why = result.error().unwrap_or_else(|| result.verdict().name().to_string());
+            return Err(format!("cone `{}` did not map: {why}", record.name));
+        };
+        if mapped.stats.from_cache {
+            cache_hits += 1;
         }
+        impls.push(mapped.implementation.clone());
     }
 
     let implementation = {

@@ -308,39 +308,31 @@ pub fn map_response(
         ("kind", Json::str("mapped")),
         ("name", Json::str(name)),
         ("elapsed_ms", Json::num(elapsed.as_secs_f64() * 1e3)),
+        ("verdict", Json::str(result.verdict().name())),
     ];
-    match result {
-        JobResult::Finished(outcome) => {
-            fields.push(("from_cache", Json::Bool(outcome.served_from_cache())));
-            let solver = outcome.winning_solver().map_or(Json::Null, Json::str);
-            match outcome {
-                MapOutcome::Success(mapped) => {
-                    fields.push(("verdict", Json::str("success")));
-                    fields.push((
-                        "resources",
-                        Json::obj([
-                            ("dsps", Json::num(mapped.resources.dsps as f64)),
-                            ("logic_elements", Json::num(mapped.resources.logic_elements as f64)),
-                            ("registers", Json::num(mapped.resources.registers as f64)),
-                        ]),
-                    ));
-                    fields.push(("solver", solver));
-                    fields.push(("iterations", Json::num(mapped.stats.iterations as f64)));
-                    fields.push(("verilog", Json::str(&mapped.verilog)));
-                }
-                MapOutcome::Unsat { .. } => {
-                    fields.push(("verdict", Json::str("unsat")));
-                    fields.push(("solver", solver));
-                }
-                MapOutcome::Timeout { .. } => fields.push(("verdict", Json::str("timeout"))),
+    if let Some(message) = result.error() {
+        fields.push(("error", Json::str(message)));
+    }
+    if let JobResult::Finished(outcome) = result {
+        fields.push(("from_cache", Json::Bool(outcome.served_from_cache())));
+        let solver = outcome.winning_solver().map_or(Json::Null, Json::str);
+        match outcome {
+            MapOutcome::Success(mapped) => {
+                fields.push((
+                    "resources",
+                    Json::obj([
+                        ("dsps", Json::num(mapped.resources.dsps as f64)),
+                        ("logic_elements", Json::num(mapped.resources.logic_elements as f64)),
+                        ("registers", Json::num(mapped.resources.registers as f64)),
+                    ]),
+                ));
+                fields.push(("solver", solver));
+                fields.push(("iterations", Json::num(mapped.stats.iterations as f64)));
+                fields.push(("verilog", Json::str(&mapped.verilog)));
             }
+            MapOutcome::Unsat { .. } => fields.push(("solver", solver)),
+            MapOutcome::Timeout { .. } => {}
         }
-        JobResult::Error(message) => {
-            fields.push(("verdict", Json::str("error")));
-            fields.push(("error", Json::str(message)));
-        }
-        JobResult::DeadlineExpired => fields.push(("verdict", Json::str("deadline_expired"))),
-        JobResult::Cancelled => fields.push(("verdict", Json::str("cancelled"))),
     }
     finish(Json::obj(fields), id)
 }
@@ -494,6 +486,12 @@ mod tests {
             Json::parse(&map_response(None, "j2", &JobResult::DeadlineExpired, Duration::ZERO))
                 .unwrap();
         assert_eq!(doc.get(&["verdict"]).and_then(Json::as_str), Some("deadline_expired"));
+
+        // A contained panic is an `error` verdict whose message says so.
+        let panicked = JobResult::Panicked("boom".into());
+        let doc = Json::parse(&map_response(None, "j4", &panicked, Duration::ZERO)).unwrap();
+        assert_eq!(doc.get(&["verdict"]).and_then(Json::as_str), Some("error"));
+        assert_eq!(doc.get(&["error"]).and_then(Json::as_str), Some("panicked: boom"));
 
         // A synthesized UNSAT names the member that proved it; one served from
         // the cache names none.

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use lakeroad::{map_design_auto, MapConfig, MapError, MapOutcome, Template};
+use lakeroad::{map_design_auto, MapConfig, MapOutcome, Template, Verdict};
 use lr_arch::Architecture;
 use lr_ir::Prog;
 
@@ -114,6 +114,50 @@ impl BatchOptions {
     }
 }
 
+/// How one job ended, by name: a synthesis [`Verdict`] or one of the three
+/// ways a job ends without one. Every report, counter and wire format of the
+/// batch engine and the daemon names a job's end through [`JobVerdict::name`]
+/// and counts it in slot [`JobVerdict::slot`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobVerdict {
+    /// The mapping ran to a synthesis verdict.
+    Finished(Verdict),
+    /// The mapping could not be posed, or it panicked.
+    Error,
+    /// The job's deadline passed before a worker picked it up.
+    DeadlineExpired,
+    /// The batch was cancelled before or while the job ran.
+    Cancelled,
+}
+
+impl JobVerdict {
+    /// Every job verdict, in the order reports list them.
+    pub const ALL: [JobVerdict; 6] = [
+        JobVerdict::Finished(Verdict::Success),
+        JobVerdict::Finished(Verdict::Unsat),
+        JobVerdict::Finished(Verdict::Timeout),
+        JobVerdict::Error,
+        JobVerdict::DeadlineExpired,
+        JobVerdict::Cancelled,
+    ];
+
+    /// The verdict's name in every report and wire format.
+    pub fn name(self) -> &'static str {
+        match self {
+            JobVerdict::Finished(verdict) => verdict.name(),
+            JobVerdict::Error => "error",
+            JobVerdict::DeadlineExpired => "deadline_expired",
+            JobVerdict::Cancelled => "cancelled",
+        }
+    }
+
+    /// The verdict's position in [`JobVerdict::ALL`]: its slot in an array
+    /// of per-verdict counts.
+    pub fn slot(self) -> usize {
+        JobVerdict::ALL.iter().position(|&v| v == self).expect("ALL lists every verdict")
+    }
+}
+
 /// How one job ended.
 #[derive(Debug, Clone)]
 pub enum JobResult {
@@ -121,6 +165,9 @@ pub enum JobResult {
     Finished(MapOutcome),
     /// The mapping could not be posed (sketch/frontend/task error).
     Error(String),
+    /// The mapping stack panicked and `execute_job` contained it; carries the
+    /// panic message.
+    Panicked(String),
     /// The job's deadline passed before a worker picked it up.
     DeadlineExpired,
     /// The batch was cancelled before the job ran.
@@ -128,15 +175,35 @@ pub enum JobResult {
 }
 
 impl JobResult {
+    /// The job's verdict.
+    pub fn verdict(&self) -> JobVerdict {
+        match self {
+            JobResult::Finished(outcome) => JobVerdict::Finished(outcome.verdict()),
+            JobResult::Error(_) | JobResult::Panicked(_) => JobVerdict::Error,
+            JobResult::DeadlineExpired => JobVerdict::DeadlineExpired,
+            JobResult::Cancelled => JobVerdict::Cancelled,
+        }
+    }
+
     /// Whether the job produced a successful mapping.
     pub fn is_success(&self) -> bool {
-        matches!(self, JobResult::Finished(o) if o.is_success())
+        self.verdict() == JobVerdict::Finished(Verdict::Success)
     }
 
     /// The finished outcome, if any.
     pub fn outcome(&self) -> Option<&MapOutcome> {
         match self {
             JobResult::Finished(o) => Some(o),
+            _ => None,
+        }
+    }
+
+    /// The message of an `error` verdict, as reports and the wire carry it:
+    /// a contained panic reads `panicked: <message>`.
+    pub fn error(&self) -> Option<String> {
+        match self {
+            JobResult::Error(message) => Some(message.clone()),
+            JobResult::Panicked(message) => Some(format!("panicked: {message}")),
             _ => None,
         }
     }
@@ -312,8 +379,8 @@ pub(crate) fn execute_job(
             JobResult::Cancelled
         }
         Ok(Ok(outcome)) => JobResult::Finished(outcome),
-        Ok(Err(e)) => JobResult::Error(render_error(&e)),
-        Err(panic) => JobResult::Error(format!("panicked: {}", render_panic(&panic))),
+        Ok(Err(e)) => JobResult::Error(e.to_string()),
+        Err(panic) => JobResult::Panicked(render_panic(&panic)),
     }
 }
 
@@ -337,10 +404,6 @@ fn poison_check(name: &str) {
     if poisoned {
         panic!("poison job `{name}` injected a panic");
     }
-}
-
-fn render_error(e: &MapError) -> String {
-    e.to_string()
 }
 
 fn render_panic(panic: &(dyn std::any::Any + Send)) -> String {

@@ -35,7 +35,7 @@ fn observe(run: &BatchRun) -> Vec<(String, Observed)> {
                 },
                 JobResult::Finished(MapOutcome::Unsat { .. }) => Observed::Unsat,
                 JobResult::Finished(MapOutcome::Timeout { .. }) => Observed::Timeout,
-                JobResult::Error(e) => Observed::Error(e.clone()),
+                JobResult::Error(e) | JobResult::Panicked(e) => Observed::Error(e.clone()),
                 JobResult::DeadlineExpired | JobResult::Cancelled => Observed::NotRun,
             };
             (r.name.clone(), observed)

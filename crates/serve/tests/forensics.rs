@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use lakeroad::MapConfig;
-use lr_serve::{Daemon, DaemonClient, DaemonConfig, ForensicsConfig, Json};
+use lr_serve::{Daemon, DaemonClient, DaemonConfig, ForensicsConfig, JobVerdict, Json};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("lr_forensics_it_{tag}_{}", std::process::id()));
@@ -195,6 +195,65 @@ fn metrics_exposition_is_openmetrics_text_and_stats_report_rates() {
     assert_eq!(stats.get(&["forensics", "active"]).and_then(Json::as_bool), Some(true));
     assert_eq!(stats.get(&["trace", "enabled"]).and_then(Json::as_bool), Some(true));
     assert_eq!(stats.get(&["requests", "metrics"]).and_then(Json::as_f64), Some(1.0));
+
+    let summary = daemon.shutdown_and_wait();
+    assert_eq!(summary.lost(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One job per reachable verdict, and every surface that names a verdict
+/// must agree: the `mapped` response, the `stats` counts, the OpenMetrics
+/// `lakeroad_daemon_verdicts` samples and the forensics record.
+#[test]
+fn every_surface_names_each_verdict_alike() {
+    let dir = temp_dir("vocabulary");
+    let daemon = Daemon::bind(forensic_config(&dir)).unwrap();
+    let mut client = DaemonClient::connect(daemon.local_addr()).unwrap();
+
+    let mul = "module m(input [7:0] a, b, output [7:0] out); assign out = a * b; endmodule";
+    // The Cyclone 10 LP multiplier has no logic unit after it.
+    let mul_xor = "module m(input [7:0] a, b, c, output [7:0] out); \
+                   assign out = (a * b) ^ c; endmodule";
+    let jobs = [
+        ("success", "\"arch\":\"intel\",\"bench\":\"mul_w8_s0\"".to_string()),
+        ("unsat", format!("\"arch\":\"intel\",\"verilog\":{}", Json::str(mul_xor).render())),
+        // SOFA has no DSP, so the DSP sketch cannot be posed.
+        ("error", format!("\"arch\":\"sofa\",\"verilog\":{}", Json::str(mul).render())),
+        (
+            "deadline_expired",
+            "\"arch\":\"intel\",\"bench\":\"mul_w8_s0\",\"deadline_s\":0".to_string(),
+        ),
+    ];
+    for (id, (verdict, fields)) in jobs.iter().enumerate() {
+        let request = format!("{{\"kind\":\"map\",\"id\":{id},\"template\":\"dsp\",{fields}}}");
+        let doc = client.request(&request).unwrap();
+        assert_eq!(kind(&doc), "mapped", "{}", doc.render());
+        assert_eq!(
+            doc.get(&["verdict"]).and_then(Json::as_str),
+            Some(*verdict),
+            "{}",
+            doc.render()
+        );
+        // A `stats` sent right after the answer already counts the job.
+        let stats = client.request("{\"kind\":\"stats\"}").unwrap();
+        let completed = stats.get(&["requests", "completed"]).and_then(Json::as_f64);
+        assert_eq!(completed, Some(id as f64 + 1.0), "{}", stats.render());
+        assert_eq!(stats.get(&["verdicts", verdict]).and_then(Json::as_f64), Some(1.0));
+        let record = client.request(&format!("{{\"kind\":\"forensics\",\"id\":{id}}}")).unwrap();
+        assert_eq!(record.get(&["verdict"]).and_then(Json::as_str), Some(*verdict));
+    }
+
+    let stats = client.request("{\"kind\":\"stats\"}").unwrap();
+    let metrics = client.request("{\"kind\":\"metrics\"}").unwrap();
+    let text = metrics.get(&["text"]).and_then(Json::as_str).unwrap();
+    for verdict in JobVerdict::ALL {
+        let name = verdict.name();
+        let expected = jobs.iter().filter(|(v, _)| *v == name).count() as f64;
+        assert_eq!(stats.get(&["verdicts", name]).and_then(Json::as_f64), Some(expected), "{name}");
+        let sample = format!("lakeroad_daemon_verdicts_total{{verdict=\"{name}\"}} ");
+        let line = text.lines().find_map(|l| l.strip_prefix(sample.as_str()));
+        assert_eq!(line.and_then(|v| v.parse::<f64>().ok()), Some(expected), "{name}: {text}");
+    }
 
     let summary = daemon.shutdown_and_wait();
     assert_eq!(summary.lost(), 0);

@@ -3,42 +3,32 @@
 //! The sketch templates describe disjoint hardware patterns, and trying them in
 //! the wrong order wastes whole synthesis timeouts (a comparison design handed to
 //! the multiplication template burns its budget before UNSAT). This module ranks
-//! [`Template`]s from the *structural evidence* of the design's canonical form —
-//! [`Prog::structural_evidence`] saturates the program under the shared
-//! `lr_egraph` rule set first, so evidence is judged after disguises are gone: a
+//! [`Template`]s from the *structural evidence* of the design's canonical form
+//! ([`StructuralEvidence::scan`] of the program saturated under the shared
+//! `lr_egraph` rule set), so evidence is judged after disguises are gone: a
 //! multiply hidden behind a DSP-style negate path still ranks the DSP templates
 //! first, while a multiply-by-one ranks them last.
 
 use lr_arch::Architecture;
-use lr_ir::{Prog, StructuralEvidence};
+use lr_ir::StructuralEvidence;
 
 use crate::Template;
 
-/// Ranks all templates for `spec`, best first, from saturated-e-graph evidence.
+/// Ranks the templates the architecture can instantiate, best first, from
+/// the evidence of a canonical program (SOFA has no DSP, so the DSP template
+/// is dropped rather than ranked). `lakeroad::map_design_auto` scans the spec
+/// it saturated once for all of its attempts.
 ///
-/// Every template appears exactly once, so a caller that walks the ranking in
-/// order degrades to "try everything" — the ranking only changes *which timeout
-/// is spent first*, never what is reachable.
-pub fn rank_templates(spec: &Prog) -> Vec<Template> {
-    rank_from_evidence(&spec.structural_evidence())
-}
-
-/// [`rank_templates`] restricted to templates the architecture can instantiate
-/// (e.g. SOFA has no DSP, so the DSP template is dropped rather than ranked).
-pub fn rank_templates_for(spec: &Prog, arch: &Architecture) -> Vec<Template> {
-    rank_for_evidence(&spec.structural_evidence(), arch)
-}
-
-/// Ranks directly from pre-computed evidence, filtered to what the architecture
-/// can instantiate. Callers that already hold a canonical program avoid
-/// re-saturating: `lakeroad::map_design_auto` scans the spec it saturated once
-/// for all of its attempts.
+/// Every template the architecture can instantiate appears exactly once, so a
+/// caller that walks the ranking in order degrades to "try everything" — the
+/// ranking only changes *which timeout is spent first*, never what is
+/// reachable.
 pub fn rank_for_evidence(ev: &StructuralEvidence, arch: &Architecture) -> Vec<Template> {
     rank_from_evidence(ev).into_iter().filter(|t| *t != Template::Dsp || arch.has_dsp()).collect()
 }
 
-/// The ranking policy over evidence bits (separated for direct testing).
-pub fn rank_from_evidence(ev: &StructuralEvidence) -> Vec<Template> {
+/// The ranking policy over evidence bits, every template included.
+fn rank_from_evidence(ev: &StructuralEvidence) -> Vec<Template> {
     let mut ranked: Vec<(i32, Template)> = Vec::new();
     // Comparison designs: a 1-bit predicate root is decisive — nothing else maps
     // a predicate without wasting width.
@@ -74,10 +64,15 @@ pub fn rank_from_evidence(ev: &StructuralEvidence) -> Vec<Template> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_ir::{BvOp, ProgBuilder};
+    use lr_ir::{BvOp, Prog, ProgBuilder};
+
+    /// The ranking `map_design_auto` walks.
+    fn rank(spec: &Prog, arch: &Architecture) -> Vec<Template> {
+        rank_for_evidence(&StructuralEvidence::scan(&spec.saturated()), arch)
+    }
 
     fn ranked_first(spec: &Prog) -> Template {
-        rank_templates(spec)[0]
+        rank(spec, &Architecture::xilinx_ultrascale_plus())[0]
     }
 
     #[test]
@@ -140,7 +135,7 @@ mod tests {
         let mut b = ProgBuilder::new("p");
         let a = b.input("a", 4);
         let spec = b.finish(a);
-        let ranked = rank_templates(&spec);
+        let ranked = rank(&spec, &Architecture::xilinx_ultrascale_plus());
         let mut sorted: Vec<&str> = ranked.iter().map(Template::cli_name).collect();
         sorted.sort_unstable();
         let mut all: Vec<&str> = Template::all().iter().map(Template::cli_name).collect();
@@ -156,10 +151,10 @@ mod tests {
         let out = b.op2(BvOp::Mul, a, bb);
         let spec = b.finish(out);
         let sofa = Architecture::sofa();
-        let ranked = rank_templates_for(&spec, &sofa);
+        let ranked = rank(&spec, &sofa);
         assert!(!ranked.contains(&Template::Dsp));
         assert_eq!(ranked.len(), Template::all().len() - 1);
         let xilinx = Architecture::xilinx_ultrascale_plus();
-        assert!(rank_templates_for(&spec, &xilinx).contains(&Template::Dsp));
+        assert!(rank(&spec, &xilinx).contains(&Template::Dsp));
     }
 }

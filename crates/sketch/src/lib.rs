@@ -26,7 +26,7 @@ use std::fmt;
 use lr_arch::Architecture;
 use lr_ir::{BvOp, NodeId, Prog, ProgBuilder};
 
-pub use guidance::{rank_for_evidence, rank_from_evidence, rank_templates, rank_templates_for};
+pub use guidance::rank_for_evidence;
 
 /// The architecture-independent sketch templates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

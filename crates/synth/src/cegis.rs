@@ -97,14 +97,7 @@ pub fn synthesize(
             // Absorb the run's SynthesisStats counters as span attributes, so
             // the trace alone answers "what did this run cost".
             let stats = outcome.stats();
-            sp.attr(
-                "verdict",
-                match outcome {
-                    SynthesisOutcome::Success(_) => 0,
-                    SynthesisOutcome::Unsat { .. } => 1,
-                    SynthesisOutcome::Timeout { .. } => 2,
-                },
-            );
+            sp.attr("verdict", outcome.verdict() as u64);
             sp.attr("iterations", stats.iterations as u64);
             sp.attr("examples", stats.examples as u64);
             sp.attr("conflicts", stats.conflicts);

@@ -221,6 +221,31 @@ impl SynthesisStats {
     }
 }
 
+/// How a synthesis run ended, by name: the three outcomes of the paper's
+/// evaluation (Figure 6). Reports, records and wire formats name a verdict
+/// through [`Verdict::name`] and nowhere else; the `cegis` span records it as
+/// its discriminant (0, 1, 2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// A completion of the sketch implements the design.
+    Success,
+    /// No completion of the sketch can implement the design (a proof).
+    Unsat,
+    /// The budget ran out before either was shown.
+    Timeout,
+}
+
+impl Verdict {
+    /// The verdict's name in every report and wire format.
+    pub fn name(self) -> &'static str {
+        match self {
+            Verdict::Success => "success",
+            Verdict::Unsat => "unsat",
+            Verdict::Timeout => "timeout",
+        }
+    }
+}
+
 /// The verdict of a synthesis run.
 #[derive(Debug, Clone)]
 pub enum SynthesisOutcome {
@@ -255,6 +280,15 @@ impl SynthesisOutcome {
         match self {
             SynthesisOutcome::Success(s) => &s.stats,
             SynthesisOutcome::Unsat { stats } | SynthesisOutcome::Timeout { stats } => stats,
+        }
+    }
+
+    /// The run's verdict.
+    pub fn verdict(&self) -> Verdict {
+        match self {
+            SynthesisOutcome::Success(_) => Verdict::Success,
+            SynthesisOutcome::Unsat { .. } => Verdict::Unsat,
+            SynthesisOutcome::Timeout { .. } => Verdict::Timeout,
         }
     }
 

@@ -75,10 +75,11 @@ pub fn reset_metrics() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::set_enabled;
+    use crate::span::{set_enabled, FLAG_TEST_LOCK};
 
     #[test]
     fn registry_records_only_while_enabled() {
+        let _flag = FLAG_TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         set_enabled(false);
         counter_add("test.off", 1);
         assert!(!metrics_snapshot().counters.contains_key("test.off"));

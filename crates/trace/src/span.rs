@@ -267,6 +267,11 @@ pub fn stage_summary(events: &[TraceEvent]) -> String {
     out
 }
 
+/// The crate's tests that switch the process-wide flag hold this lock, so one
+/// test's [`set_enabled`] cannot land inside another's recording window.
+#[cfg(test)]
+pub(crate) static FLAG_TEST_LOCK: Mutex<()> = Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,6 +282,7 @@ mod tests {
 
     #[test]
     fn disabled_spans_record_nothing_and_cost_no_clock() {
+        let _flag = FLAG_TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         set_enabled(false);
         let mut g = span("noop");
         g.attr("k", 1);
@@ -288,6 +294,7 @@ mod tests {
 
     #[test]
     fn nested_spans_record_depth_and_containment() {
+        let _flag = FLAG_TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         set_enabled(true);
         set_context(101);
         {

@@ -15,6 +15,7 @@ use lakeroad::suite::suite_for;
 use lr_sketch::generate_sketch;
 use lr_synth::{
     synthesize, SolverConfig, SynthesisConfig, SynthesisOutcome, SynthesisTask, Synthesized,
+    Verdict,
 };
 
 fn config(incremental: bool) -> SynthesisConfig {
@@ -29,14 +30,6 @@ fn config(incremental: bool) -> SynthesisConfig {
     }
 }
 
-fn verdict_name(outcome: &SynthesisOutcome) -> &'static str {
-    match outcome {
-        SynthesisOutcome::Success(_) => "success",
-        SynthesisOutcome::Unsat { .. } => "unsat",
-        SynthesisOutcome::Timeout { .. } => "timeout",
-    }
-}
-
 /// The returned model must verify: the completed implementation simulates
 /// identically to the spec on random stimulus at (and a little past) the checked
 /// cycles, and the hole assignment it claims must reproduce that implementation.
@@ -47,38 +40,34 @@ fn assert_model_verifies(name: &str, spec: &Prog, result: &Synthesized, at_cycle
 }
 
 /// Runs one task through both modes and cross-checks the results. Returns the pair
-/// of verdict names for reporting.
+/// of verdicts for reporting.
 fn differential(
     name: &str,
     spec: &Prog,
     sketch: &Prog,
     at_cycle: u32,
     window: u32,
-) -> (&'static str, &'static str) {
+) -> (Verdict, Verdict) {
     let task = SynthesisTask::over_window(spec, sketch, at_cycle, window);
     let inc = synthesize(&task, &config(true)).expect("incremental run must not error");
     let scr = synthesize(&task, &config(false)).expect("from-scratch run must not error");
 
     // Timeout is budget-dependent; any definite verdict pair must agree exactly.
     if !inc.is_timeout() && !scr.is_timeout() {
-        assert_eq!(
-            verdict_name(&inc),
-            verdict_name(&scr),
-            "{name}: incremental and from-scratch disagree"
-        );
+        assert_eq!(inc.verdict(), scr.verdict(), "{name}: incremental and from-scratch disagree");
     }
     assert_eq!(inc.stats().constraints_reencoded, 0, "{name}: incremental mode re-encoded");
     assert!(inc.stats().incremental);
     assert!(!scr.stats().incremental);
 
-    let names = (verdict_name(&inc), verdict_name(&scr));
+    let verdicts = (inc.verdict(), scr.verdict());
     if let SynthesisOutcome::Success(result) = inc {
         assert_model_verifies(&format!("{name} (incremental)"), spec, &result, at_cycle);
     }
     if let SynthesisOutcome::Success(result) = scr {
         assert_model_verifies(&format!("{name} (from-scratch)"), spec, &result, at_cycle);
     }
-    names
+    verdicts
 }
 
 /// The e2e DSP tier: the same stratified quick sample of the §5.1 microbenchmark
@@ -96,7 +85,7 @@ fn dsp_tier_verdicts_agree_between_modes() {
             };
             let t = pipeline_depth(&spec);
             let (inc, scr) = differential(&bench.name, &spec, &sketch, t, 2);
-            agreements.push(format!("{}: {inc}/{scr}", bench.name));
+            agreements.push(format!("{}: {}/{}", bench.name, inc.name(), scr.name()));
             ran += 1;
         }
     }
@@ -163,6 +152,6 @@ fn multi_iteration_tasks_agree_between_modes() {
     let sketch = b.finish(out);
 
     let (inc, scr) = differential("xor_add_two_holes", &spec, &sketch, 0, 0);
-    assert_eq!(inc, "success");
-    assert_eq!(scr, "success");
+    assert_eq!(inc, Verdict::Success);
+    assert_eq!(scr, Verdict::Success);
 }

@@ -27,14 +27,6 @@ fn config(solver: SolverConfig) -> SynthesisConfig {
     }
 }
 
-fn verdict_name(outcome: &SynthesisOutcome) -> &'static str {
-    match outcome {
-        SynthesisOutcome::Success(_) => "success",
-        SynthesisOutcome::Unsat { .. } => "unsat",
-        SynthesisOutcome::Timeout { .. } => "timeout",
-    }
-}
-
 fn assert_model_verifies(name: &str, spec: &Prog, result: &Synthesized, at_cycle: u32) {
     assert!(!result.implementation.has_holes(), "{name}: implementation still has holes");
     lr_ir::interp_equivalent(spec, &result.implementation, 0xD1FF, 8, at_cycle, at_cycle + 2)
@@ -68,8 +60,8 @@ fn differential(name: &str, spec: &Prog, sketch: &Prog, at_cycle: u32, window: u
     // Timeout is budget-dependent; any definite verdict pair must agree exactly.
     if !modern.is_timeout() && !legacy.is_timeout() {
         assert_eq!(
-            verdict_name(&modern),
-            verdict_name(&legacy),
+            modern.verdict(),
+            legacy.verdict(),
             "{name}: solver generations disagree on the verdict"
         );
     }
@@ -122,8 +114,8 @@ fn portfolio_members_agree_end_to_end() {
         let outcome = synthesize(&task, &config(member)).unwrap();
         if !reference.is_timeout() && !outcome.is_timeout() {
             assert_eq!(
-                verdict_name(&reference),
-                verdict_name(&outcome),
+                reference.verdict(),
+                outcome.verdict(),
                 "portfolio member {name} disagrees with the default"
             );
         }
