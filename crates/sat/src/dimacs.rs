@@ -24,10 +24,9 @@ impl Solver {
         let mut out = String::new();
         out.push_str("c generated by lr-sat (problem clauses only; learnt excluded)\n");
         out.push_str(&format!("p cnf {} {}\n", self.num_vars(), num_clauses));
-        let mut write_clause = |lits: &[Lit]| {
+        let mut write_clause = |mut lits: Vec<Lit>| {
             // Propagation reorders watched literals in place; sort for a canonical
             // dump that is independent of search history.
-            let mut lits = lits.to_vec();
             lits.sort_unstable();
             for l in lits {
                 let v = l.var().0 as i64 + 1;
@@ -37,7 +36,7 @@ impl Solver {
             out.push_str("0\n");
         };
         for &u in units {
-            write_clause(&[u]);
+            write_clause(vec![u]);
         }
         for clause in self.problem_clauses() {
             write_clause(clause);

@@ -4,6 +4,20 @@
 //! VSIDS), this implementation carries the contemporary refinements the rest of the
 //! system leans on:
 //!
+//! * **One flat clause arena** — every clause, problem or learnt, lives in one
+//!   `Vec<u32>`: a five-word header (literal count; a flags word holding the
+//!   learnt, deleted and used bits and the tier; LBD; activity as an `f64` in
+//!   two words) followed by the literals inline. A clause is referred to by its
+//!   header's offset in the arena, in `reason`, in the watch lists and in the
+//!   binary implication lists, so visiting a watcher reads one contiguous run of
+//!   words. Deletion only sets the header's deleted bit: watchers of a deleted
+//!   clause are dropped lazily (`swap_remove`) when propagation next meets them,
+//!   and the arena is never compacted, so an offset stays valid for the
+//!   solver's lifetime. A clause that is the reason for an assignment keeps the
+//!   implied literal in slot 0, which conflict analysis and minimization skip.
+//!   Watch-list order is part of the search: it decides which clause propagates
+//!   or conflicts first, so a change to it moves every counter and must
+//!   re-baseline `BENCH_sat.json` and `BENCH_cegis.json` in a change of its own.
 //! * **Binary implication lists** — two-literal clauses are propagated through a
 //!   dedicated `(other, clause)` list per literal instead of the general watch
 //!   scheme: no watch juggling, one cache line per implication, and the lists never
@@ -95,25 +109,130 @@ impl SolverStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Tier {
     /// Never deleted: problem clauses, binary learnts, glue ≤ `core_lbd`.
-    Core,
+    Core = 0,
     /// Kept while it keeps participating in conflicts; demoted to local otherwise.
-    Mid,
+    Mid = 1,
     /// Reduced by activity.
-    Local,
+    Local = 2,
 }
 
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
-    learnt: bool,
-    activity: f64,
-    deleted: bool,
-    /// Literal-block distance at learn time, improved whenever the clause shows up
-    /// in conflict analysis. 0 for problem clauses (never computed).
-    lbd: u32,
-    tier: Tier,
-    /// Participated in conflict analysis since the last database reduction.
-    used: bool,
+/// A clause reference: the offset of the clause's header in the [`ClauseArena`].
+type CRef = u32;
+
+/// Header word holding the literal count.
+const LEN: usize = 0;
+/// Header word holding the [`LEARNT`], [`DELETED`] and [`USED`] bits and the tier.
+const FLAGS: usize = 1;
+/// Header word holding the literal-block distance: computed at learn time and
+/// improved whenever the clause shows up in conflict analysis; 0 for problem
+/// clauses (never computed).
+const LBD: usize = 2;
+/// First of the two header words holding the activity's `f64` bits, low word first.
+const ACTIVITY: usize = 3;
+/// Header length in words; the literals follow it.
+const HEADER: usize = 5;
+
+const LEARNT: u32 = 1;
+const DELETED: u32 = 1 << 1;
+/// Participated in conflict analysis since the last database reduction.
+const USED: u32 = 1 << 2;
+/// The tier occupies the two flag bits from here up.
+const TIER_SHIFT: u32 = 3;
+
+/// Every clause of a solver in one flat `Vec<u32>`: per clause a [`HEADER`]-word
+/// header followed by its literals (see the module docs).
+#[derive(Debug, Default)]
+struct ClauseArena {
+    words: Vec<u32>,
+}
+
+impl ClauseArena {
+    /// Appends a clause and returns its reference.
+    fn push(&mut self, lits: &[Lit], learnt: bool, lbd: u32, tier: Tier) -> CRef {
+        let cr = self.words.len();
+        assert!(
+            u32::try_from(cr + HEADER + lits.len()).is_ok(),
+            "clause arena outgrew its u32 offsets"
+        );
+        let flags = u32::from(learnt) | ((tier as u32) << TIER_SHIFT);
+        self.words.extend_from_slice(&[lits.len() as u32, flags, lbd, 0, 0]);
+        self.words.extend(lits.iter().map(|l| l.0));
+        cr as CRef
+    }
+
+    /// Every clause reference, deleted clauses included, in creation order.
+    fn refs(&self) -> impl Iterator<Item = CRef> + '_ {
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            (at < self.words.len()).then(|| {
+                let cr = at as CRef;
+                at += HEADER + self.words[at + LEN] as usize;
+                cr
+            })
+        })
+    }
+
+    fn len(&self, cr: CRef) -> usize {
+        self.words[cr as usize + LEN] as usize
+    }
+
+    fn lit(&self, cr: CRef, k: usize) -> Lit {
+        Lit(self.words[cr as usize + HEADER + k])
+    }
+
+    fn lits(&self, cr: CRef) -> impl Iterator<Item = Lit> + '_ {
+        let start = cr as usize + HEADER;
+        self.words[start..start + self.len(cr)].iter().map(|&w| Lit(w))
+    }
+
+    /// The literal words of `cr`, for in-place reordering.
+    fn lits_mut(&mut self, cr: CRef) -> &mut [u32] {
+        let start = cr as usize + HEADER;
+        let len = self.len(cr);
+        &mut self.words[start..start + len]
+    }
+
+    fn has(&self, cr: CRef, flag: u32) -> bool {
+        self.words[cr as usize + FLAGS] & flag != 0
+    }
+
+    fn set(&mut self, cr: CRef, flag: u32, on: bool) {
+        let w = &mut self.words[cr as usize + FLAGS];
+        *w = if on { *w | flag } else { *w & !flag };
+    }
+
+    fn tier(&self, cr: CRef) -> Tier {
+        match (self.words[cr as usize + FLAGS] >> TIER_SHIFT) & 3 {
+            0 => Tier::Core,
+            1 => Tier::Mid,
+            _ => Tier::Local,
+        }
+    }
+
+    fn set_tier(&mut self, cr: CRef, tier: Tier) {
+        let w = &mut self.words[cr as usize + FLAGS];
+        *w = (*w & !(3 << TIER_SHIFT)) | ((tier as u32) << TIER_SHIFT);
+    }
+
+    fn lbd(&self, cr: CRef) -> u32 {
+        self.words[cr as usize + LBD]
+    }
+
+    fn set_lbd(&mut self, cr: CRef, lbd: u32) {
+        self.words[cr as usize + LBD] = lbd;
+    }
+
+    fn activity(&self, cr: CRef) -> f64 {
+        let at = cr as usize + ACTIVITY;
+        f64::from_bits(u64::from(self.words[at]) | (u64::from(self.words[at + 1]) << 32))
+    }
+
+    fn set_activity(&mut self, cr: CRef, activity: f64) {
+        let at = cr as usize + ACTIVITY;
+        let bits = activity.to_bits();
+        self.words[at] = bits as u32;
+        self.words[at + 1] = (bits >> 32) as u32;
+    }
 }
 
 /// One entry of a binary implication list: when the owning literal is falsified,
@@ -121,12 +240,20 @@ struct Clause {
 #[derive(Debug, Clone, Copy)]
 struct BinWatch {
     other: Lit,
-    clause: u32,
+    clause: CRef,
 }
 
 const UNDEF: i8 = 0;
 const TRUE: i8 = 1;
 const FALSE: i8 = -1;
+
+/// The value of `l` under the variable values `values`, without a branch: a
+/// negative literal flips the sign of its variable's value (`UNDEF` is 0, so it
+/// stays `UNDEF`).
+fn lit_value_in(values: &[i8], l: Lit) -> i8 {
+    let neg = (l.0 & 1) as i8;
+    (values[l.var().index()] ^ -neg) + neg
+}
 
 /// A CDCL SAT solver over clauses of [`Lit`]s.
 ///
@@ -137,15 +264,15 @@ const FALSE: i8 = -1;
 #[derive(Debug)]
 pub struct Solver {
     config: SolverConfig,
-    clauses: Vec<Clause>,
-    /// watches[lit.index()] = indices of non-binary clauses currently watching `lit`.
-    watches: Vec<Vec<u32>>,
+    arena: ClauseArena,
+    /// watches[lit.index()] = non-binary clauses currently watching `lit`.
+    watches: Vec<Vec<CRef>>,
     /// bin_watches[lit.index()] = implications fired when `lit` is falsified.
     bin_watches: Vec<Vec<BinWatch>>,
     values: Vec<i8>,
     saved_phase: Vec<bool>,
     level: Vec<u32>,
-    reason: Vec<u32>,
+    reason: Vec<CRef>,
     activity: Vec<f64>,
     var_inc: f64,
     cla_inc: f64,
@@ -163,6 +290,8 @@ pub struct Solver {
     /// clear after analysis.
     min_stack: Vec<Lit>,
     min_clear: Vec<Lit>,
+    /// Scratch for [`Solver::add_clause`]'s normalization.
+    add_buf: Vec<Lit>,
     /// Fast/slow EMAs of conflict LBD and the trail-depth EMA (restart blocking).
     ema_fast: f64,
     ema_slow: f64,
@@ -177,7 +306,7 @@ pub struct Solver {
     stats: SolverStats,
 }
 
-const NO_REASON: u32 = u32::MAX;
+const NO_REASON: CRef = CRef::MAX;
 
 impl Default for Solver {
     fn default() -> Self {
@@ -197,7 +326,7 @@ impl Solver {
         Solver {
             rng_state: seed,
             config,
-            clauses: Vec::new(),
+            arena: ClauseArena::default(),
             watches: Vec::new(),
             bin_watches: Vec::new(),
             values: Vec::new(),
@@ -217,6 +346,7 @@ impl Solver {
             lbd_stamp: 0,
             min_stack: Vec::new(),
             min_clear: Vec::new(),
+            add_buf: Vec::new(),
             ema_fast: 0.0,
             ema_slow: 0.0,
             ema_trail: 0.0,
@@ -255,7 +385,7 @@ impl Solver {
 
     /// Number of problem (non-learnt, non-deleted) clauses.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.iter().filter(|c| !c.learnt && !c.deleted).count()
+        self.problem_refs().count()
     }
 
     /// Creates a fresh variable.
@@ -290,14 +420,7 @@ impl Solver {
     }
 
     fn lit_value(&self, l: Lit) -> i8 {
-        let v = self.values[l.var().index()];
-        if v == UNDEF {
-            UNDEF
-        } else if l.is_neg() {
-            -v
-        } else {
-            v
-        }
+        lit_value_in(&self.values, l)
     }
 
     /// Adds a clause (a disjunction of literals).
@@ -307,37 +430,53 @@ impl Solver {
     /// trivially unsatisfiable.
     pub fn add_clause(&mut self, lits: &[Lit]) {
         self.backtrack_to(0);
-        // Normalize: sort, dedup, drop tautologies and root-false literals.
-        let mut lits: Vec<Lit> = lits.to_vec();
-        lits.sort_unstable();
-        lits.dedup();
-        let mut filtered = Vec::with_capacity(lits.len());
-        for (i, &l) in lits.iter().enumerate() {
-            if i + 1 < lits.len() && lits[i + 1] == l.not() {
-                return; // tautology: contains both l and !l
+        // Normalize in the reused buffer: sort, dedup, drop root-false literals,
+        // and drop the whole clause if it is a tautology or satisfied at the root.
+        let mut buf = std::mem::take(&mut self.add_buf);
+        buf.clear();
+        buf.extend_from_slice(lits);
+        buf.sort_unstable();
+        buf.dedup();
+        let mut kept = 0;
+        let mut satisfied = false;
+        for i in 0..buf.len() {
+            let l = buf[i];
+            let value = self.lit_value(l);
+            // Sorted, so `l` and `!l` sit side by side.
+            if value == TRUE || buf.get(i + 1) == Some(&l.not()) {
+                satisfied = true;
+                break;
             }
-            match self.lit_value(l) {
-                TRUE => return, // already satisfied at root level
-                FALSE => continue,
-                _ => filtered.push(l),
+            if value == UNDEF {
+                buf[kept] = l;
+                kept += 1;
             }
         }
-        match filtered.len() {
-            0 => self.unsat_at_root = true,
-            1 => {
-                if !self.enqueue(filtered[0], NO_REASON) || self.propagate().is_some() {
-                    self.unsat_at_root = true;
+        buf.truncate(kept);
+        if !satisfied {
+            match buf.len() {
+                0 => self.unsat_at_root = true,
+                1 => {
+                    if !self.enqueue(buf[0], NO_REASON) || self.propagate().is_some() {
+                        self.unsat_at_root = true;
+                    }
+                }
+                _ => {
+                    self.attach_clause(&buf, false, 0);
                 }
             }
-            _ => {
-                self.attach_clause(filtered, false, 0);
-            }
         }
+        self.add_buf = buf;
+    }
+
+    /// References of the problem (non-learnt, non-deleted) clauses.
+    fn problem_refs(&self) -> impl Iterator<Item = CRef> + '_ {
+        self.arena.refs().filter(|&cr| !self.arena.has(cr, LEARNT | DELETED))
     }
 
     /// The problem (non-learnt, non-deleted) clauses, for the DIMACS writer.
-    pub(crate) fn problem_clauses(&self) -> impl Iterator<Item = &[Lit]> {
-        self.clauses.iter().filter(|c| !c.learnt && !c.deleted).map(|c| c.lits.as_slice())
+    pub(crate) fn problem_clauses(&self) -> impl Iterator<Item = Vec<Lit>> + '_ {
+        self.problem_refs().map(|cr| self.arena.lits(cr).collect())
     }
 
     /// Root-level assignments (added or derived unit clauses), for the DIMACS
@@ -370,17 +509,17 @@ impl Solver {
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool, lbd: u32) -> u32 {
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> CRef {
         debug_assert!(lits.len() >= 2);
-        let idx = self.clauses.len() as u32;
-        if lits.len() == 2 {
-            self.bin_watches[lits[0].index()].push(BinWatch { other: lits[1], clause: idx });
-            self.bin_watches[lits[1].index()].push(BinWatch { other: lits[0], clause: idx });
-        } else {
-            self.watches[lits[0].index()].push(idx);
-            self.watches[lits[1].index()].push(idx);
-        }
         let tier = if learnt { self.tier_for(lits.len(), lbd) } else { Tier::Core };
+        let cr = self.arena.push(lits, learnt, lbd, tier);
+        if lits.len() == 2 {
+            self.bin_watches[lits[0].index()].push(BinWatch { other: lits[1], clause: cr });
+            self.bin_watches[lits[1].index()].push(BinWatch { other: lits[0], clause: cr });
+        } else {
+            self.watches[lits[0].index()].push(cr);
+            self.watches[lits[1].index()].push(cr);
+        }
         if learnt {
             self.stats.learnt_clauses += 1;
             self.stats.learnt_literals += lits.len() as u64;
@@ -388,42 +527,38 @@ impl Solver {
             self.stats.glue_histogram[bucket] += 1;
             *self.tier_count(tier) += 1;
         }
-        self.clauses.push(Clause {
-            lits,
-            learnt,
-            activity: 0.0,
-            deleted: false,
-            lbd,
-            tier,
-            used: false,
-        });
-        idx
+        cr
     }
 
     fn decision_level(&self) -> u32 {
         self.trail_lim.len() as u32
     }
 
-    fn enqueue(&mut self, l: Lit, reason: u32) -> bool {
+    fn enqueue(&mut self, l: Lit, reason: CRef) -> bool {
         match self.lit_value(l) {
             TRUE => true,
             FALSE => false,
             _ => {
-                let v = l.var();
-                self.values[v.index()] = if l.is_neg() { FALSE } else { TRUE };
-                self.level[v.index()] = self.decision_level();
-                self.reason[v.index()] = reason;
-                if self.config.phase_saving {
-                    self.saved_phase[v.index()] = !l.is_neg();
-                }
-                self.trail.push(l);
+                self.assign(l, reason);
                 true
             }
         }
     }
 
-    /// Unit propagation. Returns the index of a conflicting clause, if any.
-    fn propagate(&mut self) -> Option<u32> {
+    /// Makes the unassigned literal `l` true at the current level.
+    fn assign(&mut self, l: Lit, reason: CRef) {
+        let v = l.var().index();
+        self.values[v] = if l.is_neg() { FALSE } else { TRUE };
+        self.level[v] = self.decision_level();
+        self.reason[v] = reason;
+        if self.config.phase_saving {
+            self.saved_phase[v] = !l.is_neg();
+        }
+        self.trail.push(l);
+    }
+
+    /// Unit propagation. Returns the conflicting clause, if any.
+    fn propagate(&mut self) -> Option<CRef> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -432,77 +567,75 @@ impl Solver {
 
             // Binary implications first: each entry is a direct implication, no
             // watch surgery, and the lists are immutable during search.
-            for i in 0..self.bin_watches[false_lit.index()].len() {
-                let BinWatch { other, clause } = self.bin_watches[false_lit.index()][i];
+            let bins = std::mem::take(&mut self.bin_watches[false_lit.index()]);
+            let mut conflict = None;
+            for &BinWatch { other, clause } in &bins {
                 match self.lit_value(other) {
                     TRUE => {}
                     FALSE => {
-                        self.qhead = self.trail.len();
-                        return Some(clause);
+                        conflict = Some(clause);
+                        break;
                     }
                     _ => {
                         // Keep the implied literal in slot 0: conflict analysis and
                         // minimization skip a reason clause's first literal.
-                        let c = &mut self.clauses[clause as usize];
-                        if c.lits[0] != other {
-                            c.lits.swap(0, 1);
+                        let lits = self.arena.lits_mut(clause);
+                        if lits[0] != other.0 {
+                            lits.swap(0, 1);
                         }
-                        self.enqueue(other, clause);
+                        self.assign(other, clause);
                     }
                 }
             }
+            self.bin_watches[false_lit.index()] = bins;
+            if conflict.is_some() {
+                self.qhead = self.trail.len();
+                return conflict;
+            }
 
-            // Take the watch list for the literal that just became false.
+            // Take the watch list for the literal that just became false. Nothing
+            // below watches `false_lit` anew (it is false), so the slot stays empty
+            // and the list goes back by move.
             let mut watchers = std::mem::take(&mut self.watches[false_lit.index()]);
             let mut i = 0;
-            let mut conflict = None;
             while i < watchers.len() {
-                let ci = watchers[i];
-                if self.clauses[ci as usize].deleted {
+                let cr = watchers[i];
+                if self.arena.has(cr, DELETED) {
                     watchers.swap_remove(i);
                     continue;
                 }
+                let lits = self.arena.lits_mut(cr);
                 // Ensure the false literal is at position 1.
-                {
-                    let c = &mut self.clauses[ci as usize];
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(c.lits[1], false_lit);
+                if lits[0] == false_lit.0 {
+                    lits.swap(0, 1);
                 }
-                let first = self.clauses[ci as usize].lits[0];
-                if self.lit_value(first) == TRUE {
+                debug_assert_eq!(lits[1], false_lit.0);
+                let first = Lit(lits[0]);
+                if lit_value_in(&self.values, first) == TRUE {
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let mut found = false;
-                let len = self.clauses[ci as usize].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[ci as usize].lits[k];
-                    if self.lit_value(lk) != FALSE {
-                        self.clauses[ci as usize].lits.swap(1, k);
-                        self.watches[lk.index()].push(ci);
-                        watchers.swap_remove(i);
-                        found = true;
-                        break;
-                    }
-                }
-                if found {
+                if let Some(k) =
+                    (2..lits.len()).find(|&k| lit_value_in(&self.values, Lit(lits[k])) != FALSE)
+                {
+                    lits.swap(1, k);
+                    self.watches[lits[1] as usize].push(cr);
+                    watchers.swap_remove(i);
                     continue;
                 }
                 // Clause is unit or conflicting.
-                if self.lit_value(first) == FALSE {
-                    conflict = Some(ci);
+                if lit_value_in(&self.values, first) == FALSE {
+                    conflict = Some(cr);
                     self.qhead = self.trail.len();
                     // Keep remaining watchers (including this clause) attached.
                     break;
-                } else {
-                    self.enqueue(first, ci);
-                    i += 1;
                 }
+                self.assign(first, cr);
+                i += 1;
             }
-            self.watches[false_lit.index()].append(&mut watchers);
+            debug_assert!(self.watches[false_lit.index()].is_empty());
+            self.watches[false_lit.index()] = watchers;
             if conflict.is_some() {
                 return conflict;
             }
@@ -545,15 +678,17 @@ impl Solver {
         self.var_inc /= self.config.var_decay;
     }
 
-    fn bump_clause(&mut self, ci: u32) {
-        let c = &mut self.clauses[ci as usize];
-        if !c.learnt {
+    fn bump_clause(&mut self, cr: CRef) {
+        if !self.arena.has(cr, LEARNT) {
             return;
         }
-        c.activity += self.cla_inc;
-        if c.activity > 1e20 {
-            for c in self.clauses.iter_mut().filter(|c| c.learnt) {
-                c.activity *= 1e-20;
+        let activity = self.arena.activity(cr) + self.cla_inc;
+        self.arena.set_activity(cr, activity);
+        if activity > 1e20 {
+            let learnt: Vec<CRef> =
+                self.arena.refs().filter(|&c| self.arena.has(c, LEARNT)).collect();
+            for c in learnt {
+                self.arena.set_activity(c, self.arena.activity(c) * 1e-20);
             }
             self.cla_inc *= 1e-20;
         }
@@ -563,28 +698,25 @@ impl Solver {
     /// activity bump, usage flag (reduction protection), and LBD refresh — the
     /// glue can only improve here, and a clause whose glue improves enough is
     /// promoted toward the core tier.
-    fn notice_clause_use(&mut self, ci: u32) {
-        self.bump_clause(ci);
-        let c = &self.clauses[ci as usize];
-        if !c.learnt {
+    fn notice_clause_use(&mut self, cr: CRef) {
+        self.bump_clause(cr);
+        if !self.arena.has(cr, LEARNT) {
             return;
         }
-        let len = c.lits.len();
+        self.arena.set(cr, USED, true);
+        let len = self.arena.len(cr);
         if len == 2 {
-            self.clauses[ci as usize].used = true;
             return;
         }
-        let new_lbd = self.clause_lbd(ci);
-        let c = &mut self.clauses[ci as usize];
-        c.used = true;
-        if new_lbd < c.lbd {
-            c.lbd = new_lbd;
+        let new_lbd = self.clause_lbd(cr);
+        if new_lbd < self.arena.lbd(cr) {
+            self.arena.set_lbd(cr, new_lbd);
             let new_tier = self.tier_for(len, new_lbd);
-            let old_tier = self.clauses[ci as usize].tier;
+            let old_tier = self.arena.tier(cr);
             if new_tier < old_tier {
                 *self.tier_count(old_tier) -= 1;
                 *self.tier_count(new_tier) += 1;
-                self.clauses[ci as usize].tier = new_tier;
+                self.arena.set_tier(cr, new_tier);
             }
         }
     }
@@ -725,12 +857,12 @@ impl Solver {
     }
 
     /// [`Solver::lbd_of`] for a stored clause (index-walked to appease borrows).
-    fn clause_lbd(&mut self, ci: u32) -> u32 {
+    fn clause_lbd(&mut self, cr: CRef) -> u32 {
         self.lbd_stamp += 1;
         let stamp = self.lbd_stamp;
         let mut lbd = 0u32;
-        for k in 0..self.clauses[ci as usize].lits.len() {
-            let l = self.clauses[ci as usize].lits[k];
+        for k in 0..self.arena.len(cr) {
+            let l = self.arena.lit(cr, k);
             let lev = self.level[l.var().index()] as usize;
             self.reserve_level_stamp(lev);
             if lev > 0 && self.level_stamp[lev] != stamp {
@@ -745,7 +877,7 @@ impl Solver {
 
     /// First-UIP conflict analysis with recursive minimization. Returns the learnt
     /// clause (asserting literal first), the backjump level, and the clause's LBD.
-    fn analyze(&mut self, confl: u32) -> (Vec<Lit>, u32, u32) {
+    fn analyze(&mut self, confl: CRef) -> (Vec<Lit>, u32, u32) {
         let mut learnt: Vec<Lit> = vec![Lit(0)]; // placeholder for the asserting literal
         let mut counter = 0u32;
         let mut p: Option<Lit> = None;
@@ -755,13 +887,11 @@ impl Solver {
 
         loop {
             self.notice_clause_use(confl);
-            // Collect literals of the conflicting/reason clause.
-            let lits: Vec<Lit> = self.clauses[confl as usize].lits.clone();
-            let skip_first = p.is_some();
-            for (k, &q) in lits.iter().enumerate() {
-                if skip_first && k == 0 {
-                    continue;
-                }
+            // Walk the conflicting/reason clause in place; a reason's slot 0 is the
+            // literal being resolved on.
+            let skip_first = usize::from(p.is_some());
+            for k in skip_first..self.arena.len(confl) {
+                let q = self.arena.lit(confl, k);
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -794,7 +924,7 @@ impl Solver {
         }
 
         // `seen` is now set exactly for learnt[1..]; minimization relies on it.
-        let learnt = self.minimize_learnt(learnt);
+        self.minimize_learnt(&mut learnt);
 
         // Clear the `seen` flags of kept literals and minimization marks.
         for &l in learnt.iter().skip(1) {
@@ -808,7 +938,6 @@ impl Solver {
         self.min_clear = min_clear;
 
         // Compute the backjump level and move the corresponding literal to slot 1.
-        let mut learnt = learnt;
         let backjump = if learnt.len() == 1 {
             0
         } else {
@@ -825,22 +954,24 @@ impl Solver {
         (learnt, backjump, lbd)
     }
 
-    /// Removes literals whose negation is already implied by the rest of the learnt
-    /// clause (recursive minimization). Expects `seen` to be set for `learnt[1..]`;
-    /// literals it removes stay marked (their redundancy proof may be reused), and
-    /// any extra marks made along the way land in `min_clear`.
-    fn minimize_learnt(&mut self, learnt: Vec<Lit>) -> Vec<Lit> {
+    /// Removes, in place and keeping the order of the rest, literals whose negation
+    /// is already implied by the rest of the learnt clause (recursive
+    /// minimization). Expects `seen` to be set for `learnt[1..]`; literals it
+    /// removes stay marked (their redundancy proof may be reused), and any extra
+    /// marks made along the way land in `min_clear`.
+    fn minimize_learnt(&mut self, learnt: &mut Vec<Lit>) {
         if learnt.len() <= 2 {
-            return learnt;
+            return;
         }
         let abstract_levels =
             learnt[1..].iter().fold(0u32, |acc, &l| acc | self.abstract_level(l.var()));
-        let mut kept = Vec::with_capacity(learnt.len());
-        kept.push(learnt[0]);
-        for &l in &learnt[1..] {
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            let l = learnt[i];
             if self.reason[l.var().index()] == NO_REASON || !self.lit_redundant(l, abstract_levels)
             {
-                kept.push(l);
+                learnt[kept] = l;
+                kept += 1;
             } else {
                 self.stats.minimized_literals += 1;
                 // Keep the mark: `seen` doubles as the "known redundant" memo, and
@@ -848,7 +979,7 @@ impl Solver {
                 self.min_clear.push(l);
             }
         }
-        kept
+        learnt.truncate(kept);
     }
 
     /// Level signature for the minimization pruning check: literals whose level is
@@ -865,11 +996,10 @@ impl Solver {
         self.min_stack.push(p);
         let top = self.min_clear.len();
         while let Some(q) = self.min_stack.pop() {
-            let ci = self.reason[q.var().index()];
-            debug_assert_ne!(ci, NO_REASON);
-            let len = self.clauses[ci as usize].lits.len();
-            for k in 1..len {
-                let l = self.clauses[ci as usize].lits[k];
+            let cr = self.reason[q.var().index()];
+            debug_assert_ne!(cr, NO_REASON);
+            for k in 1..self.arena.len(cr) {
+                let l = self.arena.lit(cr, k);
                 let v = l.var();
                 if self.seen[v.index()] || self.level[v.index()] == 0 {
                     continue;
@@ -902,47 +1032,57 @@ impl Solver {
         }
     }
 
-    fn locked_clauses(&self) -> std::collections::HashSet<u32> {
+    fn locked_clauses(&self) -> std::collections::HashSet<CRef> {
         self.reason.iter().copied().filter(|&r| r != NO_REASON).collect()
     }
 
-    fn delete_clause(&mut self, ci: u32) {
-        let tier = self.clauses[ci as usize].tier;
+    /// The live non-binary learnt clauses, the reduction candidates, in creation
+    /// order (the order sort ties keep).
+    fn reducible_clauses(&self) -> Vec<CRef> {
+        self.arena
+            .refs()
+            .filter(|&cr| {
+                self.arena.has(cr, LEARNT) && !self.arena.has(cr, DELETED) && self.arena.len(cr) > 2
+            })
+            .collect()
+    }
+
+    fn delete_clause(&mut self, cr: CRef) {
+        let tier = self.arena.tier(cr);
         *self.tier_count(tier) -= 1;
-        let c = &mut self.clauses[ci as usize];
-        c.deleted = true;
-        c.lits.clear();
+        self.arena.set(cr, DELETED, true);
         self.stats.deleted_clauses += 1;
         self.stats.learnt_clauses = self.stats.learnt_clauses.saturating_sub(1);
+    }
+
+    /// Deletes the less active half of `victims` (stable sort, so ties keep
+    /// creation order), sparing clauses that are some assignment's reason.
+    fn delete_less_active_half(&mut self, mut victims: Vec<(CRef, f64)>) {
+        victims.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        let locked = self.locked_clauses();
+        let to_remove = victims.len() / 2;
+        let mut removed = 0;
+        for &(cr, _) in victims.iter() {
+            if removed >= to_remove {
+                break;
+            }
+            if locked.contains(&cr) {
+                continue;
+            }
+            self.delete_clause(cr);
+            removed += 1;
+        }
     }
 
     /// Legacy policy: sort all non-binary learnt clauses by activity, delete the
     /// less active half.
     fn reduce_db_activity(&mut self) {
-        let mut learnt: Vec<(u32, f64)> = self
-            .clauses
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.learnt && !c.deleted && c.lits.len() > 2)
-            .map(|(i, c)| (i as u32, c.activity))
-            .collect();
+        let learnt: Vec<(CRef, f64)> =
+            self.reducible_clauses().into_iter().map(|cr| (cr, self.arena.activity(cr))).collect();
         if learnt.len() < 64 {
             return;
         }
-        learnt.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        let locked = self.locked_clauses();
-        let to_remove = learnt.len() / 2;
-        let mut removed = 0;
-        for &(ci, _) in learnt.iter() {
-            if removed >= to_remove {
-                break;
-            }
-            if locked.contains(&ci) {
-                continue;
-            }
-            self.delete_clause(ci);
-            removed += 1;
-        }
+        self.delete_less_active_half(learnt);
     }
 
     /// Glucose-style tiered policy. Core clauses are untouchable. Mid-tier clauses
@@ -950,48 +1090,31 @@ impl Solver {
     /// local. Local-tier clauses used since the last reduction are spared one
     /// round; the remainder is sorted by activity and the less active half deleted.
     fn reduce_db_tiered(&mut self) {
-        let locked = self.locked_clauses();
-        let mut victims: Vec<(u32, f64)> = Vec::new();
-        for i in 0..self.clauses.len() {
-            let ci = i as u32;
-            let c = &self.clauses[i];
-            if !c.learnt || c.deleted || c.lits.len() == 2 {
-                continue;
-            }
-            match c.tier {
+        let mut victims: Vec<(CRef, f64)> = Vec::new();
+        for cr in self.reducible_clauses() {
+            let used = self.arena.has(cr, USED);
+            match self.arena.tier(cr) {
                 Tier::Core => {}
                 Tier::Mid => {
-                    if !c.used {
+                    if !used {
                         self.stats.mid_clauses -= 1;
                         self.stats.local_clauses += 1;
-                        self.clauses[i].tier = Tier::Local;
-                        victims.push((ci, self.clauses[i].activity));
+                        self.arena.set_tier(cr, Tier::Local);
+                        victims.push((cr, self.arena.activity(cr)));
                     }
                 }
                 Tier::Local => {
-                    if !c.used {
-                        victims.push((ci, c.activity));
+                    if !used {
+                        victims.push((cr, self.arena.activity(cr)));
                     }
                 }
             }
-            self.clauses[i].used = false;
+            self.arena.set(cr, USED, false);
         }
         if self.stats.local_clauses < 64 {
             return;
         }
-        victims.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        let to_remove = victims.len() / 2;
-        let mut removed = 0;
-        for &(ci, _) in victims.iter() {
-            if removed >= to_remove {
-                break;
-            }
-            if locked.contains(&ci) {
-                continue;
-            }
-            self.delete_clause(ci);
-            removed += 1;
-        }
+        self.delete_less_active_half(victims);
     }
 
     // ----- restarts -----
@@ -1110,9 +1233,9 @@ impl Solver {
                         return SolveResult::Unsat;
                     }
                 } else {
-                    let ci = self.attach_clause(learnt.clone(), true, lbd);
-                    self.bump_clause(ci);
-                    self.enqueue(learnt[0], ci);
+                    let cr = self.attach_clause(&learnt, true, lbd);
+                    self.bump_clause(cr);
+                    self.enqueue(learnt[0], cr);
                 }
                 self.decay_var_activity();
                 if let Some(budget) = self.config.conflict_budget {
@@ -1431,11 +1554,15 @@ mod tests {
         assert_eq!(s.solve(), SolveResult::Unsat);
         let st = s.stats();
         assert!(st.deleted_clauses > 0, "reduction should have fired");
-        for c in s.clauses.iter().filter(|c| c.learnt && c.deleted) {
-            assert!(c.lits.is_empty());
+        let arena = &s.arena;
+        for cr in arena.refs().filter(|&cr| arena.has(cr, DELETED)) {
+            assert!(arena.has(cr, LEARNT) && arena.tier(cr) == Tier::Local);
+            assert!(!s.reason.contains(&cr), "a deleted clause is no assignment's reason");
         }
-        for c in s.clauses.iter().filter(|c| c.learnt && !c.deleted && c.tier == Tier::Core) {
-            assert!(c.lits.len() == 2 || c.lbd <= s.config.core_lbd);
+        for cr in arena.refs().filter(|&cr| {
+            arena.has(cr, LEARNT) && !arena.has(cr, DELETED) && arena.tier(cr) == Tier::Core
+        }) {
+            assert!(arena.len(cr) == 2 || arena.lbd(cr) <= s.config.core_lbd);
         }
     }
 
@@ -1493,6 +1620,194 @@ mod tests {
         let assumptions = [lit(&v, 1); 6];
         let r = s.solve_with_assumptions(&assumptions);
         assert_eq!(r, SolveResult::Sat);
+    }
+
+    /// FNV-1a over `bytes`: a stable fingerprint for the pinned DIMACS dumps.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// The model as hex digits, four variables per digit in creation order.
+    fn model_hex(s: &Solver) -> String {
+        let bits: Vec<bool> =
+            (0..s.num_vars()).map(|i| s.value(Var(i as u32)).expect("model is total")).collect();
+        bits.chunks(4)
+            .map(|nibble| {
+                let d = nibble.iter().rev().fold(0u32, |acc, &b| acc << 1 | b as u32);
+                char::from_digit(d, 16).expect("a nibble is one hex digit")
+            })
+            .collect()
+    }
+
+    /// A seeded random 3-SAT instance over `nvars` variables (xorshift64).
+    fn random_3sat(s: &mut Solver, nvars: usize, nclauses: usize, seed: u64) -> Vec<Var> {
+        let vars: Vec<Var> = (0..nvars).map(|_| s.new_var()).collect();
+        let mut x = seed;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..nclauses {
+            let c: Vec<Lit> = (0..3)
+                .map(|_| {
+                    let r = next();
+                    Lit::new(vars[(r % nvars as u64) as usize], (r >> 32) & 1 == 1)
+                })
+                .collect();
+            s.add_clause(&c);
+        }
+        vars
+    }
+
+    /// Pins the exact search path, not just the verdict: every `SolverStats`
+    /// field, the model of every SAT answer and a fingerprint of the DIMACS dump
+    /// after solving. A change to clause storage, watch-list order, reduction
+    /// order or any heuristic moves at least one of these; the expected values
+    /// are re-baselined only by a change that means to alter the search.
+    #[test]
+    fn search_path_is_pinned_by_exact_counters() {
+        let dimacs_hash = |s: &Solver| fnv1a(s.to_dimacs().as_bytes());
+
+        let mut s = pigeonhole(7, 6, SolverConfig::default());
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        let expect = SolverStats {
+            decisions: 996,
+            propagations: 10138,
+            conflicts: 793,
+            restarts: 5,
+            blocked_restarts: 0,
+            learnt_clauses: 787,
+            deleted_clauses: 0,
+            minimized_literals: 1642,
+            learnt_literals: 8482,
+            glue_histogram: [0, 18, 41, 102, 113, 106, 104, 303],
+            core_clauses: 101,
+            mid_clauses: 431,
+            local_clauses: 255,
+        };
+        assert_eq!(s.stats(), expect, "pigeonhole 7→6, default");
+        assert_eq!(dimacs_hash(&s), 11607665696314791525, "pigeonhole 7→6, default");
+
+        let mut s = pigeonhole(7, 6, SolverConfig::legacy());
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        let expect = SolverStats {
+            decisions: 996,
+            propagations: 10188,
+            conflicts: 831,
+            restarts: 6,
+            blocked_restarts: 0,
+            learnt_clauses: 824,
+            deleted_clauses: 0,
+            minimized_literals: 1572,
+            learnt_literals: 8953,
+            glue_histogram: [0, 18, 40, 93, 124, 124, 109, 316],
+            core_clauses: 145,
+            mid_clauses: 459,
+            local_clauses: 220,
+        };
+        assert_eq!(s.stats(), expect, "pigeonhole 7→6, legacy");
+        assert_eq!(dimacs_hash(&s), 6630461951939541870, "pigeonhole 7→6, legacy");
+
+        // Random 3-SAT at the threshold with reductions every 30 conflicts, so
+        // deleted clauses' watchers are dropped lazily mid-search, under both
+        // reduction policies.
+        let cfg = SolverConfig { reduce_interval: 30, ..SolverConfig::default() };
+        let mut s = Solver::with_config(cfg);
+        random_3sat(&mut s, 150, 640, 0x5eed_0003);
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        let expect = SolverStats {
+            decisions: 3197,
+            propagations: 81009,
+            conflicts: 2658,
+            restarts: 0,
+            blocked_restarts: 0,
+            learnt_clauses: 500,
+            deleted_clauses: 2149,
+            minimized_literals: 6509,
+            learnt_literals: 21238,
+            glue_histogram: [0, 72, 267, 425, 582, 462, 342, 499],
+            core_clauses: 447,
+            mid_clauses: 15,
+            local_clauses: 38,
+        };
+        assert_eq!(s.stats(), expect, "random 3-SAT, tiered reduction");
+        assert_eq!(dimacs_hash(&s), 11190153966312197705, "random 3-SAT, tiered reduction");
+
+        let cfg = SolverConfig { reduce_interval: 30, ..SolverConfig::legacy() };
+        let mut s = Solver::with_config(cfg);
+        random_3sat(&mut s, 150, 640, 0x5eed_0003);
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        let expect = SolverStats {
+            decisions: 3048,
+            propagations: 81553,
+            conflicts: 2540,
+            restarts: 14,
+            blocked_restarts: 0,
+            learnt_clauses: 92,
+            deleted_clauses: 2438,
+            minimized_literals: 6127,
+            learnt_literals: 19769,
+            glue_histogram: [0, 82, 268, 460, 480, 457, 341, 442],
+            core_clauses: 78,
+            mid_clauses: 14,
+            local_clauses: 0,
+        };
+        assert_eq!(s.stats(), expect, "random 3-SAT, activity reduction");
+        assert_eq!(dimacs_hash(&s), 12626380568436392794, "random 3-SAT, activity reduction");
+
+        // One solver answering a seeded sequence of assumption sets: learnt
+        // clauses and saved phases carry from each call into the next.
+        let mut s = Solver::new();
+        let vars = random_3sat(&mut s, 60, 220, 0xa55_00e5);
+        let mut x = 0x1234_5678_9abc_def1u64;
+        let answers: Vec<String> = (0..8)
+            .map(|round| {
+                let assumptions: Vec<Lit> = (0..1 + round % 4)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        Lit::new(vars[(x % 60) as usize], (x >> 40) & 1 == 1)
+                    })
+                    .collect();
+                match s.solve_with_assumptions(&assumptions) {
+                    SolveResult::Sat => model_hex(&s),
+                    other => format!("{other:?}"),
+                }
+            })
+            .collect();
+        let expect_answers = [
+            "c8ed4e03502b660",
+            "Unsat",
+            "261ee17e556e8ee",
+            "c83e405f516b86e",
+            "c8ec46035029665",
+            "c8ec46035029665",
+            "865e407f762aaeb",
+            "e82ec15f516186f",
+        ];
+        assert_eq!(answers, expect_answers, "assumption sequence: verdicts and models");
+        let expect = SolverStats {
+            decisions: 146,
+            propagations: 1331,
+            conflicts: 53,
+            restarts: 0,
+            blocked_restarts: 0,
+            learnt_clauses: 53,
+            deleted_clauses: 0,
+            minimized_literals: 34,
+            learnt_literals: 318,
+            glue_histogram: [0, 7, 7, 11, 15, 9, 4, 0],
+            core_clauses: 16,
+            mid_clauses: 36,
+            local_clauses: 1,
+        };
+        assert_eq!(s.stats(), expect, "assumption sequence");
+        assert_eq!(dimacs_hash(&s), 12606250931205159310, "assumption sequence");
     }
 
     #[test]

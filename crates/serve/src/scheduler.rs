@@ -380,7 +380,7 @@ pub(crate) fn execute_job(
         }
         Ok(Ok(outcome)) => JobResult::Finished(outcome),
         Ok(Err(e)) => JobResult::Error(e.to_string()),
-        Err(panic) => JobResult::Panicked(render_panic(&panic)),
+        Err(panic) => JobResult::Panicked(render_panic(&*panic)),
     }
 }
 

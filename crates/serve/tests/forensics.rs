@@ -121,6 +121,10 @@ fn worker_panic_is_contained_and_lands_in_a_bundle_with_its_span_tree() {
     lr_serve::set_poison_job(None);
     assert_eq!(kind(&doc), "mapped", "{}", doc.render());
     assert_eq!(doc.get(&["verdict"]).and_then(Json::as_str), Some("error"));
+    // The panic's own message survives containment.
+    let message = "poison job `bench:mul_w9_s0` injected a panic";
+    let error = doc.get(&["error"]).and_then(Json::as_str).unwrap();
+    assert!(error.contains(message), "{error}");
 
     // The daemon survived: the next request on the same connection works.
     let ok = client.request(&map_request(14)).unwrap();
@@ -132,6 +136,7 @@ fn worker_panic_is_contained_and_lands_in_a_bundle_with_its_span_tree() {
     assert_eq!(full.get(&["trigger"]).and_then(Json::as_str), Some("panic"));
     let error = full.get(&["error"]).and_then(Json::as_str).unwrap();
     assert!(error.contains("panicked"), "{error}");
+    assert!(error.contains(message), "{error}");
     let spans = full.get(&["spans", "traceEvents"]).and_then(Json::as_arr).unwrap();
     let names: Vec<&str> = spans.iter().filter_map(|e| e.get(&["name"])?.as_str()).collect();
     assert!(names.contains(&"daemon-request"), "panicked job still has spans: {names:?}");
