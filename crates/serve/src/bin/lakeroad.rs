@@ -627,7 +627,7 @@ fn serve_main(args: &[String]) -> ExitCode {
     let daemon = match Daemon::bind(config) {
         Ok(daemon) => daemon,
         Err(e) => {
-            eprintln!("cannot bind daemon: {e}");
+            eprintln!("{e}");
             return ExitCode::from(2);
         }
     };

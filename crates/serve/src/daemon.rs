@@ -255,20 +255,26 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Binds the listener, warms the cache from `persist_path` when the file
-    /// exists, and starts the acceptor, worker, and persister threads.
+    /// Warms the cache from `persist_path` when the file exists, binds the
+    /// listener, and starts the acceptor, worker, and persister threads.
     ///
     /// # Errors
-    /// Socket errors from binding `config.addr`. A missing or unreadable
-    /// snapshot file is a cold start, not an error.
+    /// A snapshot file that exists but cannot be read or parsed, as
+    /// ``cannot load cache `<path>`: …`` with the load error's kind: the daemon
+    /// would overwrite that file, so it does not start. A missing file is a cold
+    /// start. Socket errors from binding `config.addr`, as
+    /// ``cannot bind `<addr>`: …``.
     pub fn bind(config: DaemonConfig) -> io::Result<Daemon> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
-
         let cache = Arc::new(match &config.persist_path {
-            Some(path) => SynthCache::load(path).unwrap_or_default(),
+            Some(path) => SynthCache::load(path).map_err(|e| {
+                io::Error::new(e.kind(), format!("cannot load cache `{}`: {e}", path.display()))
+            })?,
             None => SynthCache::new(),
         });
+        let listener = TcpListener::bind(&config.addr)
+            .map_err(|e| io::Error::new(e.kind(), format!("cannot bind `{}`: {e}", config.addr)))?;
+        let local_addr = listener.local_addr()?;
+
         cache.set_capacity(config.cache_capacity);
         let mut map = config.map;
         map.cache = Some(Arc::<SynthCache>::clone(&cache) as _);

@@ -2,7 +2,8 @@
 //! as a user would and checks its exit status and output.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn lakeroad(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_lakeroad")).args(args).output().expect("lakeroad runs")
@@ -84,5 +85,29 @@ fn a_second_batch_run_loads_the_verdicts_the_first_saved() {
     // A stored verdict does not depend on the budget it was found under.
     let tighter = run(&["--timeout", "10"]);
     assert_eq!(tighter.matches("[cache]").count(), 2, "{tighter}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn serve_refuses_a_cache_file_it_cannot_read() {
+    let dir = temp_dir("serve_corrupt_cache");
+    let cache = dir.join("corrupt.lrc");
+    std::fs::write(&cache, "not a lakeroad cache\n").unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lakeroad"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--cache", cache.to_str().unwrap()])
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("lakeroad runs");
+    // A daemon that starts anyway serves until it is killed, so bound the wait.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().unwrap().is_none() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let _ = child.kill();
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("cannot load cache `"), "{stderr}");
+    assert_eq!(std::fs::read(&cache).unwrap(), b"not a lakeroad cache\n");
     let _ = std::fs::remove_dir_all(&dir);
 }

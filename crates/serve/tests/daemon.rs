@@ -190,6 +190,23 @@ fn the_persisted_cache_warm_starts_the_next_daemon() {
 }
 
 #[test]
+fn an_unreadable_cache_file_is_refused_and_left_as_it_was() {
+    let dir = std::env::temp_dir().join("lr_serve_daemon_corrupt_cache_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("corrupt.lrc");
+    std::fs::write(&path, "not a lakeroad cache\n").unwrap();
+
+    // Starting on it would end in a snapshot over the file, losing whatever
+    // it held, so the daemon does not start.
+    let config = DaemonConfig { persist_path: Some(path.clone()), ..quick_config() };
+    let err = Daemon::bind(config).err().expect("a corrupt snapshot is an error");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().starts_with("cannot load cache `"), "{err}");
+    assert_eq!(std::fs::read(&path).unwrap(), b"not a lakeroad cache\n");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn metrics_carry_queue_wait_and_dropped_spans_with_tracing_off() {
     let daemon = Daemon::bind(quick_config()).unwrap();
     let mut client = DaemonClient::connect(daemon.local_addr()).unwrap();

@@ -5,6 +5,22 @@
 //! shift-and-add multipliers, borrow-based comparators, and barrel shifters. The
 //! encoding is defined once here and validated against concrete evaluation by the
 //! property tests in `tests/prop_blast.rs`.
+//!
+//! The circuits are built from three gates (and, xor, mux), and the gate layer
+//! does not make one variable per gate. It folds: a gate with a constant input
+//! (the one true literal or its negation), with equal or complementary inputs, or
+//! a mux whose arms are equal or both constant, returns a constant or an input
+//! literal, and a mux with one constant arm becomes an and or an or. It shares:
+//! every other gate is looked up under its normalized inputs (and: operands
+//! sorted; xor: the operands' variables, with the parity moved to the output; mux:
+//! the select made positive) before a fresh variable and its clauses are made, so
+//! each distinct gate has one variable per solver. Synthesis queries assert a
+//! sketch's outputs on constant examples, so most of their gates fold away.
+//!
+//! The gate rules decide the CNF and so the SAT search: changing one moves the
+//! solver counters, and needs re-baselined `BENCH_sat.json`, `BENCH_cegis.json`
+//! and `BENCH_trace.json` records. `tests::the_encoding_is_pinned` fixes the CNF of
+//! six small queries.
 
 use std::collections::HashMap;
 
@@ -26,15 +42,31 @@ pub struct BlastStats {
     pub cache_misses: u64,
 }
 
+/// A gate under its normalized inputs: the key of the structural-hash table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Gate {
+    /// Operands sorted.
+    And(Lit, Lit),
+    /// Positive literals of the operands' variables, sorted; the parity of the
+    /// negations is applied to the output instead.
+    Xor(Lit, Lit),
+    /// Positive select, then the then- and else-arm.
+    Mux(Lit, Lit, Lit),
+}
+
 /// Lowers terms into an [`lr_sat::Solver`], memoizing per-term literal vectors.
 ///
 /// The memo table is append-only: once a `TermId` has been lowered, its literal
 /// vector is final. Growing the pool with new terms (as the incremental CEGIS loop
 /// does between `check` calls) can only add entries, never change existing ones —
 /// `TermId`s are never reused within a pool, so previously returned bits stay valid.
+/// The gate table is append-only for the same reason: every gate's defining
+/// clauses are unconditional and permanent, so its output literal stays valid for
+/// every later query, assumption-guarded ones included.
 #[derive(Debug, Default)]
 pub(crate) struct BitBlaster {
     cache: HashMap<TermId, Vec<Lit>>,
+    gates: HashMap<Gate, Lit>,
     var_bits: HashMap<String, Vec<Lit>>,
     true_lit: Option<Lit>,
     hits: u64,
@@ -82,33 +114,126 @@ impl BitBlaster {
 
     // ----- gate encodings -----
 
+    /// Folds `and(a, b)` when an input is constant or the inputs are equal or
+    /// complementary; otherwise returns the one shared gate for the pair.
     fn and_gate(&mut self, sat: &mut Solver, a: Lit, b: Lit) -> Lit {
-        let o = self.fresh(sat);
-        sat.add_clause(&[o.not(), a]);
-        sat.add_clause(&[o.not(), b]);
-        sat.add_clause(&[o, a.not(), b.not()]);
-        o
+        if let Some(t) = self.true_lit {
+            if a == t.not() || b == t.not() {
+                return t.not();
+            }
+            if a == t {
+                return b;
+            }
+            if b == t {
+                return a;
+            }
+        }
+        if a == b {
+            return a;
+        }
+        if a == b.not() {
+            return self.false_lit(sat);
+        }
+        let key = Gate::And(a.min(b), a.max(b));
+        self.gate(sat, key)
     }
 
     fn or_gate(&mut self, sat: &mut Solver, a: Lit, b: Lit) -> Lit {
         self.and_gate(sat, a.not(), b.not()).not()
     }
 
+    /// Folds `xor(a, b)` when an input is constant or the inputs are equal or
+    /// complementary; otherwise returns the shared gate over the inputs'
+    /// variables, negated when an odd number of inputs was negated.
     fn xor_gate(&mut self, sat: &mut Solver, a: Lit, b: Lit) -> Lit {
-        let o = self.fresh(sat);
-        sat.add_clause(&[o.not(), a, b]);
-        sat.add_clause(&[o.not(), a.not(), b.not()]);
-        sat.add_clause(&[o, a.not(), b]);
-        sat.add_clause(&[o, a, b.not()]);
-        o
+        if let Some(t) = self.true_lit {
+            for (x, y) in [(a, b), (b, a)] {
+                if x == t {
+                    return y.not();
+                }
+                if x == t.not() {
+                    return y;
+                }
+            }
+        }
+        if a == b {
+            return self.false_lit(sat);
+        }
+        if a == b.not() {
+            return self.true_lit(sat);
+        }
+        let (pa, pb) = (Lit::pos(a.var()), Lit::pos(b.var()));
+        let o = self.gate(sat, Gate::Xor(pa.min(pb), pa.max(pb)));
+        if a.is_neg() != b.is_neg() {
+            o.not()
+        } else {
+            o
+        }
     }
 
+    /// Folds `sel ? then_ : else_` when the select is constant or the arms are
+    /// equal, and lowers a mux with a constant arm to an and or an or (which fold
+    /// two constant arms to the select or its negation); otherwise returns the
+    /// shared gate under a positive select.
     fn mux_gate(&mut self, sat: &mut Solver, sel: Lit, then_: Lit, else_: Lit) -> Lit {
+        if then_ == else_ {
+            return then_;
+        }
+        if let Some(t) = self.true_lit {
+            if sel == t {
+                return then_;
+            }
+            if sel == t.not() {
+                return else_;
+            }
+            if then_ == t {
+                return self.or_gate(sat, sel, else_);
+            }
+            if then_ == t.not() {
+                return self.and_gate(sat, sel.not(), else_);
+            }
+            if else_ == t {
+                return self.or_gate(sat, sel.not(), then_);
+            }
+            if else_ == t.not() {
+                return self.and_gate(sat, sel, then_);
+            }
+        }
+        let key = if sel.is_neg() {
+            Gate::Mux(sel.not(), else_, then_)
+        } else {
+            Gate::Mux(sel, then_, else_)
+        };
+        self.gate(sat, key)
+    }
+
+    /// The output literal of `key`: the gate made earlier for the same
+    /// normalized inputs, or a fresh variable with its defining clauses.
+    fn gate(&mut self, sat: &mut Solver, key: Gate) -> Lit {
+        if let Some(&o) = self.gates.get(&key) {
+            return o;
+        }
         let o = self.fresh(sat);
-        sat.add_clause(&[sel.not(), then_.not(), o]);
-        sat.add_clause(&[sel.not(), then_, o.not()]);
-        sat.add_clause(&[sel, else_.not(), o]);
-        sat.add_clause(&[sel, else_, o.not()]);
+        match key {
+            Gate::And(a, b) => {
+                sat.add_clause(&[o.not(), a]);
+                sat.add_clause(&[o.not(), b]);
+                sat.add_clause(&[o, a.not(), b.not()]);
+            }
+            Gate::Xor(a, b) => {
+                sat.add_clause(&[o.not(), a, b]);
+                sat.add_clause(&[o.not(), a.not(), b.not()]);
+                sat.add_clause(&[o, a.not(), b]);
+                sat.add_clause(&[o, a, b.not()]);
+            }
+            Gate::Mux(sel, then_, else_) => {
+                sat.add_clause(&[sel.not(), then_.not(), o]);
+                sat.add_clause(&[sel.not(), then_, o.not()]);
+                sat.add_clause(&[sel, else_.not(), o]);
+                sat.add_clause(&[sel, else_, o.not()]);
+            }
+        }
+        self.gates.insert(key, o);
         o
     }
 
@@ -217,45 +342,56 @@ impl BitBlaster {
         current
     }
 
-    // ----- the main recursion -----
+    // ----- the term walk -----
 
     /// Bit-blasts `id`, returning its literal vector (LSB first).
+    ///
+    /// The walk is an explicit post-order stack that lowers operands left to
+    /// right, so a term's depth costs heap, not call stack.
     pub(crate) fn blast(&mut self, pool: &TermPool, sat: &mut Solver, id: TermId) -> Vec<Lit> {
-        if let Some(bits) = self.cache.get(&id) {
-            self.hits += 1;
-            return bits.clone();
-        }
-        self.misses += 1;
-        let bits = match pool.term(id).clone() {
-            Term::Const(bv) => {
-                let t = self.true_lit(sat);
-                bv.bits_lsb_first().map(|b| if b { t } else { t.not() }).collect()
-            }
-            Term::Var { name, width } => {
-                if let Some(bits) = self.var_bits.get(&name) {
-                    bits.clone()
-                } else {
-                    let bits: Vec<Lit> = (0..width).map(|_| self.fresh(sat)).collect();
-                    self.var_bits.insert(name.clone(), bits.clone());
-                    bits
+        // Each entry is a term and whether its operands are lowered already.
+        let mut stack = vec![(id, false)];
+        while let Some((t, operands_ready)) = stack.pop() {
+            if !operands_ready {
+                if self.cache.contains_key(&t) {
+                    self.hits += 1;
+                    continue;
                 }
+                self.misses += 1;
             }
-            Term::Op { op, args, width } => {
-                let arg_bits: Vec<Vec<Lit>> =
-                    args.iter().map(|&a| self.blast(pool, sat, a)).collect();
-                self.blast_op(pool, sat, op, &args, &arg_bits, width)
-            }
-        };
-        self.cache.insert(id, bits.clone());
-        bits
+            let bits = match pool.term(t) {
+                Term::Const(bv) => {
+                    let one = self.true_lit(sat);
+                    bv.bits_lsb_first().map(|b| if b { one } else { one.not() }).collect()
+                }
+                Term::Var { name, width } => match self.var_bits.get(name) {
+                    Some(bits) => bits.clone(),
+                    None => {
+                        let bits: Vec<Lit> = (0..*width).map(|_| self.fresh(sat)).collect();
+                        self.var_bits.insert(name.clone(), bits.clone());
+                        bits
+                    }
+                },
+                Term::Op { args, .. } if !operands_ready => {
+                    stack.push((t, true));
+                    stack.extend(args.iter().rev().map(|&a| (a, false)));
+                    continue;
+                }
+                Term::Op { op, args, width } => {
+                    let arg_bits: Vec<Vec<Lit>> =
+                        args.iter().map(|a| self.cache[a].clone()).collect();
+                    self.blast_op(sat, *op, &arg_bits, *width)
+                }
+            };
+            self.cache.insert(t, bits);
+        }
+        self.cache[&id].clone()
     }
 
     fn blast_op(
         &mut self,
-        pool: &TermPool,
         sat: &mut Solver,
         op: BvOp,
-        args: &[TermId],
         arg_bits: &[Vec<Lit>],
         width: u32,
     ) -> Vec<Lit> {
@@ -359,12 +495,6 @@ impl BitBlaster {
                     acc = self.xor_gate(sat, acc, b);
                 }
                 vec![acc]
-            }
-            // `pool` is only needed for ops that recurse on term structure; silence unused warnings.
-            #[allow(unreachable_patterns)]
-            _ => {
-                let _ = (pool, args);
-                unreachable!("unhandled operator {op}")
             }
         }
     }
@@ -523,6 +653,137 @@ mod tests {
         let xbits = &blaster.var_bits()["x"];
         let value: Vec<bool> = xbits.iter().map(|l| l.eval(sat.value(l.var()).unwrap())).collect();
         assert_eq!(BitVec::from_bits_lsb_first(&value), BitVec::from_u64(13, 8));
+    }
+
+    /// The CNF one assertion lowers to: variable count, problem-clause count and
+    /// an FNV-1a hash of its DIMACS text.
+    fn encoding(build: impl FnOnce(&mut TermPool) -> TermId) -> (usize, usize, u64) {
+        let mut pool = TermPool::without_simplification();
+        let t = build(&mut pool);
+        let mut sat = Solver::new();
+        let bits = BitBlaster::new().blast(&pool, &mut sat, t);
+        sat.add_clause(&[bits[0]]);
+        let hash = sat
+            .to_dimacs()
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3));
+        (sat.num_vars(), sat.num_clauses(), hash)
+    }
+
+    #[test]
+    fn the_encoding_is_pinned() {
+        // Unsimplified pools, so the gates themselves see the constants and the
+        // repeated operands. A change to any gate rule moves these numbers and
+        // the search with them (see the module docs).
+        fn c(pool: &mut TermPool, v: u64, w: u32) -> TermId {
+            pool.constant(BitVec::from_u64(v, w))
+        }
+        type Case = (&'static str, fn(&mut TermPool) -> TermId, (usize, usize, u64));
+        let cases: [Case; 6] = [
+            (
+                "constants",
+                |p| {
+                    let x = p.var("x", 8);
+                    let k = c(p, 0xa5, 8);
+                    let m = p.mk_op(BvOp::And, vec![x, k]);
+                    let f = c(p, 0x0f, 8);
+                    let o = p.mk_op(BvOp::Or, vec![x, f]);
+                    let t = p.mk_op(BvOp::Xor, vec![m, o]);
+                    let r = c(p, 0x5a, 8);
+                    p.mk_op(BvOp::Eq, vec![t, r])
+                },
+                (12, 9, 5236141336351174191),
+            ),
+            (
+                "shared subterm",
+                |p| {
+                    let (x, y) = (p.var("x", 8), p.var("y", 8));
+                    let s = p.mk_op(BvOp::Add, vec![x, y]);
+                    let t = p.mk_op(BvOp::Xor, vec![s, y]);
+                    let u = p.mk_op(BvOp::Add, vec![s, t]);
+                    let v = p.mk_op(BvOp::And, vec![s, s]);
+                    let w = p.mk_op(BvOp::Sub, vec![u, v]);
+                    p.mk_op(BvOp::Eq, vec![w, x])
+                },
+                (152, 466, 13034951557031580066),
+            ),
+            (
+                "ite over constants",
+                |p| {
+                    let (x, y) = (p.var("x", 8), p.var("y", 8));
+                    let sel = p.mk_op(BvOp::Ult, vec![x, y]);
+                    let (three, twelve, zero) = (c(p, 3, 8), c(p, 12, 8), c(p, 0, 8));
+                    let a = p.mk_op(BvOp::Ite, vec![sel, three, twelve]);
+                    let b = p.mk_op(BvOp::Ite, vec![sel, x, zero]);
+                    let d = p.mk_op(BvOp::Ite, vec![sel, three, three]);
+                    let s = p.mk_op(BvOp::Add, vec![a, b]);
+                    let t = p.mk_op(BvOp::Add, vec![s, d]);
+                    p.mk_op(BvOp::Eq, vec![t, y])
+                },
+                (118, 344, 5501743658002646670),
+            ),
+            (
+                "multiply",
+                |p| {
+                    let (x, y) = (p.var("x", 8), p.var("y", 8));
+                    let five = c(p, 5, 8);
+                    let a = p.mk_op(BvOp::Mul, vec![x, five]);
+                    let b = p.mk_op(BvOp::Mul, vec![x, y]);
+                    p.mk_op(BvOp::Eq, vec![a, b])
+                },
+                (214, 659, 2003697674913175209),
+            ),
+            (
+                "comparison",
+                |p| {
+                    let (x, y) = (p.var("x", 8), p.var("y", 8));
+                    let k = c(p, 200, 8);
+                    let lt = p.mk_op(BvOp::Slt, vec![x, y]);
+                    let le = p.mk_op(BvOp::Ule, vec![x, k]);
+                    p.mk_op(BvOp::And, vec![lt, le])
+                },
+                (75, 196, 13392995448420939674),
+            ),
+            (
+                "shift",
+                |p| {
+                    let (x, y) = (p.var("x", 8), p.var("y", 8));
+                    let two = c(p, 2, 8);
+                    let a = p.mk_op(BvOp::Shl, vec![x, y]);
+                    let b = p.mk_op(BvOp::Ashr, vec![x, two]);
+                    let d = p.mk_op(BvOp::Lshr, vec![a, b]);
+                    p.mk_op(BvOp::Ult, vec![d, x])
+                },
+                (183, 547, 12235648278345332112),
+            ),
+        ];
+        for (name, build, pinned) in cases {
+            assert_eq!(encoding(build), pinned, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_deep_chain_blasts_on_a_small_stack() {
+        // 100 000 alternating xor/add levels over two 2-bit inputs: a recursive
+        // walk would need one frame per level and overflow a 256 KiB stack.
+        let run = || {
+            let mut pool = TermPool::without_simplification();
+            let (a, b) = (pool.var("a", 2), pool.var("b", 2));
+            let mut t = a;
+            for level in 0..100_000 {
+                t = match level % 2 {
+                    0 => pool.mk_op(BvOp::Xor, vec![t, a]),
+                    _ => pool.mk_op(BvOp::Add, vec![t, b]),
+                };
+            }
+            let three = pool.constant(BitVec::from_u64(3, 2));
+            let eq = pool.mk_op(BvOp::Eq, vec![t, three]);
+            let mut solver = crate::BvSolver::new();
+            solver.assert_true(&pool, eq);
+            solver.check(&pool)
+        };
+        let small = std::thread::Builder::new().stack_size(256 * 1024).spawn(run).unwrap();
+        assert_eq!(small.join().unwrap(), crate::SatResult::Sat);
     }
 
     #[test]

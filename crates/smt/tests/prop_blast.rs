@@ -4,7 +4,10 @@
 //! For randomly generated terms `t` and randomly generated environments, we assert
 //! that the constraint `t == eval(t)` is satisfiable with the environment fixed (the
 //! bit-blasted circuit agrees with the interpreter), and that asserting
-//! `t != eval(t)` under the same fixed environment is unsatisfiable.
+//! `t != eval(t)` under the same fixed environment is unsatisfiable. A seeded subset
+//! of the variables is replaced by its value as a constant, so in an unsimplified
+//! pool the gate layer's constant folding and gate sharing see constant, partly
+//! constant and repeated operands.
 
 use lr_bv::BitVec;
 use lr_smt::{BvSolver, SatResult, TermId, TermPool};
@@ -24,6 +27,10 @@ enum Expr {
     Add(Box<Expr>, Box<Expr>),
     Sub(Box<Expr>, Box<Expr>),
     Mul(Box<Expr>, Box<Expr>),
+    Shl(Box<Expr>, Box<Expr>),
+    Lshr(Box<Expr>, Box<Expr>),
+    Udiv(Box<Expr>, Box<Expr>),
+    Urem(Box<Expr>, Box<Expr>),
     Ite(Box<Expr>, Box<Expr>, Box<Expr>),
     UltMux(Box<Expr>, Box<Expr>),
 }
@@ -41,6 +48,10 @@ fn expr_strategy(depth: u32) -> impl Strategy<Value = Expr> {
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Add(Box::new(a), Box::new(b))),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Sub(Box::new(a), Box::new(b))),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Mul(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Shl(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Lshr(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Udiv(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Urem(Box::new(a), Box::new(b))),
             (inner.clone(), inner.clone(), inner.clone()).prop_map(|(c, a, b)| Expr::Ite(
                 Box::new(c),
                 Box::new(a),
@@ -87,6 +98,22 @@ fn build(pool: &mut TermPool, expr: &Expr, width: u32) -> TermId {
             let (a, b) = (build(pool, a, width), build(pool, b, width));
             pool.mul(a, b)
         }
+        Expr::Shl(a, b) => {
+            let (a, b) = (build(pool, a, width), build(pool, b, width));
+            pool.shl(a, b)
+        }
+        Expr::Lshr(a, b) => {
+            let (a, b) = (build(pool, a, width), build(pool, b, width));
+            pool.lshr(a, b)
+        }
+        Expr::Udiv(a, b) => {
+            let (a, b) = (build(pool, a, width), build(pool, b, width));
+            pool.udiv(a, b)
+        }
+        Expr::Urem(a, b) => {
+            let (a, b) = (build(pool, a, width), build(pool, b, width));
+            pool.urem(a, b)
+        }
         Expr::Ite(c, a, b) => {
             let c = build(pool, c, width);
             let c1 = pool.red_or(c);
@@ -98,6 +125,29 @@ fn build(pool: &mut TermPool, expr: &Expr, width: u32) -> TermId {
             let lt = pool.ult(a, b);
             pool.ite(lt, b, a)
         }
+    }
+}
+
+/// `expr` with each variable whose bit is set in `fixed` replaced by its value.
+fn substitute(expr: &Expr, fixed: u8, vals: &[u64]) -> Expr {
+    let sub = |e: &Expr| Box::new(substitute(e, fixed, vals));
+    match expr {
+        Expr::Var(i) if fixed & (1 << i) != 0 => Expr::Const(vals[*i]),
+        Expr::Var(_) | Expr::Const(_) => expr.clone(),
+        Expr::Not(a) => Expr::Not(sub(a)),
+        Expr::Neg(a) => Expr::Neg(sub(a)),
+        Expr::And(a, b) => Expr::And(sub(a), sub(b)),
+        Expr::Or(a, b) => Expr::Or(sub(a), sub(b)),
+        Expr::Xor(a, b) => Expr::Xor(sub(a), sub(b)),
+        Expr::Add(a, b) => Expr::Add(sub(a), sub(b)),
+        Expr::Sub(a, b) => Expr::Sub(sub(a), sub(b)),
+        Expr::Mul(a, b) => Expr::Mul(sub(a), sub(b)),
+        Expr::Shl(a, b) => Expr::Shl(sub(a), sub(b)),
+        Expr::Lshr(a, b) => Expr::Lshr(sub(a), sub(b)),
+        Expr::Udiv(a, b) => Expr::Udiv(sub(a), sub(b)),
+        Expr::Urem(a, b) => Expr::Urem(sub(a), sub(b)),
+        Expr::Ite(c, a, b) => Expr::Ite(sub(c), sub(a), sub(b)),
+        Expr::UltMux(a, b) => Expr::UltMux(sub(a), sub(b)),
     }
 }
 
@@ -123,9 +173,10 @@ proptest! {
         vals in proptest::collection::vec(0u64..=u64::MAX, 3),
         width in 1u32..=6,
         simplify in proptest::bool::ANY,
+        fixed in 0u8..8,
     ) {
         let mut pool = if simplify { TermPool::new() } else { TermPool::without_simplification() };
-        let term = build(&mut pool, &expr, width);
+        let term = build(&mut pool, &substitute(&expr, fixed, &vals), width);
         let env = env_for(&vals, width);
         let expected = pool.eval(term, &env).unwrap();
 
