@@ -1,4 +1,9 @@
-//! B3: micro-benchmarks of the ℒlr interpreter on the DSP48E2 primitive model.
+//! B3: micro-benchmarks of the ℒlr interpreter on the DSP48E2 primitive model:
+//! tracing its schedule on concrete inputs, and walking it into a solver term
+//! with every input symbolic (the verification step's shape) or with the
+//! inputs bound (the synthesis step's).
+
+use std::collections::BTreeMap;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lr_arch::primitives::semantics;
@@ -40,10 +45,18 @@ fn bench_interp(c: &mut Criterion) {
     group.bench_function("dsp48e2_cycle5", |b| {
         b.iter(|| std::hint::black_box(prog.interp(&env, 5).unwrap()))
     });
+    let schedule = prog.schedule().expect("the model is well-formed");
+    let (symbolic, no_holes) = (StreamInputs::new(), BTreeMap::new());
     group.bench_function("dsp48e2_symbolic_cycle2", |b| {
         b.iter(|| {
             let mut pool = lr_smt::TermPool::new();
-            std::hint::black_box(prog.to_term(&mut pool, 2))
+            std::hint::black_box(schedule.term(&mut pool, 2, &symbolic, &no_holes))
+        })
+    });
+    group.bench_function("dsp48e2_bound_inputs_cycle2", |b| {
+        b.iter(|| {
+            let mut pool = lr_smt::TermPool::new();
+            std::hint::black_box(schedule.term(&mut pool, 2, &env, &no_holes))
         })
     });
     group.finish();

@@ -184,28 +184,39 @@ fn is_ac(op: lr_ir::BvOp) -> bool {
 /// under commutation/re-association of AC operator chains. Cycles through
 /// registers (counters, accumulators) hash by back-edge *distance*, which is
 /// isomorphism-invariant.
+///
+/// Each node is hashed once, unless its hash read a back edge: such a hash
+/// depends on the path that reached the node, so a node inside a feedback loop
+/// is hashed once per path (a register pipeline without feedback stays linear).
 pub fn spec_fingerprint(spec: &Prog) -> (u64, u64) {
+    /// The node's hash, and whether it read a back edge.
     fn node_fp(
         prog: &Prog,
         id: NodeId,
         open: &mut Vec<NodeId>,
-        memo: &mut std::collections::HashMap<NodeId, [u64; 2]>,
-    ) -> [u64; 2] {
+        memo: &mut std::collections::HashMap<NodeId, ([u64; 2], bool)>,
+    ) -> ([u64; 2], bool) {
         if let Some(pos) = open.iter().rposition(|&o| o == id) {
             // Back edge (feedback through a register): hash the distance to the
             // open node, the de-Bruijn trick that names cycles canonically.
             let mut m = Mix::new();
             m.str("back");
             m.u64((open.len() - pos) as u64);
-            return m.finish();
+            return (m.finish(), true);
         }
-        // Only cache below any open cycle: a node's hash depends on back-edge
-        // distances, which change with the path taken to reach it.
-        if open.is_empty() {
-            if let Some(&fp) = memo.get(&id) {
-                return fp;
+        // A hash that read no back edge is the same on every path. One that did
+        // depends on back-edge distances, which change with the path taken, so
+        // it is reused only where no cycle is open.
+        if let Some(&(fp, looped)) = memo.get(&id) {
+            if !looped || open.is_empty() {
+                return (fp, looped);
             }
         }
+        let mut looped = false;
+        let mut read = |fp: ([u64; 2], bool)| {
+            looped |= fp.1;
+            fp.0
+        };
         let mut m = Mix::new();
         match prog.node(id).expect("node id belongs to the program") {
             Node::BV(bv) => {
@@ -240,7 +251,7 @@ pub fn spec_fingerprint(spec: &Prog) -> (u64, u64) {
                 m.str("reg");
                 m.bitvec(init);
                 open.push(id);
-                let fp = node_fp(prog, *data, open, memo);
+                let fp = read(node_fp(prog, *data, open, memo));
                 open.pop();
                 m.u64(fp[0]);
                 m.u64(fp[1]);
@@ -255,7 +266,7 @@ pub fn spec_fingerprint(spec: &Prog) -> (u64, u64) {
                             Some(Node::Op(inner, inner_args)) if inner == op => {
                                 stack.extend(inner_args.iter().rev().copied());
                             }
-                            _ => operands.push(node_fp(prog, a, open, memo)),
+                            _ => operands.push(read(node_fp(prog, a, open, memo))),
                         }
                     }
                     operands.sort_unstable();
@@ -270,7 +281,7 @@ pub fn spec_fingerprint(spec: &Prog) -> (u64, u64) {
                     m.str("op");
                     m.str(&op.to_string());
                     let mut fps: Vec<[u64; 2]> =
-                        args.iter().map(|&a| node_fp(prog, a, open, memo)).collect();
+                        args.iter().map(|&a| read(node_fp(prog, a, open, memo))).collect();
                     // `Eq` is commutative but (being 1-bit-valued) not usefully
                     // associative: sort its two operand hashes in place.
                     if *op == lr_ir::BvOp::Eq {
@@ -290,7 +301,7 @@ pub fn spec_fingerprint(spec: &Prog) -> (u64, u64) {
                 m.u64(p.bindings.len() as u64);
                 for (port, &target) in &p.bindings {
                     m.str(port);
-                    let fp = node_fp(prog, target, open, memo);
+                    let fp = read(node_fp(prog, target, open, memo));
                     m.u64(fp[0]);
                     m.u64(fp[1]);
                 }
@@ -300,10 +311,10 @@ pub fn spec_fingerprint(spec: &Prog) -> (u64, u64) {
             }
         }
         let fp = m.finish();
-        if open.is_empty() {
-            memo.insert(id, fp);
+        if !looped || open.is_empty() {
+            memo.insert(id, (fp, looped));
         }
-        fp
+        (fp, looped)
     }
 
     let mut m = Mix::new();
@@ -316,7 +327,8 @@ pub fn spec_fingerprint(spec: &Prog) -> (u64, u64) {
         m.str(name);
         m.u64(*width as u64);
     }
-    let root = node_fp(spec, spec.root(), &mut Vec::new(), &mut std::collections::HashMap::new());
+    let (root, _) =
+        node_fp(spec, spec.root(), &mut Vec::new(), &mut std::collections::HashMap::new());
     m.u64(root[0]);
     m.u64(root[1]);
     let [a, b] = m.finish();
@@ -485,6 +497,106 @@ mod tests {
         for secs in [20, 40, 120] {
             assert_eq!(keys_under(secs), clamped, "a {secs} s budget changed a key");
         }
+    }
+
+    /// `levels` of `w = (w ^ b) + (w & a)` from `w = c`, ending in one register:
+    /// every level reads the one below twice, so a walk that hashes per path
+    /// doubles its work per level.
+    fn registered_chain(levels: usize) -> Prog {
+        let mut b = ProgBuilder::new("chain");
+        let a = b.input("a", 8);
+        let bb = b.input("b", 8);
+        let mut w = b.input("c", 8);
+        for _ in 0..levels {
+            let x = b.op2(BvOp::Xor, w, bb);
+            let y = b.op2(BvOp::And, w, a);
+            w = b.op2(BvOp::Add, x, y);
+        }
+        let r = b.reg(w, 8);
+        b.finish(r)
+    }
+
+    #[test]
+    fn keys_are_pinned() {
+        let mut corpus = Vec::new();
+        let mut b = ProgBuilder::new("mul");
+        let a = b.input("a", 8);
+        let x = b.input("b", 8);
+        let m = b.op2(BvOp::Mul, a, x);
+        corpus.push(b.finish(m));
+        let mut b = ProgBuilder::new("ac");
+        let a = b.input("a", 8);
+        let x = b.input("b", 8);
+        let c = b.input("c", 8);
+        let s = b.op2(BvOp::Add, a, x);
+        let s = b.op2(BvOp::Add, s, c);
+        corpus.push(b.finish(s));
+        // A counter: r <= r + 1.
+        let mut b = ProgBuilder::new("ctr");
+        let r = b.reg_placeholder(8);
+        let one = b.constant_u64(1, 8);
+        let next = b.op2(BvOp::Add, r, one);
+        b.set_reg_data(r, next);
+        corpus.push(b.finish(r));
+        // An accumulator read through the product it adds: r <= r + a * b,
+        // out = r ^ (a * b).
+        let mut b = ProgBuilder::new("acc");
+        let a = b.input("a", 8);
+        let x = b.input("b", 8);
+        let r = b.reg_placeholder(8);
+        let m = b.op2(BvOp::Mul, a, x);
+        let next = b.op2(BvOp::Add, r, m);
+        b.set_reg_data(r, next);
+        let o = b.op2(BvOp::Xor, r, m);
+        corpus.push(b.finish(o));
+        // A product read both before and after a register: reg(reg(s) - s).
+        let mut b = ProgBuilder::new("pipe");
+        let a = b.input("a", 8);
+        let x = b.input("b", 8);
+        let s = b.op2(BvOp::Mul, a, x);
+        let r1 = b.reg(s, 8);
+        let d = b.op2(BvOp::Sub, r1, s);
+        let r2 = b.reg(d, 8);
+        corpus.push(b.finish(r2));
+        corpus.push(registered_chain(6));
+        let suite =
+            crate::suite::suite_for(lr_arch::ArchName::XilinxUltraScalePlus, [8].into_iter());
+        for name in [
+            "mul_w8_s2",
+            "preadd_mul_add_w8_s3_signed",
+            "presub_mul_sub_w8_s2_signed",
+            "mul_sub_w8_s1",
+        ] {
+            let bench = suite.iter().find(|b| b.name == name).expect("a suite design");
+            corpus.push(bench.build().saturated());
+        }
+        let keys: Vec<String> = corpus.iter().map(|spec| key_of(spec).to_string()).collect();
+        assert_eq!(
+            keys,
+            [
+                "0561cfde55c60a0487efec60db260a5d",
+                "068d9b984a14a888949d709f435a8b92",
+                "0589a8d86f959751b046ee3206be8ca5",
+                "405a58273bd72b08c6a73723ada6341c",
+                "376b56008c6c2d6a30409f6e1867f724",
+                "ef298b88ee5c68f87711f6ea86785d06",
+                "e424cdf2af1c8cb3e828a58ec8551eda",
+                "4ffad7c7543bb455ebee25cec4cc4a24",
+                "b7aa706796060f7e78d65c6921d16c08",
+                "4d4a8ada492475843eca95d85c18aba1",
+            ]
+        );
+    }
+
+    #[test]
+    fn a_deep_register_pipeline_keys_in_linear_time() {
+        let (send, receive) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = send.send(spec_fingerprint(&registered_chain(40)));
+        });
+        // Hashing once per path would take 2^40 steps.
+        let fingerprint = receive.recv_timeout(Duration::from_secs(5));
+        assert!(fingerprint.is_ok(), "a 40-level chain did not key within 5 s");
     }
 
     #[test]

@@ -10,9 +10,18 @@ pub struct Limits {
     /// Maximum number of search/apply/rebuild iterations.
     pub max_iterations: usize,
     /// Stop once the graph holds this many e-nodes (checked between iterations, so
-    /// the final graph may overshoot by one iteration's growth).
+    /// the final graph may overshoot by one iteration's growth). It also bounds
+    /// one iteration's search: once that has collected more than ten matches per
+    /// e-node of this limit, the run stops with [`StopReason::NodeLimit`]
+    /// without applying them.
     pub max_nodes: usize,
 }
+
+/// Matches one iteration may collect per e-node of [`Limits::max_nodes`]. A
+/// class that contains itself under an associative, commutative operator (as
+/// `a & 0` does in the class of `0`) lets the search match without end while
+/// the graph stays far below its node limit.
+const MATCHES_PER_NODE: usize = 10;
 
 impl Default for Limits {
     fn default() -> Self {
@@ -115,38 +124,42 @@ fn saturate_goal_inner(
             return stats;
         }
     }
+    let max_matches = limits.max_nodes.saturating_mul(MATCHES_PER_NODE);
     for _ in 0..limits.max_iterations {
         stats.iterations += 1;
         let unions_before = egraph.union_count();
         let nodes_before = egraph.nodes_added();
 
-        // Search phase (immutable): collect every (matched class, production).
+        // Search phase (immutable): collect every (matched class, production),
+        // up to the match bound.
         let mut pattern_apps: Vec<(EClassId, u32, &crate::pattern::Pattern, Subst)> = Vec::new();
         let mut dyn_apps: Vec<(EClassId, Recipe)> = Vec::new();
         let ids = egraph.class_ids();
-        for rule in rules {
-            match &rule.kind {
-                RewriteKind::Rule { lhs, rhs } => {
-                    for &id in &ids {
-                        let class = egraph.class(id);
-                        for subst in match_in_class(egraph, lhs, class, &Subst::default()) {
-                            pattern_apps.push((id, class.width, rhs, subst));
-                        }
+        'search: for rule in rules {
+            for &id in &ids {
+                let class = egraph.class(id);
+                let room = max_matches.saturating_add(1) - (pattern_apps.len() + dyn_apps.len());
+                match &rule.kind {
+                    RewriteKind::Rule { lhs, rhs } => {
+                        let matches = match_in_class(egraph, lhs, class, &Subst::default());
+                        let apps = matches.into_iter().take(room);
+                        pattern_apps.extend(apps.map(|subst| (id, class.width, rhs, subst)));
+                    }
+                    RewriteKind::Dyn(f) => {
+                        let recipes = class.nodes.iter().flat_map(|node| f(egraph, class, node));
+                        dyn_apps.extend(recipes.take(room).map(|recipe| (id, recipe)));
                     }
                 }
-                RewriteKind::Dyn(f) => {
-                    for &id in &ids {
-                        let class = egraph.class(id);
-                        for node in &class.nodes {
-                            for recipe in f(egraph, class, node) {
-                                dyn_apps.push((id, recipe));
-                            }
-                        }
-                    }
+                if pattern_apps.len() + dyn_apps.len() > max_matches {
+                    break 'search;
                 }
             }
         }
         stats.matches += (pattern_apps.len() + dyn_apps.len()) as u64;
+        if pattern_apps.len() + dyn_apps.len() > max_matches {
+            stats.stop = StopReason::NodeLimit;
+            break;
+        }
 
         // Apply phase (mutable): instantiate productions and union.
         for (id, width, rhs, subst) in pattern_apps {
@@ -215,6 +228,25 @@ mod tests {
         let limits = Limits { max_iterations: 50, max_nodes: 60 };
         let stats = saturate(&mut eg, &bv_rules(), &limits);
         assert_eq!(stats.stop, StopReason::NodeLimit);
+    }
+
+    #[test]
+    fn a_class_that_contains_itself_stops_at_the_match_bound() {
+        // b * (a & (a & 0)): `x & 0 = 0` puts `a & 0` into the class of 0, so
+        // that class contains itself under `and`, and associativity and
+        // commutativity match without end while the graph stays small.
+        let mut eg = EGraph::new();
+        let a = eg.add(ENode::Symbol { name: "a".into(), width: 8 });
+        let b = eg.add(ENode::Symbol { name: "b".into(), width: 8 });
+        let zero = eg.add(ENode::Const(BitVec::zeros(8)));
+        let inner = eg.add(ENode::Op { op: BvOp::And, args: vec![a, zero] });
+        let outer = eg.add(ENode::Op { op: BvOp::And, args: vec![a, inner] });
+        let root = eg.add(ENode::Op { op: BvOp::Mul, args: vec![b, outer] });
+        let stats = saturate(&mut eg, &bv_rules(), &Limits::default());
+        assert_eq!(stats.stop, StopReason::NodeLimit);
+        assert!(stats.matches < 200_000, "{stats:?}");
+        assert!(stats.enodes < Limits::default().max_nodes, "{stats:?}");
+        assert_eq!(eg.constant(root), Some(&BitVec::zeros(8)));
     }
 
     #[test]

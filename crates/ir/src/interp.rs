@@ -1,9 +1,8 @@
 //! The concrete stream interpreter for ℒlr (the `Interp` function of Fig. 4).
 //!
-//! Inputs are *streams*: functions from time (a clock-cycle index) to bitvectors. The
-//! [`StreamInputs`] type provides the two common cases — inputs held constant over
-//! time and explicit per-cycle traces — and the [`Inputs`] trait lets tests supply
-//! arbitrary streams.
+//! Inputs are *streams*: functions from time (a clock-cycle index) to bitvectors.
+//! [`StreamInputs`] holds each input either constant over time or as an explicit
+//! per-cycle trace.
 //!
 //! Evaluation steps forward one cycle at a time over the root's cone, sorted once by
 //! the witness of Property 1 (W6) so every node comes after its same-cycle inputs.
@@ -15,7 +14,8 @@
 //! that evaluates one program in many environments (random-stimulus checks,
 //! CEGIS examples, exhaustive input sweeps) builds it once with
 //! [`Prog::schedule`] and calls [`Schedule::trace`] per environment;
-//! [`Prog::interp_trace`] is the two in one call.
+//! [`Prog::interp_trace`] is the two in one call. The same schedule is what
+//! [`crate::symbolic`] walks to build solver terms ([`Schedule::term`]).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -25,13 +25,7 @@ use lr_smt::apply_op;
 
 use crate::{BvOp, Node, NodeId, Prog, WellFormednessError};
 
-/// An input environment: a map from variable names to streams of bitvectors.
-pub trait Inputs {
-    /// The value of input `name` at clock cycle `time`, if bound.
-    fn get(&self, name: &str, time: u32) -> Option<BitVec>;
-}
-
-/// The standard input environment: each variable is either held constant or driven by
+/// An input environment: each variable is either held constant or driven by
 /// an explicit per-cycle trace (the last trace value is held once the trace runs out,
 /// matching how testbenches hold their final stimulus).
 #[derive(Debug, Clone, Default)]
@@ -66,10 +60,9 @@ impl StreamInputs {
         self.traces.insert(name.into(), trace);
         self
     }
-}
 
-impl Inputs for StreamInputs {
-    fn get(&self, name: &str, time: u32) -> Option<BitVec> {
+    /// The value of input `name` at clock cycle `time`, if bound.
+    pub fn get(&self, name: &str, time: u32) -> Option<BitVec> {
         if let Some(trace) = self.traces.get(name) {
             let idx = (time as usize).min(trace.len() - 1);
             return Some(trace[idx].clone());
@@ -126,7 +119,7 @@ impl Prog {
     /// or a hole anywhere in it is reported from cycle 0, even behind a register
     /// whose value would only reach the root later. An ill-formed program is
     /// [`InterpError::IllFormed`].
-    pub fn interp(&self, inputs: &dyn Inputs, time: u32) -> Result<BitVec, InterpError> {
+    pub fn interp(&self, inputs: &StreamInputs, time: u32) -> Result<BitVec, InterpError> {
         let mut trace = self.interp_trace(inputs, time)?;
         Ok(trace.pop().expect("a trace holds one value per cycle"))
     }
@@ -140,19 +133,23 @@ impl Prog {
     ///
     /// # Errors
     /// As for [`Prog::interp`].
-    pub fn interp_trace(&self, inputs: &dyn Inputs, last: u32) -> Result<Vec<BitVec>, InterpError> {
-        self.schedule()?.trace(inputs, last)
+    pub fn interp_trace(
+        &self,
+        inputs: &StreamInputs,
+        last: u32,
+    ) -> Result<Vec<BitVec>, InterpError> {
+        self.schedule().map_err(InterpError::IllFormed)?.trace(inputs, last)
     }
 
-    /// Builds the program's evaluation schedule: the W1–W6 witness, the root's cone
-    /// and the slot each cone node's value occupies, none of which depend on the
-    /// inputs.
+    /// Builds the program's schedule: the W1–W6 witness, the root's cone and the
+    /// slot each cone node's value occupies, none of which depend on the inputs.
+    /// A sketch has one too: its holes are steps that [`Schedule::trace`] refuses
+    /// and [`Schedule::term`] binds.
     ///
     /// # Errors
-    /// [`InterpError::IllFormed`] for an ill-formed program and
-    /// [`InterpError::HoleEncountered`] for a hole in the root's cone.
-    pub fn schedule(&self) -> Result<Schedule<'_>, InterpError> {
-        let witness = self.well_formedness_witness().map_err(InterpError::IllFormed)?;
+    /// The program's first W1–W6 violation.
+    pub fn schedule(&self) -> Result<Schedule<'_>, WellFormednessError> {
+        let witness = self.well_formedness_witness()?;
         // Each cone node with the binding map of the primitive whose semantics holds it.
         let mut cone = HashMap::new();
         let mut stack = vec![(self.root(), self, None)];
@@ -178,44 +175,45 @@ impl Prog {
         let steps = order
             .iter()
             .map(|(_, id)| match cone[id] {
-                (Node::BV(bv), _) => Ok(Step::Const(bv)),
+                (Node::BV(bv), _) => Step::Const(bv),
                 (Node::Var { name, width }, bindings) => {
                     let bound = bindings.map(|bindings| slot[&bindings[name]]);
-                    Ok(Step::Var { name, width: *width, bound })
+                    Step::Var { name, width: *width, bound }
                 }
-                (Node::Op(op, args), _) => {
-                    Ok(Step::Op(*op, args.iter().map(|a| slot[a]).collect()))
-                }
-                (Node::Reg { data, init }, _) => Ok(Step::Reg { data: slot[data], init }),
-                (Node::Prim(p), _) => Ok(Step::Copy(slot[&p.semantics.root()])),
-                (Node::Hole { name, .. }, _) => Err(InterpError::HoleEncountered(name.clone())),
+                (Node::Op(op, args), _) => Step::Op(*op, args.iter().map(|a| slot[a]).collect()),
+                (Node::Reg { data, init }, _) => Step::Reg { data: slot[data], init },
+                (Node::Prim(p), _) => Step::Copy(slot[&p.semantics.root()]),
+                (Node::Hole { name, width, .. }, _) => Step::Hole { name, width: *width },
             })
-            .collect::<Result<_, _>>()?;
+            .collect();
         Ok(Schedule { steps, root: slot[&self.root()] })
     }
 }
 
-/// A program's evaluation schedule, built by [`Prog::schedule`]: the root's cone
-/// (the closure under [`Prog::node_inputs`], register data inputs and primitive
+/// A program's schedule, built by [`Prog::schedule`]: the root's cone (the
+/// closure under [`Prog::node_inputs`], register data inputs and primitive
 /// bindings included, plus primitive semantics) sorted once by the W6 witness, so
 /// every step comes after the same-cycle inputs it reads. [`Schedule::trace`]
-/// steps it forward cycle by cycle in any number of environments.
+/// steps it forward cycle by cycle in any number of environments, and
+/// [`Schedule::term`] walks it from the root into a solver term.
 #[derive(Debug)]
 pub struct Schedule<'p> {
-    steps: Vec<Step<'p>>,
+    pub(crate) steps: Vec<Step<'p>>,
     /// The root's slot.
-    root: usize,
+    pub(crate) root: usize,
 }
 
 /// One node of the root's cone. A node's slot, its index in the schedule, holds its
 /// value in each cycle's value vector. A `Var` is an input, or (`bound`) a
 /// sub-program variable copying the slot its primitive binds it to; a `Reg` is
 /// `init` at cycle 0 and then the previous cycle's `data` slot; a `Copy` is a
-/// primitive's output, the slot of its semantics root.
+/// primitive's output, the slot of its semantics root. A `Hole` has no value:
+/// tracing refuses it, and a term walk binds it.
 #[derive(Debug)]
-enum Step<'p> {
+pub(crate) enum Step<'p> {
     Const(&'p BitVec),
     Var { name: &'p str, width: u32, bound: Option<usize> },
+    Hole { name: &'p str, width: u32 },
     Op(BvOp, Vec<usize>),
     Reg { data: usize, init: &'p BitVec },
     Copy(usize),
@@ -226,8 +224,9 @@ impl Schedule<'_> {
     /// returning one value per cycle, exactly as [`Prog::interp_trace`] does.
     ///
     /// # Errors
-    /// An unbound or mis-sized input anywhere in the cone, from cycle 0 on.
-    pub fn trace(&self, inputs: &dyn Inputs, last: u32) -> Result<Vec<BitVec>, InterpError> {
+    /// An unbound or mis-sized input or a hole anywhere in the cone, from cycle 0
+    /// on.
+    pub fn trace(&self, inputs: &StreamInputs, last: u32) -> Result<Vec<BitVec>, InterpError> {
         let (mut prev, mut cur): (Vec<BitVec>, Vec<BitVec>) = (Vec::new(), Vec::new());
         let mut trace = Vec::with_capacity(last as usize + 1);
         for time in 0..=last {
@@ -249,6 +248,9 @@ impl Schedule<'_> {
                             });
                         }
                         value
+                    }
+                    Step::Hole { name, .. } => {
+                        return Err(InterpError::HoleEncountered(name.into()))
                     }
                     Step::Op(op, ref args) => match args[..] {
                         [a] => apply_op(op, &[&cur[a]]),

@@ -7,11 +7,10 @@
 //!
 //! * well-formedness checking (conditions W1–W6, including the combinational-loop
 //!   witness of Property 1) in [`wf`],
-//! * the stream semantics of Fig. 4 as a concrete evaluator in [`interp`], which
-//!   steps a program forward cycle by cycle in the witness order of Property 1
-//!   (a [`Schedule`], built once per program and traced in any number of
-//!   environments),
-//! * symbolic interpretation into `lr-smt` terms in [`symbolic`], which is how the
+//! * the stream semantics of Fig. 4 on one [`Schedule`] per program: the root's
+//!   cone sorted once in the witness order of Property 1. [`interp`] traces it
+//!   forward cycle by cycle on concrete values, in any number of environments;
+//!   [`symbolic`] walks it from the root into `lr-smt` terms, which is how the
 //!   synthesis queries of §3.3 are constructed,
 //! * the behavioral / structural / sketch sublanguage classification and hole
 //!   filling in [`holes`].
@@ -47,7 +46,7 @@ use std::fmt;
 use lr_bv::BitVec;
 
 pub use holes::{HoleDomain, HoleInfo};
-pub use interp::{interp_equivalent, Inputs, InterpError, Schedule, StreamInputs};
+pub use interp::{interp_equivalent, InterpError, Schedule, StreamInputs};
 pub use lr_smt::BvOp;
 pub use saturate::{SaturateOutcome, StructuralEvidence};
 pub use wf::WellFormednessError;

@@ -173,10 +173,11 @@ mod tests {
 
         use super::super::*;
         use crate::symbolic::parse_input_var;
-        use crate::{BvOp, Inputs, ProgBuilder, StreamInputs};
+        use crate::{BvOp, HoleDomain, ProgBuilder, StreamInputs};
         use lr_bv::BitVec;
         use lr_smt::TermPool;
         use proptest::prelude::*;
+        use std::collections::BTreeMap;
 
         /// One straight-line instruction over earlier nodes: the generator builds
         /// a DAG by construction, so every program is well-formed.
@@ -205,16 +206,24 @@ mod tests {
         /// inputs `a`, `b`, `c`. Operand indices wrap over the nodes built so
         /// far; every node already built has width 8 except the 1-bit comparison
         /// results tracked in `one_bit`, which only mux conditions may consume.
-        fn build(instrs: &[Instr]) -> Prog {
+        /// With `holes`, each constant is emitted as a hole instead, and the
+        /// returned assignment fills the sketch back into the program.
+        fn build(instrs: &[Instr], holes: bool) -> (Prog, BTreeMap<String, BitVec>) {
+            let mut filling = BTreeMap::new();
             let mut b = ProgBuilder::new("prop_prog");
             let mut wide: Vec<NodeId> = Vec::new();
             let mut one_bit: Vec<NodeId> = Vec::new();
             for name in ["a", "b", "c"] {
                 wide.push(b.input(name, WIDTH));
             }
-            for instr in instrs {
+            for (i, instr) in instrs.iter().enumerate() {
                 let pick = |nodes: &[NodeId], i: usize| nodes[i % nodes.len()];
                 match instr {
+                    Instr::Const(v) if holes => {
+                        let name = format!("k{i}");
+                        wide.push(b.hole(&name, WIDTH, HoleDomain::AnyConstant));
+                        filling.insert(name, BitVec::from_u64(*v, WIDTH));
+                    }
                     Instr::Const(v) => wide.push(b.constant_u64(*v, WIDTH)),
                     Instr::Un(op, a) => {
                         let a = pick(&wide, *a);
@@ -259,7 +268,7 @@ mod tests {
                 }
             }
             let root = *wide.last().expect("inputs guarantee at least one node");
-            b.finish(root)
+            (b.finish(root), filling)
         }
 
         /// The width rule applied recursively through a node's operands: the
@@ -307,7 +316,7 @@ mod tests {
                 instrs in proptest::collection::vec(instr_strategy(), 1..24),
                 inputs in proptest::collection::vec((0u64..=0xff, 0u64..=0xff, 0u64..=0xff), 3),
             ) {
-                let prog = build(&instrs);
+                let (prog, _) = build(&instrs, false);
                 prop_assert!(prog.well_formed().is_ok(), "generator must produce wf programs");
                 let simplified = prog.simplified();
                 prop_assert!(
@@ -324,6 +333,11 @@ mod tests {
                 widths_match_reference(&prog.saturated(), "saturated")?;
                 // One schedule traces every environment below.
                 let schedule = prog.schedule().unwrap();
+                // The same program with its constants as holes, and their values.
+                let (sketch, filling) = build(&instrs, true);
+                prop_assert_eq!(&sketch.fill_holes(&filling).unwrap(), &prog);
+                let sketch_schedule = sketch.schedule().unwrap();
+                let no_holes = BTreeMap::new();
                 for (a, bv, c) in inputs {
                     let env = StreamInputs::from_constants([
                         ("a".to_string(), BitVec::from_u64(a, WIDTH)),
@@ -353,13 +367,23 @@ mod tests {
                                 (name, value)
                             })
                             .collect();
-                        let term = prog.to_term(&mut pool, t);
+                        let symbolic = StreamInputs::new();
+                        let term = schedule.term(&mut pool, t, &symbolic, &no_holes);
                         prop_assert_eq!(
                             pool.eval(term, &bindings).unwrap(),
                             trace[t as usize].clone(),
                             "symbolic and concrete diverged at cycle {} for inputs ({}, {}, {})",
                             t, a, bv, c
                         );
+                        // A sketch walked with its holes bound is the filled
+                        // program's term, with inputs symbolic or bound.
+                        for inputs in [&symbolic, &env] {
+                            prop_assert_eq!(
+                                sketch_schedule.term(&mut pool, t, inputs, &filling),
+                                schedule.term(&mut pool, t, inputs, &no_holes),
+                                "bound holes diverged from constants at cycle {}", t
+                            );
+                        }
                     }
                 }
             }

@@ -1,21 +1,25 @@
 //! Symbolic interpretation of ℒlr programs into `lr-smt` terms.
 //!
-//! This is the bridge between the IR and the solver: running the Fig. 4 interpreter
-//! with *symbolic* inputs produces, for each clock cycle `t`, a QF_BV term describing
-//! the program's output at `t`. The synthesis engine (`lr-synth`) uses it twice per
-//! query — once for the behavioral specification and once for the sketch — and then
-//! asserts the two terms equal (the synthesis condition of §3.3).
+//! This is the bridge between the IR and the solver. A program has one
+//! [`Schedule`] for both semantics: [`Schedule::trace`] steps it forward on
+//! concrete values, and [`Schedule::term`] walks it from the root on *symbolic*
+//! ones, producing the QF_BV term for the program's output at a clock cycle `t`.
+//! The synthesis engine (`lr-synth`) walks the spec's and the sketch's schedules
+//! and asserts the terms equal (the synthesis condition of §3.3) or, to verify a
+//! candidate, unequal.
 //!
 //! Naming scheme:
 //! * input `x` at cycle `t` becomes the term variable `x@t`;
 //! * hole `h` becomes the term variable `hole!h` (holes are time-invariant).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::slice;
 
+use lr_bv::BitVec;
 use lr_smt::{TermId, TermPool};
 
-use crate::interp::Inputs;
-use crate::{HoleDomain, Node, NodeId, Prog};
+use crate::interp::Step;
+use crate::{HoleDomain, Prog, Schedule, StreamInputs};
 
 /// Name of the term variable standing for input `name` at cycle `time`.
 pub fn input_var_name(name: &str, time: u32) -> String {
@@ -38,46 +42,79 @@ pub fn parse_input_var(term_name: &str) -> Option<(&str, u32)> {
     time.parse().ok().map(|t| (name, t))
 }
 
-enum EnvCtx<'a> {
-    External,
-    Prim { outer_prog: &'a Prog, outer_env: &'a EnvCtx<'a>, bindings: &'a BTreeMap<String, NodeId> },
-}
-
-/// Options controlling symbolic interpretation.
-#[derive(Clone, Default)]
-pub struct SymbolicOptions<'a> {
-    /// If provided, inputs found here are emitted as constants instead of symbolic
-    /// variables (used by the CEGIS synthesis step, where counterexample inputs are
-    /// concrete but holes stay symbolic).
-    pub concrete_inputs: Option<&'a dyn Inputs>,
-}
-
-impl std::fmt::Debug for SymbolicOptions<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SymbolicOptions")
-            .field("concrete_inputs", &self.concrete_inputs.is_some())
-            .finish()
+impl Schedule<'_> {
+    /// Builds the QF_BV term for the root's value at clock cycle `cycle`. An
+    /// input bound in `inputs` becomes its value at each cycle, any other input
+    /// `x` the variable `x@t`; a hole bound in `holes` becomes its value, any
+    /// other hole `h` the variable `hole!h`.
+    ///
+    /// The walk visits the slots the root reads depth-first, operands left to
+    /// right, on an explicit stack, and makes each (cycle, slot) term once, after
+    /// its operands. So every call makes its terms in the same order, and depth
+    /// is not bounded by the thread's stack.
+    ///
+    /// # Panics
+    /// Panics if a bound input or hole has the wrong width.
+    pub fn term(
+        &self,
+        pool: &mut TermPool,
+        cycle: u32,
+        inputs: &StreamInputs,
+        holes: &BTreeMap<String, BitVec>,
+    ) -> TermId {
+        let slots = self.steps.len();
+        let at = |time: u32, slot: usize| time as usize * slots + slot;
+        let mut memo: Vec<Option<TermId>> = vec![None; at(cycle + 1, 0)];
+        // (cycle, slot, whether the slots it reads have their terms)
+        let mut stack = vec![(cycle, self.root, false)];
+        while let Some((time, slot, ready)) = stack.pop() {
+            if memo[at(time, slot)].is_some() {
+                continue;
+            }
+            let step = &self.steps[slot];
+            // The slots the step reads, at the cycle it reads them.
+            let (then, reads) = match step {
+                Step::Var { bound: Some(from), .. } | Step::Copy(from) => {
+                    (time, slice::from_ref(from))
+                }
+                Step::Reg { data, .. } if time > 0 => (time - 1, slice::from_ref(data)),
+                Step::Op(_, args) => (time, &args[..]),
+                _ => (time, &[][..]),
+            };
+            if !ready && !reads.is_empty() {
+                stack.push((time, slot, true));
+                stack.extend(reads.iter().rev().map(|&read| (then, read, false)));
+                continue;
+            }
+            let read = |slot| memo[at(then, slot)].expect("read slots are walked first");
+            let term = match step {
+                Step::Const(value) => pool.constant((*value).clone()),
+                Step::Reg { init, .. } if time == 0 => pool.constant((*init).clone()),
+                Step::Hole { name, width } => match holes.get(*name) {
+                    Some(value) => {
+                        assert_eq!(value.width(), *width, "hole `{name}` has the wrong width");
+                        pool.constant(value.clone())
+                    }
+                    None => pool.var(&hole_var_name(name), *width),
+                },
+                Step::Var { name, width, bound: None } => match inputs.get(name, time) {
+                    Some(value) => {
+                        assert_eq!(value.width(), *width, "input `{name}` has the wrong width");
+                        pool.constant(value)
+                    }
+                    None => pool.var(&input_var_name(name, time), *width),
+                },
+                Step::Op(op, args) => pool.mk_op(*op, args.iter().map(|&a| read(a)).collect()),
+                // A bound variable, a primitive's output, a register after cycle 0.
+                Step::Var { .. } | Step::Copy(_) | Step::Reg { .. } => read(reads[0]),
+            };
+            memo[at(time, slot)] = Some(term);
+        }
+        memo[at(cycle, self.root)].expect("the root is walked")
     }
 }
 
 impl Prog {
-    /// Builds the QF_BV term describing the root's value at clock cycle `time`, with
-    /// all inputs symbolic.
-    pub fn to_term(&self, pool: &mut TermPool, time: u32) -> TermId {
-        self.to_term_with(pool, time, &SymbolicOptions::default())
-    }
-
-    /// Builds the QF_BV term for the root at `time` with explicit options.
-    pub fn to_term_with(
-        &self,
-        pool: &mut TermPool,
-        time: u32,
-        options: &SymbolicOptions<'_>,
-    ) -> TermId {
-        let mut memo = HashMap::new();
-        build(self, &EnvCtx::External, pool, time, self.root(), options, &mut memo)
-    }
-
     /// Builds 1-bit constraint terms restricting every hole variable to its domain
     /// (the map `h` of §3.1). The synthesis engine asserts these alongside the
     /// equivalence obligations.
@@ -118,82 +155,16 @@ impl Prog {
     }
 }
 
-fn build(
-    prog: &Prog,
-    env: &EnvCtx<'_>,
-    pool: &mut TermPool,
-    time: u32,
-    id: NodeId,
-    options: &SymbolicOptions<'_>,
-    memo: &mut HashMap<(NodeId, u32), TermId>,
-) -> TermId {
-    if let Some(&t) = memo.get(&(id, time)) {
-        return t;
-    }
-    let node = prog.node(id).expect("node id belongs to the program");
-    let term = match node {
-        Node::BV(bv) => pool.constant(bv.clone()),
-        Node::Hole { name, width, .. } => pool.var(&hole_var_name(name), *width),
-        Node::Var { name, width } => {
-            resolve_var(prog, env, pool, time, name, *width, options, memo)
-        }
-        Node::Reg { data, init } => {
-            if time == 0 {
-                pool.constant(init.clone())
-            } else {
-                build(prog, env, pool, time - 1, *data, options, memo)
-            }
-        }
-        Node::Op(op, args) => {
-            let arg_terms: Vec<TermId> =
-                args.iter().map(|&a| build(prog, env, pool, time, a, options, memo)).collect();
-            pool.mk_op(*op, arg_terms)
-        }
-        Node::Prim(p) => {
-            let inner_env =
-                EnvCtx::Prim { outer_prog: prog, outer_env: env, bindings: &p.bindings };
-            build(&p.semantics, &inner_env, pool, time, p.semantics.root(), options, memo)
-        }
-    };
-    memo.insert((id, time), term);
-    term
-}
-
-#[allow(clippy::too_many_arguments)]
-fn resolve_var(
-    prog: &Prog,
-    env: &EnvCtx<'_>,
-    pool: &mut TermPool,
-    time: u32,
-    name: &str,
-    width: u32,
-    options: &SymbolicOptions<'_>,
-    memo: &mut HashMap<(NodeId, u32), TermId>,
-) -> TermId {
-    let _ = prog;
-    match env {
-        EnvCtx::External => {
-            if let Some(inputs) = options.concrete_inputs {
-                if let Some(value) = inputs.get(name, time) {
-                    assert_eq!(value.width(), width, "concrete input `{name}` has wrong width");
-                    return pool.constant(value);
-                }
-            }
-            pool.var(&input_var_name(name, time), width)
-        }
-        EnvCtx::Prim { outer_prog, outer_env, bindings } => match bindings.get(name) {
-            Some(&outer_id) => build(outer_prog, outer_env, pool, time, outer_id, options, memo),
-            None => pool.var(&input_var_name(name, time), width),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::StreamInputs;
     use crate::{BvOp, ProgBuilder};
     use lr_smt::{BvSolver, SatResult};
+
+    /// The term for `prog`'s root at `cycle` with every input and hole symbolic.
+    fn symbolic_term(prog: &Prog, pool: &mut TermPool, cycle: u32) -> TermId {
+        prog.schedule().unwrap().term(pool, cycle, &StreamInputs::new(), &BTreeMap::new())
+    }
 
     #[test]
     fn naming_helpers_roundtrip() {
@@ -224,7 +195,7 @@ mod tests {
         let concrete = prog.interp(&env, 1).unwrap();
 
         let mut pool = TermPool::new();
-        let term = prog.to_term(&mut pool, 1);
+        let term = symbolic_term(&prog, &mut pool, 1);
         let smt_env: lr_smt::Env = [
             ("a@0".to_string(), BitVec::from_u64(9, 8)),
             ("b@0".to_string(), BitVec::from_u64(6, 8)),
@@ -242,16 +213,27 @@ mod tests {
         let h = b.hole("k", 8, HoleDomain::AnyConstant);
         let sum = b.op2(BvOp::Add, a, h);
         let prog = b.finish(sum);
+        let schedule = prog.schedule().unwrap();
+        assert_eq!(
+            schedule.trace(&StreamInputs::new(), 0),
+            Err(crate::InterpError::UnboundVariable("a".into()))
+        );
 
         let mut env = StreamInputs::new();
         env.set_constant("a", BitVec::from_u64(5, 8));
         let mut pool = TermPool::new();
-        let options = SymbolicOptions { concrete_inputs: Some(&env) };
-        let term = prog.to_term_with(&mut pool, 0, &options);
+        let term = schedule.term(&mut pool, 0, &env, &BTreeMap::new());
         // The only free variable left should be the hole.
         let smt_env: lr_smt::Env =
             [("hole!k".to_string(), BitVec::from_u64(3, 8))].into_iter().collect();
         assert_eq!(pool.eval(term, &smt_env).unwrap(), BitVec::from_u64(8, 8));
+
+        // Binding the hole as well leaves a constant, the value tracing the
+        // filled program gives.
+        let holes: BTreeMap<String, BitVec> = [("k".into(), BitVec::from_u64(3, 8))].into();
+        let term = schedule.term(&mut pool, 0, &env, &holes);
+        assert_eq!(pool.as_const(term), Some(&BitVec::from_u64(8, 8)));
+        assert_eq!(prog.fill_holes(&holes).unwrap().interp(&env, 0), Ok(BitVec::from_u64(8, 8)));
     }
 
     #[test]
@@ -291,13 +273,37 @@ mod tests {
         let r = b.reg(a, 4);
         let prog = b.finish(r);
         let mut pool = TermPool::new();
-        let term = prog.to_term(&mut pool, 2);
+        let term = symbolic_term(&prog, &mut pool, 2);
         // The value at cycle 2 is the input at cycle 1.
         let d = pool.display(term);
         assert!(d.contains("a@1"), "term should reference a@1, got {d}");
         // At cycle 0 the register shows its initial value.
-        let term0 = prog.to_term(&mut pool, 0);
+        let term0 = symbolic_term(&prog, &mut pool, 0);
         assert_eq!(pool.as_const(term0), Some(&BitVec::zeros(4)));
+    }
+
+    #[test]
+    fn deep_chains_walk_on_a_small_stack() {
+        // out = ((a ^ b) + b) ^ b ... (100 000 operators) on a 256 KiB stack,
+        // with `a` bound and `b` symbolic.
+        let worker = std::thread::Builder::new().stack_size(256 << 10).spawn(|| {
+            let mut b = ProgBuilder::new("chain");
+            let mut x = b.input("a", 32);
+            let y = b.input("b", 32);
+            for i in 0..100_000 {
+                let op = if i % 2 == 0 { BvOp::Xor } else { BvOp::Add };
+                x = b.op2(op, x, y);
+            }
+            let prog = b.finish(x);
+            let env = StreamInputs::from_constants([("a".to_string(), BitVec::from_u64(7, 32))]);
+            let mut pool = TermPool::new();
+            let term = prog.schedule().unwrap().term(&mut pool, 0, &env, &BTreeMap::new());
+            (pool.width(term), pool.len())
+        });
+        let (width, len) = worker.expect("spawn").join().expect("no stack overflow");
+        assert_eq!(width, 32);
+        // `7`, `b@0` and one term per operator.
+        assert_eq!(len, 100_002);
     }
 
     #[test]
@@ -311,7 +317,4 @@ mod tests {
             vec![("a@0".to_string(), 4), ("a@1".to_string(), 4), ("a@2".to_string(), 4)]
         );
     }
-
-    use crate::HoleDomain;
-    use lr_bv::BitVec;
 }

@@ -29,6 +29,39 @@ fn a_single_design_maps_and_prints_verilog() {
 }
 
 #[test]
+fn a_design_whose_zero_absorbs_itself_maps_promptly() {
+    // `a & 0` joins the class of 0, which then contains itself under `and`:
+    // saturation used to match without end there, far below its node limit.
+    let dir = temp_dir("self_absorbing");
+    let design = dir.join("wedge.v");
+    std::fs::write(
+        &design,
+        "module wedge(input clk, input [7:0] a, b, output [7:0] out);\n  \
+         assign out = b * (a & (a & 8'd0));\nendmodule\n",
+    )
+    .unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lakeroad"))
+        .args(["--template", "dsp", "--arch-desc", "xilinx-ultrascale-plus"])
+        .arg(&design)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("lakeroad runs");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while child.try_wait().unwrap().is_none() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let hung = child.try_wait().unwrap().is_none();
+    let _ = child.kill();
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!hung, "still running after 30 s: {stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("1 DSP"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn an_unknown_template_is_a_usage_error() {
     let out = lakeroad(&["--template", "lut9", "--arch-desc", "sofa", "bench:mul_w8_s0"]);
     assert_eq!(out.status.code(), Some(2));

@@ -13,8 +13,8 @@
 //!   the counterexample learned in iteration `n-1`, and the bit-blast cache plus
 //!   every learnt clause carry over to the next check.
 //! * **Verification step** (`VerifyStep`) — one pool/solver pair is shared by
-//!   every candidate. Each candidate's disequality (built with its holes filled
-//!   concretely, so rewriting can shrink it) is *assumption-guarded*: the session
+//!   every candidate. Each candidate's disequality (built with its holes bound
+//!   to constants, so rewriting can shrink it) is *assumption-guarded*: the session
 //!   permanently asserts `activationᵢ → differsᵢ` and checks it with
 //!   [`BvSolver::check_assuming`]`(&[activationᵢ])`, so the constraint binds for
 //!   exactly one query and retracts for free when the next candidate arrives. The
@@ -29,7 +29,7 @@
 //! `tests/differential_cegis.rs` enforces this over the e2e benchmark tier.
 //!
 //! In both modes a candidate is first checked by term rewriting alone (building the
-//! disequality with the holes filled concretely and asking whether it folds to
+//! disequality with the holes bound to constants and asking whether it folds to
 //! `false`). When one-shot rewriting cannot decide the query and
 //! [`SynthesisConfig::egraph`] is on (the default), the disequality is pre-folded
 //! through bounded equality saturation (`lr_egraph`): ordering-sensitive forms the
@@ -67,7 +67,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use lr_bv::BitVec;
-use lr_ir::symbolic::{hole_var_name, input_var_name, SymbolicOptions};
+use lr_ir::symbolic::{hole_var_name, input_var_name};
 use lr_ir::{HoleInfo, InterpError, Node, Prog, Schedule, StreamInputs};
 use lr_smt::{BvSession, BvSolver, SatResult, TermId, TermPool};
 
@@ -77,6 +77,9 @@ use crate::{
 
 /// CEGIS iterations a run may take before it gives up with a timeout verdict.
 const MAX_ITERATIONS: usize = 64;
+
+/// Seed of the pseudo-random seed examples.
+const EXAMPLE_SEED: u64 = 0xd5b_0001;
 
 /// Runs CEGIS for the given task and configuration.
 ///
@@ -117,7 +120,7 @@ fn synthesize_run(
     config: &SynthesisConfig,
     cancel: Option<Arc<AtomicBool>>,
 ) -> Result<SynthesisOutcome, SynthesisError> {
-    validate(task)?;
+    let schedules = validate(task)?;
     let start = Instant::now();
     let holes = task.sketch.holes();
     let inputs = task.spec.free_vars();
@@ -144,8 +147,7 @@ fn synthesize_run(
     let out_of_time =
         |start: &Instant| config.timeout.map(|t| start.elapsed() >= t).unwrap_or(false);
 
-    let spec = task.spec.schedule().map_err(|e| SynthesisError::IllFormed(format!("spec: {e}")))?;
-    let mut synth = SynthStep::new(spec);
+    let mut synth = SynthStep::new();
     synth.interrupts.clone_from(&interrupts);
     let mut verifier = VerifyStep::new();
     verifier.interrupts.clone_from(&interrupts);
@@ -161,7 +163,8 @@ fn synthesize_run(
         }
 
         // ----- synthesis step: find hole values consistent with all examples -----
-        let candidate = match synth.solve(task, config, &holes, &examples, &mut stats)? {
+        let search = synth.solve(task, config, &schedules, &holes, &examples, &mut stats)?;
+        let candidate = match search {
             HoleSearch::Found(assignment) => assignment,
             HoleSearch::NoneExists => {
                 stats.elapsed = start.elapsed();
@@ -179,46 +182,58 @@ fn synthesize_run(
         }
 
         // ----- verification step: does the candidate work for *all* inputs? -----
-        let completed = task.sketch.fill_holes(&candidate).map_err(SynthesisError::IllFormed)?;
-        let verdict = if is_exhaustive {
+        let fill = |candidate| task.sketch.fill_holes(candidate).map_err(SynthesisError::IllFormed);
+        let implementation = if is_exhaustive {
             // The examples are every input, so evaluating them is the whole proof
             // and this first iteration is the last; a disagreement is an error,
             // never a counterexample.
             let _sp = lr_trace::span("exhaustive-check");
-            check_examples(&synth.spec, &completed, &examples, task.cycles())?;
-            Verification::Equivalent
+            let completed = fill(&candidate)?;
+            check_examples(&schedules.spec, &completed, &examples, task.cycles())?;
+            completed
         } else {
-            verifier.verify(task, config, &completed, &mut stats)
+            match verifier.verify(task, config, &schedules, &candidate, &mut stats) {
+                Verification::Equivalent => fill(&candidate)?,
+                Verification::Counterexample(cex) => {
+                    examples.push(cex);
+                    stats.examples = examples.len();
+                    continue;
+                }
+                Verification::GaveUp => {
+                    stats.elapsed = start.elapsed();
+                    return Ok(SynthesisOutcome::Timeout { stats });
+                }
+            }
         };
-        match verdict {
-            Verification::Equivalent => {
-                stats.elapsed = start.elapsed();
-                return Ok(SynthesisOutcome::Success(Box::new(Synthesized {
-                    implementation: completed,
-                    hole_assignment: candidate,
-                    stats,
-                })));
-            }
-            Verification::Counterexample(cex) => {
-                examples.push(cex);
-                stats.examples = examples.len();
-            }
-            Verification::GaveUp => {
-                stats.elapsed = start.elapsed();
-                return Ok(SynthesisOutcome::Timeout { stats });
-            }
-        }
+        stats.elapsed = start.elapsed();
+        return Ok(SynthesisOutcome::Success(Box::new(Synthesized {
+            implementation,
+            hole_assignment: candidate,
+            stats,
+        })));
     }
     stats.elapsed = start.elapsed();
     Ok(SynthesisOutcome::Timeout { stats })
 }
 
-fn validate(task: &SynthesisTask<'_>) -> Result<(), SynthesisError> {
+/// The task's two programs, compiled once per run. Both CEGIS steps trace the
+/// spec's schedule and walk both into terms ([`Schedule::term`]): the sketch's
+/// with an example as its inputs to synthesize, with a candidate as its holes
+/// to verify. Only the exhaustive check and the result fill the holes.
+struct Schedules<'p> {
+    spec: Schedule<'p>,
+    sketch: Schedule<'p>,
+}
+
+/// Checks the task and compiles its programs. Building a schedule is the W1–W6
+/// check.
+fn validate<'p>(task: &SynthesisTask<'p>) -> Result<Schedules<'p>, SynthesisError> {
     if !task.spec.is_behavioral() {
         return Err(SynthesisError::SpecNotBehavioral);
     }
-    task.spec.well_formed().map_err(|e| SynthesisError::IllFormed(format!("spec: {e}")))?;
-    task.sketch.well_formed().map_err(|e| SynthesisError::IllFormed(format!("sketch: {e}")))?;
+    let spec = task.spec.schedule().map_err(|e| SynthesisError::IllFormed(format!("spec: {e}")))?;
+    let sketch =
+        task.sketch.schedule().map_err(|e| SynthesisError::IllFormed(format!("sketch: {e}")))?;
     let spec_inputs: Vec<String> = task.spec.free_vars().into_iter().map(|(n, _)| n).collect();
     let sketch_inputs: Vec<String> = task.sketch.free_vars().into_iter().map(|(n, _)| n).collect();
     if spec_inputs != sketch_inputs {
@@ -234,7 +249,7 @@ fn validate(task: &SynthesisTask<'_>) -> Result<(), SynthesisError> {
             "spec root is {spec_width} bits but sketch root is {sketch_width} bits"
         )));
     }
-    Ok(())
+    Ok(Schedules { spec, sketch })
 }
 
 /// The CEGIS loop's seed examples: all-zeros, all-ones (with at least one seed
@@ -245,7 +260,7 @@ fn seed_examples(inputs: &[(String, u32)], config: &SynthesisConfig) -> Vec<Stre
         examples
             .push(constant_example(inputs, |_, w| if w >= 64 { u64::MAX } else { (1 << w) - 1 }));
     }
-    let mut rng_state = config.seed | 1;
+    let mut rng_state = EXAMPLE_SEED | 1;
     for _ in 1..config.seed_examples {
         examples.push(constant_example(inputs, |_, _| {
             rng_state ^= rng_state << 13;
@@ -308,7 +323,7 @@ pub fn check_examples(
     cycles: RangeInclusive<u32>,
 ) -> Result<(), SynthesisError> {
     let ill_formed = |e: InterpError| SynthesisError::IllFormed(format!("candidate: {e}"));
-    let candidate = candidate.schedule().map_err(ill_formed)?;
+    let candidate = candidate.schedule().map_err(|e| ill_formed(InterpError::IllFormed(e)))?;
     let last = *cycles.end();
     for (idx, example) in examples.iter().enumerate() {
         let want = trace_example(spec, example, idx, last)?;
@@ -410,9 +425,7 @@ impl SynthState {
 
 /// The CEGIS synthesis step: find hole values making the sketch match the spec on
 /// every accumulated example at every required cycle.
-struct SynthStep<'p> {
-    /// The spec's schedule, traced once per example for its expected values.
-    spec: Schedule<'p>,
+struct SynthStep {
     state: Option<SynthState>,
     /// High-water mark of examples encoded into *any* solver instance so far; used
     /// to count from-scratch re-encoding work.
@@ -421,15 +434,16 @@ struct SynthStep<'p> {
     interrupts: Vec<Arc<AtomicBool>>,
 }
 
-impl<'p> SynthStep<'p> {
-    fn new(spec: Schedule<'p>) -> SynthStep<'p> {
-        SynthStep { spec, state: None, ever_encoded: 0, interrupts: Vec::new() }
+impl SynthStep {
+    fn new() -> SynthStep {
+        SynthStep { state: None, ever_encoded: 0, interrupts: Vec::new() }
     }
 
     fn solve(
         &mut self,
         task: &SynthesisTask<'_>,
         config: &SynthesisConfig,
+        schedules: &Schedules<'_>,
         holes: &[HoleInfo],
         examples: &[StreamInputs],
         stats: &mut SynthesisStats,
@@ -448,14 +462,15 @@ impl<'p> SynthStep<'p> {
         // Permanent: one equality constraint per (new example, cycle). Examples only
         // accumulate, so in incremental mode this encodes exactly the delta.
         let last = task.at_cycle + task.extra_cycles;
+        let symbolic_holes = BTreeMap::new();
         for (idx, example) in examples.iter().enumerate().skip(state.encoded_examples) {
-            let trace = trace_example(&self.spec, example, idx, last)?;
+            let trace = trace_example(&schedules.spec, example, idx, last)?;
             for cycle in task.cycles() {
                 let expected = trace[cycle as usize].clone();
-                let options = SymbolicOptions { concrete_inputs: Some(example) };
-                let sketch_term = task.sketch.to_term_with(state.session.pool(), cycle, &options);
-                let expected_term = state.session.pool().constant(expected);
-                let eq = state.session.pool().eq(sketch_term, expected_term);
+                let pool = state.session.pool();
+                let sketch_term = schedules.sketch.term(pool, cycle, example, &symbolic_holes);
+                let expected_term = pool.constant(expected);
+                let eq = pool.eq(sketch_term, expected_term);
                 state.session.assert_true(eq);
                 stats.constraints_encoded += 1;
                 if idx < self.ever_encoded {
@@ -544,18 +559,19 @@ impl VerifyStep {
         &mut self,
         task: &SynthesisTask<'_>,
         config: &SynthesisConfig,
-        candidate: &Prog,
+        schedules: &Schedules<'_>,
+        candidate: &BTreeMap<String, BitVec>,
         stats: &mut SynthesisStats,
     ) -> Verification {
         if config.incremental {
-            return self.verify_incremental(task, config, candidate, stats);
+            return self.verify_incremental(task, config, schedules, candidate, stats);
         }
 
         // From-scratch mode: fresh pool, fresh solver. Build the disequality with
-        // the holes filled concretely; a correct candidate usually folds it to
+        // the holes bound to constants; a correct candidate usually folds it to
         // `false` without ever reaching the SAT solver.
         let mut pool = TermPool::new();
-        let differs = build_differs(task, candidate, &mut pool);
+        let differs = build_differs(task, schedules, candidate, &mut pool);
         if let Some(value) = pool.as_const(differs) {
             if value.is_zero() {
                 return Verification::Equivalent;
@@ -591,7 +607,8 @@ impl VerifyStep {
         &mut self,
         task: &SynthesisTask<'_>,
         config: &SynthesisConfig,
-        candidate: &Prog,
+        schedules: &Schedules<'_>,
+        candidate: &BTreeMap<String, BitVec>,
         stats: &mut SynthesisStats,
     ) -> Verification {
         let verify = self.session.get_or_insert_with(|| {
@@ -615,7 +632,7 @@ impl VerifyStep {
         // round one), and candidate terms reuse whatever structure they share with
         // earlier rounds. Rewriting still applies, so a correct candidate usually
         // folds the disequality to `false` here, before any SAT work.
-        let differs = build_differs(task, candidate, verify.session.pool());
+        let differs = build_differs(task, schedules, candidate, verify.session.pool());
         if let Some(value) = verify.session.pool_ref().as_const(differs) {
             if value.is_zero() {
                 return Verification::Equivalent;
@@ -701,12 +718,19 @@ fn prefold_differs(
     }
 }
 
-/// Builds `∃ inputs. spec ≠ candidate` over the task's cycles in `pool`.
-fn build_differs(task: &SynthesisTask<'_>, candidate: &Prog, pool: &mut TermPool) -> TermId {
+/// Builds `∃ inputs. spec ≠ candidate` over the task's cycles in `pool`, walking
+/// the sketch's schedule with its holes bound to the candidate.
+fn build_differs(
+    task: &SynthesisTask<'_>,
+    schedules: &Schedules<'_>,
+    candidate: &BTreeMap<String, BitVec>,
+    pool: &mut TermPool,
+) -> TermId {
+    let (symbolic, no_holes) = (StreamInputs::new(), BTreeMap::new());
     let mut differs = pool.false_();
     for cycle in task.cycles() {
-        let spec_term = task.spec.to_term(pool, cycle);
-        let cand_term = candidate.to_term(pool, cycle);
+        let spec_term = schedules.spec.term(pool, cycle, &symbolic, &no_holes);
+        let cand_term = schedules.sketch.term(pool, cycle, &symbolic, candidate);
         let ne = pool.ne(spec_term, cand_term);
         differs = pool.or(differs, ne);
     }
@@ -1057,9 +1081,16 @@ mod tests {
             SynthesisConfig { incremental: false, ..Default::default() },
         ] {
             let mut stats = SynthesisStats::default();
-            let mut synth = SynthStep::new(spec.schedule().unwrap());
-            let err = synth
-                .solve(&task, &config, &holes, std::slice::from_ref(&unbound), &mut stats)
+            let schedules = validate(&task).unwrap();
+            let err = SynthStep::new()
+                .solve(
+                    &task,
+                    &config,
+                    &schedules,
+                    &holes,
+                    std::slice::from_ref(&unbound),
+                    &mut stats,
+                )
                 .unwrap_err();
             assert!(
                 matches!(err, SynthesisError::MalformedExample { example: 0, cycle: 0, .. }),

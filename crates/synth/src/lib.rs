@@ -87,8 +87,6 @@ pub struct SynthesisConfig {
     pub timeout: Option<Duration>,
     /// Number of seeded input examples to start CEGIS with (beyond all-zeros).
     pub seed_examples: usize,
-    /// Seed for generating the initial examples.
-    pub seed: u64,
     /// Reuse solver state across CEGIS iterations (see [`cegis`]). When false, every
     /// iteration rebuilds both solvers from scratch and re-encodes every accumulated
     /// example — the original behaviour, kept for comparison and as a differential
@@ -113,7 +111,6 @@ impl Default for SynthesisConfig {
             solver: SolverConfig::default(),
             timeout: Some(Duration::from_secs(120)),
             seed_examples: 3,
-            seed: 0xd5b_0001,
             incremental: true,
             egraph: true,
             cancel: None,

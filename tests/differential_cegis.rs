@@ -6,13 +6,16 @@
 //! against the spec by simulation. This is the safety net for the incremental
 //! solver-state machinery in `lr_synth::cegis`.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use lakeroad_suite::prelude::*;
 
 use lakeroad::pipeline_depth;
 use lakeroad::suite::suite_for;
+use lr_ir::{HoleDomain, HoleInfo};
 use lr_sketch::generate_sketch;
+use lr_smt::TermPool;
 use lr_synth::{
     synthesize, SolverConfig, SynthesisConfig, SynthesisOutcome, SynthesisTask, Synthesized,
     Verdict,
@@ -154,4 +157,70 @@ fn multi_iteration_tasks_agree_between_modes() {
     let (inc, scr) = differential("xor_add_two_holes", &spec, &sketch, 0, 0);
     assert_eq!(inc, Verdict::Success);
     assert_eq!(scr, Verdict::Success);
+}
+
+/// The terms both CEGIS steps build, pinned: `TermId`s are made in a fixed
+/// order, and since the pool orders commutative operands by `TermId`, that
+/// order is part of the CNF and so of the search. On `mul_w8_s1`'s DSP48E2
+/// sketch (Xilinx, saturated spec), one pool receives the synthesis step's
+/// terms (the sketch on three fixed examples at cycles `t..=t+2`, holes
+/// symbolic) and then the verification step's (the spec and the sketch with
+/// every hole bound to the first value of its domain, inputs symbolic). The
+/// pool's size and counters, the returned ids and a hash of every term's
+/// rendering must not move.
+#[test]
+fn the_cegis_term_sequence_is_pinned() {
+    fn fnv1a(hash: u64, text: &str) -> u64 {
+        text.bytes().fold(hash, |h, byte| (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3))
+    }
+    fn first_value(hole: &HoleInfo) -> BitVec {
+        match &hole.domain {
+            HoleDomain::Choice(choices) => choices[0].clone(),
+            HoleDomain::AnyConstant | HoleDomain::LessThan(_) => BitVec::zeros(hole.width),
+        }
+    }
+
+    let arch = Architecture::xilinx_ultrascale_plus();
+    let bench = suite_for(arch.name(), [8u32].into_iter())
+        .into_iter()
+        .find(|b| b.name == "mul_w8_s1")
+        .expect("the suite holds mul_w8_s1");
+    let spec = bench.build().saturated();
+    let sketch = generate_sketch(Template::Dsp, &arch, &spec).unwrap();
+    let t = pipeline_depth(&spec);
+    assert_eq!(t, 1);
+    let inputs = spec.free_vars();
+    let examples: Vec<StreamInputs> = [0x35u64, 0xC6, 0x5B]
+        .iter()
+        .map(|&seed| {
+            StreamInputs::from_constants(inputs.iter().enumerate().map(|(i, (name, width))| {
+                (name.clone(), BitVec::from_u64(seed.wrapping_mul(i as u64 + 3), *width))
+            }))
+        })
+        .collect();
+    let first: BTreeMap<String, BitVec> =
+        sketch.holes().iter().map(|h| (h.name.clone(), first_value(h))).collect();
+    assert_eq!(first.len(), 16);
+
+    let (spec, sketch) = (spec.schedule().unwrap(), sketch.schedule().unwrap());
+    let (symbolic, no_holes) = (StreamInputs::new(), BTreeMap::new());
+    let mut pool = TermPool::new();
+    let mut terms = Vec::new();
+    for example in &examples {
+        for cycle in t..=t + 2 {
+            terms.push(sketch.term(&mut pool, cycle, example, &no_holes));
+        }
+    }
+    for cycle in t..=t + 2 {
+        terms.push(spec.term(&mut pool, cycle, &symbolic, &no_holes));
+        terms.push(sketch.term(&mut pool, cycle, &symbolic, &first));
+    }
+
+    let ids: Vec<usize> = terms.iter().map(|term| term.index()).collect();
+    assert_eq!(ids, [218, 265, 304, 469, 516, 555, 720, 767, 806, 809, 145, 835, 145, 846, 145]);
+    assert_eq!(pool.len(), 857);
+    let stats = pool.stats();
+    assert_eq!((stats.nodes, stats.cons_hits, stats.rewrite_hits), (857, 18_544, 17_938));
+    let hash = terms.iter().fold(0xcbf2_9ce4_8422_2325, |h, &term| fnv1a(h, &pool.display(term)));
+    assert_eq!(hash, 0x7587_05c7_b2cb_1d26);
 }
